@@ -3,7 +3,7 @@
 
 DATE := $(shell date +%F)
 
-.PHONY: build test vet race tier1 bench bench-smoke alloc-guard serve-smoke cluster-smoke fault-smoke obs-smoke overload-smoke
+.PHONY: build test vet race tier1 bench bench-smoke bench-vet examples alloc-guard serve-smoke cluster-smoke fault-smoke obs-smoke overload-smoke
 
 build:
 	go build ./...
@@ -83,14 +83,28 @@ bench:
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime 1x -benchmem ./...
 
+# Compile and vet the repository benchmark (perfbench/, see BENCHMARK.json).
+# It is its own Go module, so the root `go build ./...` never builds it; this
+# target makes an API change that breaks the benchmark fail here instead of
+# in the benchmark run. Offline: the module's only dependency is the
+# checkout itself.
+bench-vet:
+	cd perfbench && GOPROXY=off GOFLAGS= go vet ./...
+
+# Run every example program. Each one checks its own results and exits
+# non-zero (log.Fatal) on a mismatch.
+EXAMPLES := $(notdir $(patsubst %/main.go,%,$(wildcard examples/*/main.go)))
+examples:
+	@set -e; for e in $(EXAMPLES); do echo "== examples/$$e"; go run ./examples/$$e > /dev/null; done
+
 # The steady-state allocation guard of the coloring engine: fails if
 # Factorizer/Matcher/Splitter reuse regresses past the alloc budget. The
 # streaming path is covered too: a warmed Stream drain allocates nothing
-# beyond its handle, and RouteStream+Collect stays within Route's budget
+# beyond its handle, and ExecuteStream+Collect stays within Execute's budget
 # plus the fixed stream handles. TestHRelationPooledAllocBudget guards the
 # pooled h-relation path of Execute: steady state must stay under half the
-# allocations of the per-call RouteHRelation it supersedes (the measured
-# delta is recorded in BENCH_2026-07-30_hrelation.json). The tracing layer
+# allocations of a fresh Planner per call (the measured delta is recorded in
+# BENCH_2026-07-30_hrelation.json). The tracing layer
 # rides the same gate: span recording, the tracer's pooled Start/Finish
 # cycle, plan-time Observe on an existing key, and a traced plan-cache hit
 # must all stay at 0 allocs/op. The binary wire codec holds the same bar:
@@ -102,4 +116,4 @@ alloc-guard:
 		-count=1 ./internal/edgecolor ./internal/matching ./internal/graph
 	go test -run 'TestSpanAllocBudget|TestPlanTimesObserveAllocBudget' -count=1 ./internal/obs
 	go test -run 'TestWireEncodeAllocBudget|TestReframerAllocBudget' -count=1 ./internal/wirebin
-	go test -run 'TestRouteStreamAllocBudget|TestHRelationPooledAllocBudget|TestCachedHitSpanAllocBudget' -count=1 .
+	go test -run 'TestExecuteStreamAllocBudget|TestHRelationPooledAllocBudget|TestCachedHitSpanAllocBudget' -count=1 .

@@ -83,18 +83,20 @@ func BenchmarkE7Theorem2VsGreedy(b *testing.B) {
 	})
 }
 
-// BenchmarkPlannerReuse compares one-shot Route calls (network validation
-// and fresh scratch buffers every time) against a reused Planner, which
-// validates once and recycles its demand graph and invariant tables. The
-// planner side must show fewer allocs/op.
+// BenchmarkPlannerReuse compares a fresh Planner per call (network
+// validation and fresh scratch buffers every time) against a reused one,
+// which validates once and recycles its demand graph and invariant tables.
+// The planner side must show fewer allocs/op.
 func BenchmarkPlannerReuse(b *testing.B) {
+	ctx := context.Background()
 	for _, s := range []struct{ d, g int }{{8, 8}, {32, 32}, {16, 64}} {
 		rng := rand.New(rand.NewSource(6))
 		pi := perms.Random(s.d*s.g, rng)
+		w := Permutation(pi)
 		b.Run(fmt.Sprintf("route-percall/d=%d/g=%d", s.d, s.g), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Route(s.d, s.g, pi); err != nil {
+				if _, err := execute(s.d, s.g, Permutation(pi)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -104,13 +106,13 @@ func BenchmarkPlannerReuse(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := p.Route(pi); err != nil { // warm the buffer free list
+			if _, err := p.Execute(ctx, w); err != nil { // warm the buffer free list
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Route(pi); err != nil {
+				if _, err := p.Execute(ctx, w); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -120,13 +122,13 @@ func BenchmarkPlannerReuse(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := p.Route(pi); err != nil { // warm the buffer free list
+			if _, err := p.Execute(ctx, w); err != nil { // warm the buffer free list
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Route(pi); err != nil {
+				if _, err := p.Execute(ctx, w); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -135,7 +137,7 @@ func BenchmarkPlannerReuse(b *testing.B) {
 }
 
 // BenchmarkRouteBatch plans a fixed batch of permutations per iteration:
-// once per-call through the facade Route (the pre-Planner API shape), then
+// once per-call on a fresh Planner each (the pre-Planner API shape), then
 // through Planner.RouteBatch at parallelism 1, 4, and GOMAXPROCS. The batch
 // path must show fewer allocs/op than the per-call path.
 func BenchmarkRouteBatch(b *testing.B) {
@@ -149,7 +151,7 @@ func BenchmarkRouteBatch(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, pi := range pis {
-				if _, err := Route(d, g, pi); err != nil {
+				if _, err := execute(d, g, Permutation(pi)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -181,21 +183,22 @@ func BenchmarkRouteBatch(b *testing.B) {
 
 // BenchmarkTimeToFirstSlot measures the streaming pipeline's headline win:
 // time until the first slot fragment of a plan is usable. route-full is the
-// baseline — a batch Route call, whose first slot is only ready when the
-// whole plan is; stream-first-slot runs RouteStream until the first Next
+// baseline — a batch Execute call, whose first slot is only ready when the
+// whole plan is; stream-first-slot runs ExecuteStream until the first Next
 // returns and abandons the stream (Close); stream-collect drains the stream
 // to the finished plan, bounding the streaming overhead against route-full.
 func BenchmarkTimeToFirstSlot(b *testing.B) {
+	ctx := context.Background()
 	shapes := []struct{ d, g int }{{8, 8}, {8, 64}, {32, 8}, {32, 64}, {16, 64}}
 	for _, s := range shapes {
 		rng := rand.New(rand.NewSource(21))
-		pi := perms.Random(s.d*s.g, rng)
+		w := Permutation(perms.Random(s.d*s.g, rng))
 		newPlanner := func(b *testing.B) *Planner {
 			p, err := NewPlanner(s.d, s.g)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := p.Route(pi); err != nil { // warm the worker free list
+			if _, err := p.Execute(ctx, w); err != nil { // warm the worker free list
 				b.Fatal(err)
 			}
 			return p
@@ -205,7 +208,7 @@ func BenchmarkTimeToFirstSlot(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Route(pi); err != nil {
+				if _, err := p.Execute(ctx, w); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -215,7 +218,7 @@ func BenchmarkTimeToFirstSlot(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ps, err := p.RouteStream(pi)
+				ps, err := p.ExecuteStream(ctx, w)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -230,7 +233,7 @@ func BenchmarkTimeToFirstSlot(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ps, err := p.RouteStream(pi)
+				ps, err := p.ExecuteStream(ctx, w)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -243,8 +246,8 @@ func BenchmarkTimeToFirstSlot(b *testing.B) {
 }
 
 // BenchmarkHRelation measures the pooled h-relation planning of the
-// Execute surface against the per-call deprecated RouteHRelation (which
-// rebuilds planner, arenas and demand graph every call), plus the streaming
+// Execute surface against a fresh Planner per call (which rebuilds planner,
+// arenas and demand graph every call), plus the streaming
 // pipeline's time-to-first-slot: execute-stream-first-slot runs
 // ExecuteStream(HRelation) until the first Next returns and abandons the
 // stream, so its ns/op is the latency until the first routed slot is usable
@@ -273,7 +276,7 @@ func BenchmarkHRelation(b *testing.B) {
 		b.Run(fmt.Sprintf("route-percall/d=%d/g=%d/h=%d", s.d, s.g, s.h), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := RouteHRelation(s.d, s.g, reqs); err != nil {
+				if _, err := execute(s.d, s.g, HRelation(reqs)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -445,7 +448,7 @@ func BenchmarkBroadcast(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sched, err := BroadcastSchedule(nw, 0)
+	sched, err := popsnet.OneToAll(nw, 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

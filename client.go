@@ -342,12 +342,6 @@ func (r *pooledBodyReader) Close() error {
 	return nil
 }
 
-// Route plans one permutation on POPS(d, g) with the default (Theorem 2)
-// strategy. A per-permutation planning failure is returned as an error.
-func (c *ServiceClient) Route(ctx context.Context, d, g int, pi []int) (*ServicePlan, error) {
-	return c.doOne(ctx, &ServiceRouteRequest{D: d, G: g, Pi: pi})
-}
-
 // Execute plans one workload on POPS(d, g) — the wire form of
 // Planner.Execute. Permutation workloads go through the service's
 // micro-batching queue; h-relation, all-to-all and one-to-all workloads are
@@ -454,13 +448,6 @@ type ServiceStream struct {
 	meta ServiceStreamMeta
 	done *ServiceStreamDone
 	err  error
-}
-
-// RouteStream opens a slot stream for pi on POPS(d, g) with the default
-// (Theorem 2) strategy. The stream's Meta is available immediately — it
-// arrives before the first slot has even been computed server-side.
-func (c *ServiceClient) RouteStream(ctx context.Context, d, g int, pi []int) (*ServiceStream, error) {
-	return c.DoStream(ctx, &ServiceRouteRequest{D: d, G: g, Pi: pi})
 }
 
 // ExecuteStream opens a slot stream for any workload — the wire form of

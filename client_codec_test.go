@@ -69,7 +69,7 @@ func TestServiceClientBinaryStream(t *testing.T) {
 	srv := rawStreamServer(t, raw)
 	client := NewServiceClient(srv.URL, nil)
 
-	st, err := client.RouteStream(context.Background(), 4, 8, VectorReversal(32))
+	st, err := client.ExecuteStream(context.Background(), 4, 8, Permutation(VectorReversal(32)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestServiceClientTruncatedBinaryStream(t *testing.T) {
 	} {
 		srv := rawStreamServer(t, raw)
 		client := NewServiceClient(srv.URL, nil)
-		st, err := client.RouteStream(context.Background(), 4, 8, VectorReversal(32))
+		st, err := client.ExecuteStream(context.Background(), 4, 8, Permutation(VectorReversal(32)))
 		if err != nil {
 			t.Fatalf("%s: open: %v", name, err)
 		}
@@ -154,7 +154,7 @@ func TestServiceClientCorruptBinaryFrame(t *testing.T) {
 	raw := binaryStreamBytes(t, slots, []byte{0x03, 0x77, 0x77, 0x77}) // bad version frame
 	srv := rawStreamServer(t, raw)
 	client := NewServiceClient(srv.URL, nil)
-	st, err := client.RouteStream(context.Background(), 4, 8, VectorReversal(32))
+	st, err := client.ExecuteStream(context.Background(), 4, 8, Permutation(VectorReversal(32)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestServiceClientBinaryErrorFrame(t *testing.T) {
 	srv := rawStreamServer(t, binaryStreamBytes(t, slots, errFrame))
 	client := NewServiceClient(srv.URL, nil)
 
-	st, err := client.RouteStream(context.Background(), 4, 8, VectorReversal(32))
+	st, err := client.ExecuteStream(context.Background(), 4, 8, Permutation(VectorReversal(32)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestServiceClientCodecFallbackOn406(t *testing.T) {
 	client := NewServiceClient(srv.URL, nil)
 
 	for i := 0; i < 3; i++ {
-		plan, err := client.Route(context.Background(), 4, 8, VectorReversal(32))
+		plan, err := client.Execute(context.Background(), 4, 8, Permutation(VectorReversal(32)))
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
@@ -244,7 +244,7 @@ func TestServiceClientCodecJSONSendsNoAccept(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	jsonClient := NewServiceClient(srv.URL, nil).WithCodec(CodecJSON)
-	if _, err := jsonClient.Route(context.Background(), 4, 8, VectorReversal(32)); err != nil {
+	if _, err := jsonClient.Execute(context.Background(), 4, 8, Permutation(VectorReversal(32))); err != nil {
 		t.Fatal(err)
 	}
 	if sawAccept.Load() != 0 {
@@ -252,7 +252,7 @@ func TestServiceClientCodecJSONSendsNoAccept(t *testing.T) {
 	}
 
 	binClient := NewServiceClient(srv.URL, nil).WithCodec(CodecBinary)
-	_, err := binClient.Route(context.Background(), 4, 8, VectorReversal(32))
+	_, err := binClient.Execute(context.Background(), 4, 8, Permutation(VectorReversal(32)))
 	if err == nil || !strings.Contains(err.Error(), "want "+wirebin.ContentType) {
 		t.Fatalf("CodecBinary accepted a JSON answer: %v", err)
 	}

@@ -57,7 +57,7 @@ func TestClientRetrySchedule(t *testing.T) {
 		return nil
 	}
 
-	if _, err := c.Route(context.Background(), 4, 4, []int{0, 1, 2, 3}); err != nil {
+	if _, err := c.Execute(context.Background(), 4, 4, Permutation([]int{0, 1, 2, 3})); err != nil {
 		t.Fatalf("Route after retries: %v", err)
 	}
 	if got := calls.Load(); got != 5 {
@@ -84,7 +84,7 @@ func TestClientRetryExhaustion(t *testing.T) {
 	c.jitter = func(d time.Duration) time.Duration { return d }
 	c.sleep = func(ctx context.Context, d time.Duration) error { return nil }
 
-	_, err := c.Route(context.Background(), 4, 4, []int{0, 1, 2, 3})
+	_, err := c.Execute(context.Background(), 4, 4, Permutation([]int{0, 1, 2, 3}))
 	var oe *OverloadError
 	if !errors.As(err, &oe) {
 		t.Fatalf("error %v, want *OverloadError", err)
@@ -114,7 +114,7 @@ func TestClientRetryRespectsDeadline(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	_, err := c.Route(ctx, 4, 4, []int{0, 1, 2, 3})
+	_, err := c.Execute(ctx, 4, 4, Permutation([]int{0, 1, 2, 3}))
 	var oe *OverloadError
 	if !errors.As(err, &oe) {
 		t.Fatalf("error %v, want *OverloadError", err)
@@ -136,7 +136,7 @@ func TestClientNoRetryOnDeterministicError(t *testing.T) {
 	c := NewServiceClient(srv.URL, nil).WithRetry(RetryPolicy{MaxRetries: 5})
 	c.sleep = func(ctx context.Context, d time.Duration) error { return nil }
 
-	if _, err := c.Route(context.Background(), 0, 4, nil); err == nil {
+	if _, err := c.Execute(context.Background(), 0, 4, Permutation(nil)); err == nil {
 		t.Fatal("want error from 400")
 	}
 	if got := calls.Load(); got != 1 {
@@ -166,9 +166,9 @@ func TestClientStreamRetriesAtAdmissionOnly(t *testing.T) {
 	c.jitter = func(d time.Duration) time.Duration { return d }
 	c.sleep = func(ctx context.Context, d time.Duration) error { return nil }
 
-	st, err := c.RouteStream(context.Background(), 4, 4, []int{0, 1, 2, 3})
+	st, err := c.ExecuteStream(context.Background(), 4, 4, Permutation([]int{0, 1, 2, 3}))
 	if err != nil {
-		t.Fatalf("RouteStream after shed: %v", err)
+		t.Fatalf("ExecuteStream after shed: %v", err)
 	}
 	defer st.Close()
 	if st.Meta().Slots != 1 {
@@ -203,7 +203,7 @@ func TestClientSendsDeadlineAndTenantHeaders(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	ctx, cancel := context.WithDeadline(ContextWithTenant(context.Background(), "gold"), deadline)
 	defer cancel()
-	if _, err := c.Route(ctx, 4, 4, []int{0, 1, 2, 3}); err != nil {
+	if _, err := c.Execute(ctx, 4, 4, Permutation([]int{0, 1, 2, 3})); err != nil {
 		t.Fatalf("Route: %v", err)
 	}
 	if got := gotTenant.Load(); got != "gold" {

@@ -43,7 +43,7 @@ func TestServiceClientNon2xxReusesConnections(t *testing.T) {
 	ctx := context.Background()
 
 	for i := 0; i < 10; i++ {
-		if _, err := client.Route(ctx, 4, 8, VectorReversal(32)); err == nil {
+		if _, err := client.Execute(ctx, 4, 8, Permutation(VectorReversal(32))); err == nil {
 			t.Fatal("non-2xx response produced no error")
 		} else if !strings.Contains(err.Error(), "synthetic failure") {
 			t.Fatalf("error %v does not carry the response body", err)
@@ -66,7 +66,7 @@ func TestServiceClientDecodeFailureReusesConnections(t *testing.T) {
 	ctx := context.Background()
 
 	for i := 0; i < 10; i++ {
-		if _, err := client.Route(ctx, 4, 8, VectorReversal(32)); err == nil {
+		if _, err := client.Execute(ctx, 4, 8, Permutation(VectorReversal(32))); err == nil {
 			t.Fatal("malformed response body produced no error")
 		}
 	}
@@ -83,7 +83,7 @@ func TestServiceClientStreamNon2xx(t *testing.T) {
 	}))
 	client := NewServiceClient(srv.URL, &http.Client{Transport: &http.Transport{}})
 	for i := 0; i < 5; i++ {
-		_, err := client.RouteStream(context.Background(), 4, 8, VectorReversal(32))
+		_, err := client.ExecuteStream(context.Background(), 4, 8, Permutation(VectorReversal(32)))
 		if err == nil || !strings.Contains(err.Error(), "stream refused") {
 			t.Fatalf("refused stream error = %v", err)
 		}
@@ -143,7 +143,7 @@ func TestServiceClientMalformedMidStream(t *testing.T) {
 	t.Cleanup(srv.Close)
 	client := NewServiceClient(srv.URL, nil)
 
-	st, err := client.RouteStream(context.Background(), 4, 8, VectorReversal(32))
+	st, err := client.ExecuteStream(context.Background(), 4, 8, Permutation(VectorReversal(32)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestServiceClientHangupMidStream(t *testing.T) {
 	t.Cleanup(srv.Close)
 	client := NewServiceClient(srv.URL, nil)
 
-	st, err := client.RouteStream(context.Background(), 4, 8, VectorReversal(32))
+	st, err := client.ExecuteStream(context.Background(), 4, 8, Permutation(VectorReversal(32)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestServiceClientErrorRecordMidStream(t *testing.T) {
 	t.Cleanup(srv.Close)
 	client := NewServiceClient(srv.URL, nil)
 
-	st, err := client.RouteStream(context.Background(), 4, 8, VectorReversal(32))
+	st, err := client.ExecuteStream(context.Background(), 4, 8, Permutation(VectorReversal(32)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ func TestClusterSmoke(t *testing.T) {
 
 	// First half of the trace with the full fleet.
 	for i := 0; i < len(trace)/2; i++ {
-		plan, err := client.Route(ctx, d, g, trace[i])
+		plan, err := client.Execute(ctx, d, g, pops.Permutation(trace[i]))
 		if err != nil {
 			t.Fatalf("request %d failed with the full fleet: %v", i, err)
 		}
@@ -110,7 +110,7 @@ func TestClusterSmoke(t *testing.T) {
 	// by the dead node move to their next ring owner and are re-planned
 	// there; keys of the survivors stay put.
 	for i, pi := range trace {
-		if _, err := client.Route(ctx, d, g, pi); err != nil {
+		if _, err := client.Execute(ctx, d, g, pops.Permutation(pi)); err != nil {
 			t.Fatalf("request %d failed after killing a backend: %v", i, err)
 		}
 	}
@@ -120,7 +120,7 @@ func TestClusterSmoke(t *testing.T) {
 	// from the owning nodes' fingerprint plan caches.
 	hits := 0
 	for i, pi := range trace {
-		plan, err := client.Route(ctx, d, g, pi)
+		plan, err := client.Execute(ctx, d, g, pops.Permutation(pi))
 		if err != nil {
 			t.Fatalf("replay %d failed: %v", i, err)
 		}
@@ -171,7 +171,7 @@ func TestClusterSmokeStream(t *testing.T) {
 	const d, g = 4, 8
 	pi := pops.VectorReversal(d * g)
 	for attempt := 1; attempt <= 2; attempt++ {
-		st, err := client.RouteStream(ctx, d, g, pi)
+		st, err := client.ExecuteStream(ctx, d, g, pops.Permutation(pi))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestClusterSmokeStreamBinary(t *testing.T) {
 	const d, g = 4, 8
 	pi := pops.VectorReversal(d * g)
 	for attempt := 1; attempt <= 2; attempt++ {
-		st, err := client.RouteStream(ctx, d, g, pi)
+		st, err := client.ExecuteStream(ctx, d, g, pops.Permutation(pi))
 		if err != nil {
 			t.Fatalf("attempt %d: %v", attempt, err)
 		}
@@ -250,7 +250,7 @@ func TestClusterSmokeStreamBinary(t *testing.T) {
 
 	// The unary path holds the same pin: a binary-only client must round-trip
 	// /route through the proxy.
-	plan, err := client.Route(ctx, d, g, pi)
+	plan, err := client.Execute(ctx, d, g, pops.Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}

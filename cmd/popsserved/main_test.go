@@ -49,7 +49,7 @@ func TestServeSmoke(t *testing.T) {
 
 	const d, g = 4, 8
 	pi := pops.VectorReversal(d * g)
-	first, err := client.Route(ctx, d, g, pi)
+	first, err := client.Execute(ctx, d, g, pops.Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestServeSmoke(t *testing.T) {
 	if first.Slots != pops.OptimalSlots(d, g) {
 		t.Fatalf("slots = %d, want %d", first.Slots, pops.OptimalSlots(d, g))
 	}
-	second, err := client.Route(ctx, d, g, pi)
+	second, err := client.Execute(ctx, d, g, pops.Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,7 @@ func TestGracefulDrainFinishesStreams(t *testing.T) {
 
 	const d, g = 8, 16 // 2·max(d,g) = 32 fragments: plenty left after the signal
 	pi := pops.VectorReversal(d * g)
-	st, err := client.RouteStream(context.Background(), d, g, pi)
+	st, err := client.ExecuteStream(context.Background(), d, g, pops.Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}

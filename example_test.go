@@ -8,10 +8,16 @@ import (
 	"pops"
 )
 
-// ExampleRoute routes the Figure 3 permutation of the paper on POPS(3,3).
-func ExampleRoute() {
+// ExamplePermutation routes the Figure 3 permutation of the paper on
+// POPS(3,3).
+func ExamplePermutation() {
+	planner, err := pops.NewPlanner(3, 3)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	pi := []int{4, 8, 3, 6, 0, 2, 7, 1, 5} // Figure 3
-	plan, err := pops.Route(3, 3, pi)
+	plan, err := planner.Execute(context.Background(), pops.Permutation(pi))
 	if err != nil {
 		fmt.Println(err)
 		return

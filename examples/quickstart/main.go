@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -18,7 +19,7 @@ func main() {
 	rng := rand.New(rand.NewSource(2026))
 
 	// A Planner validates the network once and reuses its internal buffers
-	// across Route calls — hold one per network shape.
+	// across Execute calls — hold one per network shape.
 	planner, err := pops.NewPlanner(d, g)
 	if err != nil {
 		log.Fatal(err)
@@ -29,7 +30,7 @@ func main() {
 
 	pi := pops.RandomDerangement(nw.N(), rng)
 
-	plan, err := planner.Route(pi)
+	plan, err := planner.Execute(context.Background(), pops.Permutation(pi))
 	if err != nil {
 		log.Fatal(err)
 	}

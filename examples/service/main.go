@@ -46,7 +46,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		plan, err := client.Route(ctx, shape.d, shape.g, pops.VectorReversal(shape.d*shape.g))
+		plan, err := client.Execute(ctx, shape.d, shape.g, pops.Permutation(pops.VectorReversal(shape.d*shape.g)))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func main() {
 	}
 	fmt.Printf("\nmesh shift (1,2) requested three times:\n")
 	for i := 0; i < 3; i++ {
-		plan, err := client.Route(ctx, 8, 8, shift)
+		plan, err := client.Execute(ctx, 8, 8, pops.Permutation(shift))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func main() {
 	// The meta record and the first slot fragments arrive while the server
 	// is still peeling later color classes of the same plan.
 	const sd, sg = 8, 16
-	stream, err := client.RouteStream(ctx, sd, sg, pops.VectorReversal(sd*sg))
+	stream, err := client.ExecuteStream(ctx, sd, sg, pops.Permutation(pops.VectorReversal(sd*sg)))
 	if err != nil {
 		log.Fatal(err)
 	}

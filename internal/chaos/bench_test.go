@@ -53,7 +53,7 @@ func BenchmarkOverloadShedding(b *testing.B) {
 			do := func(ctx context.Context, i int) error {
 				cctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 				defer cancel()
-				_, err := client.Route(cctx, 4, 4, pi)
+				_, err := client.Execute(cctx, 4, 4, pops.Permutation(pi))
 				return err
 			}
 

@@ -40,7 +40,7 @@ func routeOnce(client *pops.ServiceClient, tenant string) func(ctx context.Conte
 		if tenant != "" {
 			cctx = pops.ContextWithTenant(cctx, tenant)
 		}
-		_, err := client.Route(cctx, 4, 4, pi)
+		_, err := client.Execute(cctx, 4, 4, pops.Permutation(pi))
 		return err
 	}
 }
@@ -173,7 +173,7 @@ func TestSlowdownSparesHealthz(t *testing.T) {
 	}
 
 	start = time.Now()
-	if _, err := client.Route(context.Background(), 4, 4, pops.VectorReversal(16)); err != nil {
+	if _, err := client.Execute(context.Background(), 4, 4, pops.Permutation(pops.VectorReversal(16))); err != nil {
 		t.Fatalf("route through slowdown: %v", err)
 	}
 	if d := time.Since(start); d < 50*time.Millisecond {

@@ -214,7 +214,7 @@ func TestProxyHTTPRouteAndStream(t *testing.T) {
 	}
 
 	pi := pops.VectorReversal(n)
-	plan, err := client.Route(ctx, d, g, pi)
+	plan, err := client.Execute(ctx, d, g, pops.Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestProxyHTTPRouteAndStream(t *testing.T) {
 	}
 
 	// Stream through the proxy: meta, every fragment, done.
-	st, err := client.RouteStream(ctx, d, g, pi)
+	st, err := client.ExecuteStream(ctx, d, g, pops.Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestProxyHTTPRouteAndStream(t *testing.T) {
 
 	// The same permutation again: the stream was collected into the owning
 	// node's plan cache, and affine placement must find it there.
-	st2, err := client.RouteStream(ctx, d, g, pi)
+	st2, err := client.ExecuteStream(ctx, d, g, pops.Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestProxyStreamBackendDeathSurfacesError(t *testing.T) {
 	t.Cleanup(front.Close)
 
 	client := pops.NewServiceClient(front.URL, nil)
-	st, err := client.RouteStream(context.Background(), 4, 8, pops.VectorReversal(32))
+	st, err := client.ExecuteStream(context.Background(), 4, 8, pops.Permutation(pops.VectorReversal(32)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestProxyStatsAggregation(t *testing.T) {
 		for j := range pi {
 			pi[j] = (j + i + 1) % n
 		}
-		if _, err := client.Route(ctx, d, g, pi); err != nil {
+		if _, err := client.Execute(ctx, d, g, pops.Permutation(pi)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -173,7 +173,7 @@ func TestProxyBinaryStreamReassemblesSplitFrames(t *testing.T) {
 	t.Cleanup(front.Close)
 
 	client := pops.NewServiceClient(front.URL, nil)
-	st, err := client.RouteStream(context.Background(), 4, 8, pops.VectorReversal(32))
+	st, err := client.ExecuteStream(context.Background(), 4, 8, pops.Permutation(pops.VectorReversal(32)))
 	if err != nil {
 		t.Fatal(err)
 	}

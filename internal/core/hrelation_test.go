@@ -1,4 +1,4 @@
-package hrelation
+package core
 
 import (
 	"context"
@@ -6,9 +6,30 @@ import (
 	"testing"
 	"testing/quick"
 
-	"pops/internal/core"
 	"pops/internal/perms"
 )
+
+// planHRelation plans reqs on a fresh POPS(d, g) planner with default
+// options.
+func planHRelation(d, g int, reqs []Request) (*Plan, error) {
+	pl, err := NewPlanner(d, g, Options{})
+	if err != nil {
+		return nil, err
+	}
+	return pl.PlanHRelation(context.Background(), reqs)
+}
+
+// randomHRelation is the union of h random permutations: exactly h sends
+// and receives per processor.
+func randomHRelation(n, h int, rng *rand.Rand) []Request {
+	var reqs []Request
+	for k := 0; k < h; k++ {
+		for i, v := range perms.Random(n, rng) {
+			reqs = append(reqs, Request{Src: i, Dst: v})
+		}
+	}
+	return reqs
+}
 
 func TestDegree(t *testing.T) {
 	reqs := []Request{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 1, Dst: 2}, {Src: 3, Dst: 0}}
@@ -31,8 +52,8 @@ func TestDegree(t *testing.T) {
 	}
 }
 
-func TestRouteEmptyRelation(t *testing.T) {
-	p, err := Route(context.Background(), 2, 2, nil, core.Options{})
+func TestPlanHRelationEmptyRelation(t *testing.T) {
+	p, err := planHRelation(2, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,54 +65,42 @@ func TestRouteEmptyRelation(t *testing.T) {
 	}
 }
 
-func TestRoutePermutationIsOneFactor(t *testing.T) {
+func TestPlanHRelationPermutationIsOneFactor(t *testing.T) {
 	// h = 1: an ordinary permutation, one factor, OptimalSlots(d,g) slots.
 	pi := perms.VectorReversal(8)
 	reqs := make([]Request, 8)
 	for i := range reqs {
 		reqs[i] = Request{Src: i, Dst: pi[i]}
 	}
-	p, err := Route(context.Background(), 4, 2, reqs, core.Options{})
+	p, err := planHRelation(4, 2, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.H != 1 || len(p.Factors) != 1 {
 		t.Fatalf("h=%d factors=%d, want 1/1", p.H, len(p.Factors))
 	}
-	if p.SlotCount() != PredictedSlots(4, 2, 1) {
-		t.Fatalf("slots = %d, want %d", p.SlotCount(), PredictedSlots(4, 2, 1))
+	if p.SlotCount() != PredictedHRelationSlots(4, 2, 1) {
+		t.Fatalf("slots = %d, want %d", p.SlotCount(), PredictedHRelationSlots(4, 2, 1))
 	}
 	if _, err := p.Verify(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func randomHRelation(n, h int, rng *rand.Rand) []Request {
-	// Union of h random permutations: exactly h sends and receives per proc.
-	var reqs []Request
-	for k := 0; k < h; k++ {
-		pi := perms.Random(n, rng)
-		for i, v := range pi {
-			reqs = append(reqs, Request{Src: i, Dst: v})
-		}
-	}
-	return reqs
-}
-
-func TestRouteSaturatedRelations(t *testing.T) {
+func TestPlanHRelationSaturatedRelations(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, tc := range []struct{ d, g, h int }{
 		{2, 2, 2}, {4, 4, 3}, {8, 2, 2}, {3, 5, 4}, {1, 6, 3},
 	} {
 		reqs := randomHRelation(tc.d*tc.g, tc.h, rng)
-		p, err := Route(context.Background(), tc.d, tc.g, reqs, core.Options{})
+		p, err := planHRelation(tc.d, tc.g, reqs)
 		if err != nil {
 			t.Fatalf("d=%d g=%d h=%d: %v", tc.d, tc.g, tc.h, err)
 		}
 		if p.H != tc.h {
 			t.Fatalf("degree %d, want %d", p.H, tc.h)
 		}
-		if got, want := p.SlotCount(), PredictedSlots(tc.d, tc.g, tc.h); got != want {
+		if got, want := p.SlotCount(), PredictedHRelationSlots(tc.d, tc.g, tc.h); got != want {
 			t.Fatalf("d=%d g=%d h=%d: slots = %d, want %d", tc.d, tc.g, tc.h, got, want)
 		}
 		if _, err := p.Verify(); err != nil {
@@ -100,10 +109,10 @@ func TestRouteSaturatedRelations(t *testing.T) {
 	}
 }
 
-func TestRoutePartialRelationWithPadding(t *testing.T) {
+func TestPlanHRelationPartialRelationWithPadding(t *testing.T) {
 	// Unbalanced: proc 0 sends 3 packets, all to proc 5; others idle.
 	reqs := []Request{{Src: 0, Dst: 5}, {Src: 0, Dst: 5}, {Src: 0, Dst: 5}}
-	p, err := Route(context.Background(), 3, 2, reqs, core.Options{})
+	p, err := planHRelation(3, 2, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +132,7 @@ func TestRoutePartialRelationWithPadding(t *testing.T) {
 	}
 }
 
-func TestRouteBroadcastLikeRelation(t *testing.T) {
+func TestPlanHRelationBroadcastLikeRelation(t *testing.T) {
 	// One source fans out to every processor (an h = n "relation"): the
 	// decomposition serializes it into n single-packet factors.
 	d, g := 2, 2
@@ -132,7 +141,7 @@ func TestRouteBroadcastLikeRelation(t *testing.T) {
 	for p := 0; p < n; p++ {
 		reqs = append(reqs, Request{Src: 0, Dst: p})
 	}
-	p, err := Route(context.Background(), d, g, reqs, core.Options{})
+	p, err := planHRelation(d, g, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,18 +153,18 @@ func TestRouteBroadcastLikeRelation(t *testing.T) {
 	}
 }
 
-func TestRouteProperty(t *testing.T) {
+func TestPlanHRelationProperty(t *testing.T) {
 	f := func(dSeed, gSeed, hSeed uint8, seed int64) bool {
 		d := int(dSeed)%5 + 1
 		g := int(gSeed)%5 + 1
 		h := int(hSeed)%3 + 1
 		rng := rand.New(rand.NewSource(seed))
 		reqs := randomHRelation(d*g, h, rng)
-		p, err := Route(context.Background(), d, g, reqs, core.Options{})
+		p, err := planHRelation(d, g, reqs)
 		if err != nil {
 			return false
 		}
-		if p.SlotCount() != PredictedSlots(d, g, h) {
+		if p.SlotCount() != PredictedHRelationSlots(d, g, h) {
 			return false
 		}
 		_, err = p.Verify()
@@ -166,7 +175,7 @@ func TestRouteProperty(t *testing.T) {
 	}
 }
 
-func TestRoutePropertySparse(t *testing.T) {
+func TestPlanHRelationPropertySparse(t *testing.T) {
 	// Sparse random relations (not saturated): padding must fill the gaps.
 	f := func(dSeed, gSeed, mSeed uint8, seed int64) bool {
 		d := int(dSeed)%4 + 1
@@ -178,7 +187,7 @@ func TestRoutePropertySparse(t *testing.T) {
 		for i := range reqs {
 			reqs[i] = Request{Src: rng.Intn(n), Dst: rng.Intn(n)}
 		}
-		p, err := Route(context.Background(), d, g, reqs, core.Options{})
+		p, err := planHRelation(d, g, reqs)
 		if err != nil {
 			return false
 		}
@@ -190,26 +199,26 @@ func TestRoutePropertySparse(t *testing.T) {
 	}
 }
 
-func TestRouteInvalidShape(t *testing.T) {
-	if _, err := Route(context.Background(), 0, 2, nil, core.Options{}); err == nil {
+func TestPlanHRelationInvalidInput(t *testing.T) {
+	if _, err := planHRelation(0, 2, nil); err == nil {
 		t.Fatal("invalid shape accepted")
 	}
-	if _, err := Route(context.Background(), 2, 2, []Request{{Src: 0, Dst: 99}}, core.Options{}); err == nil {
+	if _, err := planHRelation(2, 2, []Request{{Src: 0, Dst: 99}}); err == nil {
 		t.Fatal("bad request accepted")
 	}
 }
 
-func TestAllToAll(t *testing.T) {
+func TestAllToAllRequestsRoute(t *testing.T) {
 	for _, tc := range []struct{ d, g int }{{2, 2}, {2, 3}, {3, 2}, {1, 4}} {
-		p, err := AllToAll(context.Background(), tc.d, tc.g, core.Options{})
+		n := tc.d * tc.g
+		p, err := planHRelation(tc.d, tc.g, AllToAllRequests(n))
 		if err != nil {
 			t.Fatalf("d=%d g=%d: %v", tc.d, tc.g, err)
 		}
-		n := tc.d * tc.g
 		if p.H != n-1 {
 			t.Fatalf("d=%d g=%d: degree %d, want %d", tc.d, tc.g, p.H, n-1)
 		}
-		if got, want := p.SlotCount(), PredictedSlots(tc.d, tc.g, n-1); got != want {
+		if got, want := p.SlotCount(), PredictedHRelationSlots(tc.d, tc.g, n-1); got != want {
 			t.Fatalf("d=%d g=%d: slots = %d, want %d", tc.d, tc.g, got, want)
 		}
 		if _, err := p.Verify(); err != nil {
@@ -219,11 +228,5 @@ func TestAllToAll(t *testing.T) {
 		if len(p.Reqs) != n*(n-1) {
 			t.Fatalf("d=%d g=%d: %d requests, want %d", tc.d, tc.g, len(p.Reqs), n*(n-1))
 		}
-	}
-}
-
-func TestAllToAllInvalidShape(t *testing.T) {
-	if _, err := AllToAll(context.Background(), 0, 2, core.Options{}); err == nil {
-		t.Fatal("invalid shape accepted")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"pops/internal/core"
-	"pops/internal/hrelation"
 	"pops/internal/perms"
 )
 
@@ -25,7 +24,7 @@ func E15(seed int64) (*Table, error) {
 		{2, 2, 1}, {2, 2, 4}, {4, 4, 2}, {4, 4, 8}, {8, 2, 2}, {3, 6, 3}, {1, 8, 4},
 	} {
 		n := s.d * s.g
-		var reqs []hrelation.Request
+		var reqs []core.Request
 		for k := 0; k < s.h; k++ {
 			var pi []int
 			if n >= 2 {
@@ -34,10 +33,14 @@ func E15(seed int64) (*Table, error) {
 				pi = perms.Identity(n)
 			}
 			for i, v := range pi {
-				reqs = append(reqs, hrelation.Request{Src: i, Dst: v})
+				reqs = append(reqs, core.Request{Src: i, Dst: v})
 			}
 		}
-		p, err := hrelation.Route(context.Background(), s.d, s.g, reqs, core.Options{})
+		pl, err := core.NewPlanner(s.d, s.g, core.Options{})
+		if err != nil {
+			return nil, err
+		}
+		p, err := pl.PlanHRelation(context.Background(), reqs)
 		if err != nil {
 			return nil, err
 		}
@@ -46,7 +49,7 @@ func E15(seed int64) (*Table, error) {
 		}
 		lower := (s.h*s.d + s.g - 1) / s.g
 		t.AddRow(s.d, s.g, s.h, len(reqs), p.SlotCount(),
-			hrelation.PredictedSlots(s.d, s.g, s.h), lower, true)
+			core.PredictedHRelationSlots(s.d, s.g, s.h), lower, true)
 	}
 	t.Notes = append(t.Notes,
 		"within factor 2 of the counting bound for d ≥ g, mirroring the paper's h = 1 guarantee; the padding handles sparse and unbalanced relations too")

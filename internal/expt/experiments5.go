@@ -1,8 +1,10 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 
 	"pops"
 	"pops/internal/perms"
@@ -13,8 +15,9 @@ import (
 // applicability shows up as "n/a" where the characterization rejects the
 // permutation, and the Auto router's per-permutation choice (recorded in
 // Plan.Strategy) is tabulated together with the invariant that it never
-// costs more than Theorem 2. The batch is planned twice — sequentially and
-// through Planner.RouteBatch — and the slot counts must agree.
+// costs more than Theorem 2. The batch is planned twice — sequentially
+// through Planner.Execute and through Planner.RouteBatch — and every plan's
+// schedule must agree slot for slot.
 func E16(seed int64) (*Table, error) {
 	t := &Table{
 		ID:    "E16",
@@ -87,9 +90,14 @@ func E16(seed int64) (*Table, error) {
 		t.AddRow(cells...)
 	}
 
-	// Batch path: RouteBatch must agree with sequential Route plan for plan.
+	// Batch path: RouteBatch must agree with sequential Execute plan for
+	// plan, schedule and all.
 	d, g := 8, 8
 	planner, err := pops.NewPlanner(d, g, pops.WithParallelism(2))
+	if err != nil {
+		return nil, err
+	}
+	sequential, err := pops.NewPlanner(d, g)
 	if err != nil {
 		return nil, err
 	}
@@ -102,13 +110,12 @@ func E16(seed int64) (*Table, error) {
 		return nil, err
 	}
 	for i, plan := range plans {
-		seq, err := pops.Route(d, g, pis[i])
+		seq, err := sequential.Execute(context.Background(), pops.Permutation(pis[i]))
 		if err != nil {
 			return nil, err
 		}
-		if plan.SlotCount() != seq.SlotCount() {
-			return nil, fmt.Errorf("E16 batch: plan %d has %d slots, sequential %d",
-				i, plan.SlotCount(), seq.SlotCount())
+		if !reflect.DeepEqual(plan.Schedule().Slots, seq.Schedule().Slots) {
+			return nil, fmt.Errorf("E16 batch: plan %d's schedule differs from the sequential Execute plan", i)
 		}
 	}
 	t.Notes = append(t.Notes,

@@ -24,13 +24,13 @@ func BenchmarkServiceRoute(b *testing.B) {
 		defer svc.Close()
 		client := pops.NewServiceClient(srv.URL, srv.Client())
 		ctx := context.Background()
-		if _, err := client.Route(ctx, d, g, pi); err != nil {
+		if _, err := client.Execute(ctx, d, g, pops.Permutation(pi)); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := client.Route(ctx, d, g, pi); err != nil {
+			if _, err := client.Execute(ctx, d, g, pops.Permutation(pi)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -126,13 +126,13 @@ func BenchmarkServiceStream(b *testing.B) {
 	b.Run("stream-first-slot", func(b *testing.B) {
 		client, shutdown := newServer(b)
 		defer shutdown()
-		if _, err := client.Route(ctx, d, g, pi); err != nil { // warm the shard
+		if _, err := client.Execute(ctx, d, g, pops.Permutation(pi)); err != nil { // warm the shard
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			st, err := client.RouteStream(ctx, d, g, pi)
+			st, err := client.ExecuteStream(ctx, d, g, pops.Permutation(pi))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -145,13 +145,13 @@ func BenchmarkServiceStream(b *testing.B) {
 	b.Run("stream-drain", func(b *testing.B) {
 		client, shutdown := newServer(b)
 		defer shutdown()
-		if _, err := client.Route(ctx, d, g, pi); err != nil {
+		if _, err := client.Execute(ctx, d, g, pops.Permutation(pi)); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			st, err := client.RouteStream(ctx, d, g, pi)
+			st, err := client.ExecuteStream(ctx, d, g, pops.Permutation(pi))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -193,14 +193,14 @@ func BenchmarkServiceStreamCodec(b *testing.B) {
 						srv.Close()
 					}()
 					client := pops.NewServiceClient(srv.URL, srv.Client()).WithCodec(codec.c)
-					if _, err := client.Route(ctx, d, g, pi); err != nil { // warm the plan cache
+					if _, err := client.Execute(ctx, d, g, pops.Permutation(pi)); err != nil { // warm the plan cache
 						b.Fatal(err)
 					}
 					slots := 0
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						st, err := client.RouteStream(ctx, d, g, pi)
+						st, err := client.ExecuteStream(ctx, d, g, pops.Permutation(pi))
 						if err != nil {
 							b.Fatal(err)
 						}

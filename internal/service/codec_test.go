@@ -238,14 +238,14 @@ func crossCodecCheck(t testing.TB, client *pops.ServiceClient, d, g int, pi []in
 	t.Helper()
 	ctx := context.Background()
 
-	binSt, err := client.WithCodec(pops.CodecBinary).RouteStream(ctx, d, g, pi)
+	binSt, err := client.WithCodec(pops.CodecBinary).ExecuteStream(ctx, d, g, pops.Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
 	binSlots := collectServiceStream(t, binSt)
 	binSt.Close()
 
-	jsonSt, err := client.WithCodec(pops.CodecJSON).RouteStream(ctx, d, g, pi)
+	jsonSt, err := client.WithCodec(pops.CodecJSON).ExecuteStream(ctx, d, g, pops.Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func crossCodecCheck(t testing.TB, client *pops.ServiceClient, d, g int, pi []in
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := p.Route(pi)
+	plan, err := p.Execute(ctx, pops.Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}

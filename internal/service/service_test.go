@@ -78,7 +78,7 @@ func TestConcurrentShardsAndCacheHits(t *testing.T) {
 				if (w+iter)%3 == 0 {
 					pi = pops.IdentityPermutation(shape.d * shape.g)
 				}
-				plan, err := client.Route(context.Background(), shape.d, shape.g, pi)
+				plan, err := client.Execute(context.Background(), shape.d, shape.g, pops.Permutation(pi))
 				if err != nil {
 					t.Error(err)
 					return
@@ -116,14 +116,14 @@ func TestRepeatedPermutationHitsCacheObservableViaStats(t *testing.T) {
 	_, client := newTestServer(t, Config{})
 	const d, g = 2, 4
 	pi := pops.VectorReversal(d * g)
-	first, err := client.Route(context.Background(), d, g, pi)
+	first, err := client.Execute(context.Background(), d, g, pops.Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Cached {
 		t.Fatal("first request reported a cache hit")
 	}
-	second, err := client.Route(context.Background(), d, g, pi)
+	second, err := client.Execute(context.Background(), d, g, pops.Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestShardLRUEvictionBoundsLiveShards(t *testing.T) {
 	shapes := []struct{ d, g int }{{2, 2}, {2, 3}, {2, 4}, {3, 3}, {2, 2}}
 	for _, shape := range shapes {
 		pi := pops.VectorReversal(shape.d * shape.g)
-		if _, err := client.Route(context.Background(), shape.d, shape.g, pi); err != nil {
+		if _, err := client.Execute(context.Background(), shape.d, shape.g, pops.Permutation(pi)); err != nil {
 			t.Fatalf("POPS(%d,%d): %v", shape.d, shape.g, err)
 		}
 	}
@@ -329,7 +329,7 @@ func TestRequestValidation(t *testing.T) {
 	_, client := newTestServer(t, Config{})
 	ctx := context.Background()
 	// Invalid shape.
-	if _, err := client.Route(ctx, 0, 4, []int{0}); err == nil {
+	if _, err := client.Execute(ctx, 0, 4, pops.Permutation([]int{0})); err == nil {
 		t.Fatal("invalid shape accepted")
 	}
 	// Neither pi nor pis.

@@ -480,7 +480,7 @@ func (sh *shard) loop() {
 
 // flush coalesces the batch's duplicate permutations (so N concurrent
 // identical requests cost at most one planner invocation), plans the unique
-// ones through Planner.RouteBatchCached, and fans the per-index results back
+// ones through Planner.RouteBatchContexts, and fans the per-index results back
 // out to every waiter.
 func (sh *shard) flush(batch []request) {
 	n := uint64(len(batch))

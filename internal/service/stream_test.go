@@ -70,7 +70,7 @@ func TestStreamEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	pi := pops.VectorReversal(d * g)
 
-	st, err := client.RouteStream(ctx, d, g, pi)
+	st, err := client.ExecuteStream(ctx, d, g, pops.Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,10 +135,10 @@ func TestStreamCacheHitReplaysWholeSlots(t *testing.T) {
 	const d, g = 4, 8
 	ctx := context.Background()
 	pi := pops.VectorReversal(d * g)
-	if _, err := client.Route(ctx, d, g, pi); err != nil {
+	if _, err := client.Execute(ctx, d, g, pops.Permutation(pi)); err != nil {
 		t.Fatal(err)
 	}
-	st, err := client.RouteStream(ctx, d, g, pi)
+	st, err := client.ExecuteStream(ctx, d, g, pops.Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,13 +195,13 @@ func TestStreamVerifyOptionCachesAndReplays(t *testing.T) {
 	const d, g = 4, 8
 	ctx := context.Background()
 	pi := pops.VectorReversal(d * g)
-	st, err := client.RouteStream(ctx, d, g, pi)
+	st, err := client.ExecuteStream(ctx, d, g, pops.Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
 	collectServiceStream(t, st) // must end in a done record, post-replay
 	st.Close()
-	st2, err := client.RouteStream(ctx, d, g, pi)
+	st2, err := client.ExecuteStream(ctx, d, g, pops.Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,10 +215,10 @@ func TestStreamVerifyOptionCachesAndReplays(t *testing.T) {
 func TestStreamRequestValidation(t *testing.T) {
 	_, client := newTestServer(t, Config{})
 	ctx := context.Background()
-	if _, err := client.RouteStream(ctx, 0, 4, []int{0}); err == nil {
+	if _, err := client.ExecuteStream(ctx, 0, 4, pops.Permutation([]int{0})); err == nil {
 		t.Fatal("invalid shape accepted")
 	}
-	if _, err := client.RouteStream(ctx, 2, 2, []int{0, 0, 1, 2}); err == nil {
+	if _, err := client.ExecuteStream(ctx, 2, 2, pops.Permutation([]int{0, 0, 1, 2})); err == nil {
 		t.Fatal("non-permutation accepted")
 	}
 	if _, err := client.DoStream(ctx, &pops.ServiceRouteRequest{D: 2, G: 2, Pis: [][]int{{0, 1, 2, 3}}}); err == nil {
@@ -238,7 +238,7 @@ func TestStreamAdmitsRequestsMidFactorization(t *testing.T) {
 	const d, g = 8, 16
 	ctx := context.Background()
 	pi := pops.VectorReversal(d * g)
-	st, err := client.RouteStream(ctx, d, g, pi)
+	st, err := client.ExecuteStream(ctx, d, g, pops.Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestStreamAdmitsRequestsMidFactorization(t *testing.T) {
 	}
 	doneCh := make(chan error, 1)
 	go func() {
-		_, err := client.Route(ctx, d, g, other)
+		_, err := client.Execute(ctx, d, g, pops.Permutation(other))
 		doneCh <- err
 	}()
 	select {
@@ -285,7 +285,7 @@ func TestCloseDrainsOpenStreams(t *testing.T) {
 	const d, g = 8, 16
 	ctx := context.Background()
 	pi := pops.VectorReversal(d * g)
-	st, err := client.RouteStream(ctx, d, g, pi)
+	st, err := client.ExecuteStream(ctx, d, g, pops.Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestCloseDrainsOpenStreams(t *testing.T) {
 		t.Fatal("service Close did not return after the stream drained")
 	}
 	// New admissions are rejected after Close.
-	if _, err := client.RouteStream(ctx, d, g, pi); err == nil || !strings.Contains(err.Error(), "shutting down") {
+	if _, err := client.ExecuteStream(ctx, d, g, pops.Permutation(pi)); err == nil || !strings.Contains(err.Error(), "shutting down") {
 		t.Fatalf("post-Close stream admitted (err = %v)", err)
 	}
 }

@@ -30,16 +30,17 @@ func (r *recordingObserver) ObservePlan(strategy string, cached bool, d time.Dur
 }
 
 func TestWithPlanObserver(t *testing.T) {
+	ctx := context.Background()
 	rec := &recordingObserver{}
 	p, err := NewPlanner(4, 8, WithPlanCache(4), WithPlanObserver(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	pi := VectorReversal(32)
-	if _, err := p.Route(pi); err != nil {
+	if _, err := p.Execute(ctx, Permutation(pi)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Route(pi); err != nil {
+	if _, err := p.Execute(ctx, Permutation(pi)); err != nil {
 		t.Fatal(err)
 	}
 	rec.mu.Lock()

@@ -2,7 +2,7 @@ package pops
 
 // Option is a functional option configuring routers and planners. Options
 // apply to the shared Options struct that is threaded down into the planning
-// layers (internal/core, internal/hrelation).
+// layers (internal/core).
 type Option func(*Options)
 
 // WithAlgorithm selects the bipartite edge-coloring backend used by the
@@ -34,7 +34,7 @@ func WithParallelism(n int) Option {
 //
 // Ownership contract: the caller must keep the permutation slice alive and
 // unmodified for as long as the Plan is used — Plan.Pi, Plan.Verify and the
-// simulator replay all read it. Reusing a request buffer across Route calls
+// simulator replay all read it. Reusing a request buffer across Execute calls
 // while earlier Plans are still live is a data race under this option. Batch
 // callers whose permutations are immutable for the batch lifetime (the
 // intended use) get measurably lower planning overhead; see the BENCH notes.
@@ -58,8 +58,8 @@ func WithPlanCache(n int) Option {
 }
 
 // WithPlanObserver installs o as the planner's plan observer: every
-// completed Route/Execute/stream invokes o.ObservePlan with the resolved
-// strategy, whether the plan came from the fingerprint cache, and how long
+// completed Execute, stream or RouteBatch entry invokes o.ObservePlan with
+// the resolved strategy, whether the plan came from the fingerprint cache, and how long
 // the call took (for cache hits, the lookup time). The observer must be safe
 // for concurrent use and should not block — it runs inline on the planning
 // path. nil (the default) observes nothing.

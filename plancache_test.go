@@ -1,6 +1,7 @@
 package pops
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -8,16 +9,17 @@ import (
 )
 
 func TestPlanCacheHitsRepeatedPermutation(t *testing.T) {
+	ctx := context.Background()
 	p, err := NewPlanner(4, 8, WithPlanCache(16))
 	if err != nil {
 		t.Fatal(err)
 	}
 	pi := VectorReversal(32)
-	first, err := p.Route(pi)
+	first, err := p.Execute(ctx, Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := p.Route(pi)
+	second, err := p.Execute(ctx, Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +27,7 @@ func TestPlanCacheHitsRepeatedPermutation(t *testing.T) {
 		t.Fatal("repeated permutation was replanned instead of served from the cache")
 	}
 	// A copy of the permutation hits too: the key is content, not identity.
-	third, err := p.Route(append([]int(nil), pi...))
+	third, err := p.Execute(ctx, Permutation(append([]int(nil), pi...)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,16 +47,17 @@ func TestPlanCacheHitsRepeatedPermutation(t *testing.T) {
 // checking out a worker planner: a hit costs a fingerprint walk and a map
 // lookup, no planner (or arena) allocation.
 func TestPlanCacheHitIsAllocFree(t *testing.T) {
+	ctx := context.Background()
 	p, err := NewPlanner(4, 8, WithPlanCache(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi := VectorReversal(32)
-	if _, err := p.Route(pi); err != nil {
+	w := Permutation(VectorReversal(32))
+	if _, err := p.Execute(ctx, w); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := p.Route(pi); err != nil {
+		if _, err := p.Execute(ctx, w); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -64,6 +67,7 @@ func TestPlanCacheHitIsAllocFree(t *testing.T) {
 }
 
 func TestPlanCacheEvictsLRU(t *testing.T) {
+	ctx := context.Background()
 	p, err := NewPlanner(2, 4, WithPlanCache(2))
 	if err != nil {
 		t.Fatal(err)
@@ -75,15 +79,15 @@ func TestPlanCacheEvictsLRU(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pi := range [][]int{a, b} {
-		if _, err := p.Route(pi); err != nil {
+		if _, err := p.Execute(ctx, Permutation(pi)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Touch a so b becomes the LRU entry, then insert c to evict b.
-	if _, err := p.Route(a); err != nil {
+	if _, err := p.Execute(ctx, Permutation(a)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Route(c); err != nil {
+	if _, err := p.Execute(ctx, Permutation(c)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := p.CachedPlan(a); !ok {
@@ -116,7 +120,7 @@ func TestPlanCacheConcurrentRouteIsRaceFreeAndCorrect(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 25; iter++ {
 				pi := pis[(seed+iter)%len(pis)]
-				plan, err := p.Route(pi)
+				plan, err := p.Execute(context.Background(), Permutation(pi))
 				if err != nil {
 					t.Error(err)
 					return
@@ -138,21 +142,21 @@ func TestPlanCacheConcurrentRouteIsRaceFreeAndCorrect(t *testing.T) {
 	}
 }
 
-func TestRouteBatchCachedReportsAttribution(t *testing.T) {
+func TestRouteBatchContextsReportsAttribution(t *testing.T) {
 	p, err := NewPlanner(4, 4, WithPlanCache(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	pi := VectorReversal(16)
 	other := IdentityPermutation(16)
-	plans, cached, err := p.RouteBatchCached([][]int{pi, other})
+	plans, cached, err := p.RouteBatchContexts(nil, [][]int{pi, other})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cached[0] || cached[1] {
 		t.Fatalf("cold batch reported cache hits: %v", cached)
 	}
-	plans2, cached2, err := p.RouteBatchCached([][]int{pi, other})
+	plans2, cached2, err := p.RouteBatchContexts(nil, [][]int{pi, other})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +173,7 @@ func TestCacheStatsZeroWithoutOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Route(IdentityPermutation(4)); err != nil {
+	if _, err := p.Execute(context.Background(), Permutation(IdentityPermutation(4))); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.CacheStats(); got != (CacheStats{}) {

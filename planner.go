@@ -118,17 +118,6 @@ func (p *Planner) routeOne(ctx context.Context, pl *core.Planner, pi []int) (*Pl
 	return plan, false, nil
 }
 
-// Route plans the Theorem 2 routing of pi, reusing the planner's internal
-// buffers.
-//
-// Deprecated: use Execute with a Permutation workload, which also carries a
-// context for cancellation. Route remains a thin wrapper over it and
-// returns byte-identical plans (including fingerprint-cache behavior).
-func (p *Planner) Route(pi []int) (*Plan, error) {
-	plan, _, err := p.routePermutation(context.Background(), pi)
-	return plan, err
-}
-
 // CachedPlan reports whether pi's plan is currently memoized, returning it
 // on a verified hit. The lookup counts toward CacheStats like any other.
 // Without WithPlanCache it reports false and counts nothing.
@@ -157,8 +146,8 @@ func (p *Planner) CacheStats() CacheStats {
 	return p.cache.snapshot()
 }
 
-// PredictedSlots returns the slot count every Route call on this planner
-// will use: OptimalSlots(d, g), independent of the permutation.
+// PredictedSlots returns the slot count every permutation plan of this
+// planner uses: OptimalSlots(d, g), independent of the permutation.
 func (p *Planner) PredictedSlots() int { return OptimalSlots(p.nw.D, p.nw.G) }
 
 // BatchError records the failure of one permutation within a RouteBatch
@@ -180,7 +169,7 @@ func (e *BatchError) Unwrap() error { return e.Err }
 
 // RouteBatch plans every permutation of pis on a bounded worker pool
 // (WithParallelism workers) and returns the plans in input order. Results
-// are identical to calling Route sequentially on each permutation: workers
+// are identical to calling Execute sequentially on each permutation: workers
 // only amortize allocations, they do not change the construction.
 //
 // All entries are planned even when some fail. Successful plans are always
@@ -189,19 +178,13 @@ func (e *BatchError) Unwrap() error { return e.Err }
 // failing index (nil when every permutation planned). With WithPlanCache,
 // each permutation is first looked up in the fingerprint cache.
 func (p *Planner) RouteBatch(pis [][]int) ([]*Plan, error) {
-	plans, _, err := p.RouteBatchCached(pis)
+	plans, _, err := p.RouteBatchContexts(nil, pis)
 	return plans, err
 }
 
-// RouteBatchCached is RouteBatch plus per-index cache attribution: cached[i]
-// reports whether plans[i] was answered from the fingerprint plan cache
-// (always false without WithPlanCache). It is the primitive the serving
-// layer batches onto, where hit/miss visibility is part of the response.
-func (p *Planner) RouteBatchCached(pis [][]int) (plans []*Plan, cached []bool, err error) {
-	return p.RouteBatchContexts(nil, pis)
-}
-
-// RouteBatchContexts is RouteBatchCached with one context per entry, so a
+// RouteBatchContexts is RouteBatch with per-index cache attribution —
+// cached[i] reports whether plans[i] was answered from the fingerprint plan
+// cache (always false without WithPlanCache) — and one context per entry, so a
 // batch assembled from independent requests (the serving layer's micro-batch
 // queue) keeps per-request cancellation and trace-span attribution: entry
 // i's cache lookup and planning phases are recorded on ctxs[i]'s span.

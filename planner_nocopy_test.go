@@ -1,6 +1,7 @@
 package pops
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -9,6 +10,7 @@ import (
 // by default a Plan snapshots the permutation; under the option it aliases
 // the caller's slice.
 func TestWithPlanNoCopyAliases(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(17))
 	pi := RandomPermutation(64, rng)
 
@@ -16,7 +18,7 @@ func TestWithPlanNoCopyAliases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := p.Route(pi)
+	plan, err := p.Execute(ctx, Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +36,7 @@ func TestWithPlanNoCopyAliases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planNC, err := pn.Route(pi)
+	planNC, err := pn.Execute(ctx, Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func TestWithPlanNoCopyAliases(t *testing.T) {
 		t.Fatal(err)
 	}
 	piD := RandomPermutation(16, rng)
-	planD, err := pd.Route(piD)
+	planD, err := pd.Execute(ctx, Permutation(piD))
 	if err != nil {
 		t.Fatal(err)
 	}

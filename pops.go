@@ -53,20 +53,15 @@
 // network simulator (Network, Schedule, Run), the Theorem 1 machinery (fair
 // distributions via balanced bipartite edge coloring), permutation families
 // from the related literature (BPC, mesh shifts, hypercube exchanges,
-// reversal, transpose), and the lower bounds of Propositions 1–3. The
-// superseded free functions (Route, RouteHRelation, RouteAllToAll, the
-// legacy GreedyRoute/DirectOptimalRoute/OneSlotRoute) remain as thin
-// deprecated wrappers over the Execute surface.
+// reversal, transpose), and the lower bounds of Propositions 1–3.
 package pops
 
 import (
-	"context"
 	"math/rand"
 
 	"pops/internal/bounds"
 	"pops/internal/core"
 	"pops/internal/edgecolor"
-	"pops/internal/hrelation"
 	"pops/internal/perms"
 	"pops/internal/popsnet"
 	"pops/internal/singleslot"
@@ -96,7 +91,7 @@ type Options = core.Options
 // strategy) plan-time telemetry behind /stats and /metrics.
 type PlanObserver = core.PlanObserver
 
-// Plan is a verified-constructible routing plan; see Route.
+// Plan is a verified-constructible routing plan; see Planner.Execute.
 type Plan = core.Plan
 
 // Network describes a POPS(d, g) network shape.
@@ -110,27 +105,6 @@ type Trace = popsnet.Trace
 
 // NewNetwork validates a POPS(d, g) shape.
 func NewNetwork(d, g int) (Network, error) { return popsnet.NewNetwork(d, g) }
-
-// Route plans the Theorem 2 routing of pi on POPS(d, g). The schedule uses
-// exactly OptimalSlots(d, g) slots and can be replayed with plan.Verify.
-//
-// Deprecated: hold a Planner and use Execute with a Permutation workload —
-// it reuses pooled arenas across calls and carries a context. Route remains
-// a thin wrapper over it and returns byte-identical plans.
-func Route(d, g int, pi []int, opts ...Option) (*Plan, error) {
-	p, err := NewPlanner(d, g, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return p.Execute(context.Background(), Permutation(pi))
-}
-
-// RouteWith is Route with an explicit options struct.
-//
-// Deprecated: use Route with functional options (WithAlgorithm, WithVerify).
-func RouteWith(d, g int, pi []int, opts Options) (*Plan, error) {
-	return core.PlanRoute(d, g, pi, opts)
-}
 
 // OptimalSlots returns Theorem 2's slot count: 1 when d = 1, else 2⌈d/g⌉.
 func OptimalSlots(d, g int) int { return core.OptimalSlots(d, g) }
@@ -149,120 +123,20 @@ func Run(s *Schedule) (*Trace, error) {
 	return tr, err
 }
 
-// BroadcastSchedule returns the paper's one-slot broadcast schedule from
-// the given speaker processor.
-//
-// Deprecated: use Execute with a OneToAll workload, whose Plan carries the
-// same schedule plus the broadcast Verify contract.
-func BroadcastSchedule(nw Network, speaker int) (*Schedule, error) {
-	return popsnet.OneToAll(nw, speaker, speaker)
-}
-
-// GreedyRoute runs the direct-routing baseline (no relays, maximal
-// conflict-free packing per slot) and returns its schedule and slot count.
-//
-// Deprecated: use NewGreedy, whose Route returns the unified *Plan.
-func GreedyRoute(d, g int, pi []int) (*Schedule, int, error) {
-	return routeViaRouter(StrategyGreedy, d, g, pi)
-}
-
-// DirectOptimalRoute routes pi with direct (relay-free) transfers in the
-// minimum number of slots any direct router can achieve: the maximum
-// multiplicity of a (source group, destination group) pair. It recovers
-// specialized results like Sahni's ⌈d/g⌉-slot matrix transpose.
-//
-// Deprecated: use NewDirectOptimal, whose Route returns the unified *Plan.
-func DirectOptimalRoute(d, g int, pi []int) (*Schedule, int, error) {
-	return routeViaRouter(StrategyDirectOptimal, d, g, pi)
-}
-
-// routeViaRouter adapts the Router surface to the legacy (schedule, slots)
-// return shape of the deprecated free functions.
-func routeViaRouter(strategy string, d, g int, pi []int) (*Schedule, int, error) {
-	r, err := NewRouter(strategy, d, g)
-	if err != nil {
-		return nil, 0, err
-	}
-	plan, err := r.Route(pi)
-	if err != nil {
-		return nil, 0, err
-	}
-	return plan.Schedule(), plan.SlotCount(), nil
-}
-
 // IsOneSlotRoutable reports the Gravenstreter–Melhem characterization:
 // whether pi routes in a single slot on POPS(d, g).
 func IsOneSlotRoutable(d, g int, pi []int) (bool, error) {
 	return singleslot.IsRoutable(d, g, pi)
 }
 
-// OneSlotRoute builds the single-slot schedule for a permutation satisfying
-// IsOneSlotRoutable.
-//
-// Deprecated: use NewSingleSlot, whose Route returns the unified *Plan.
-func OneSlotRoute(d, g int, pi []int) (*Schedule, error) {
-	r, err := NewSingleSlot(d, g)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := r.Route(pi)
-	if err != nil {
-		return nil, err
-	}
-	return plan.Schedule(), nil
-}
-
 // Request is one packet demand of an h-relation: move a packet from Src to
 // Dst. Processors may appear in up to h requests as source and up to h as
 // destination.
-type Request = hrelation.Request
-
-// HRelationPlan is the historical result shape of RouteHRelation: a view
-// over the unified *Plan that Execute produces for HRelation workloads.
-type HRelationPlan = hrelation.Plan
-
-// RouteHRelation generalizes Route to h-relations: the request multigraph is
-// decomposed into h permutations (König), each routed by Theorem 2, for
-// h·OptimalSlots(d, g) slots in total.
-//
-// Deprecated: hold a Planner and use Execute with an HRelation workload —
-// it reuses the pooled per-worker arenas and the plan cache, carries a
-// context, and streams via ExecuteStream. RouteHRelation remains a thin
-// wrapper over it with a byte-identical schedule.
-func RouteHRelation(d, g int, reqs []Request, opts ...Option) (*HRelationPlan, error) {
-	p, err := NewPlanner(d, g, opts...)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := p.Execute(context.Background(), HRelation(reqs))
-	if err != nil {
-		return nil, err
-	}
-	return hrelation.FromCore(plan), nil
-}
+type Request = core.Request
 
 // HRelationSlots returns the slot cost of an h-relation plan for degree h:
 // h · OptimalSlots(d, g).
-func HRelationSlots(d, g, h int) int { return hrelation.PredictedSlots(d, g, h) }
-
-// RouteAllToAll routes the complete exchange (every processor sends one
-// distinct packet to every other processor) as an (n−1)-relation.
-//
-// Deprecated: hold a Planner and use Execute with an AllToAll workload,
-// which additionally memoizes the exchange in the plan cache.
-// RouteAllToAll remains a thin wrapper over it with a byte-identical
-// schedule.
-func RouteAllToAll(d, g int, opts ...Option) (*HRelationPlan, error) {
-	p, err := NewPlanner(d, g, opts...)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := p.Execute(context.Background(), AllToAll())
-	if err != nil {
-		return nil, err
-	}
-	return hrelation.FromCore(plan), nil
-}
+func HRelationSlots(d, g, h int) int { return core.PredictedHRelationSlots(d, g, h) }
 
 // Permutation utilities and families (package perms).
 

@@ -6,10 +6,19 @@ import (
 	"testing"
 )
 
+// execute plans w on a fresh POPS(d, g) planner.
+func execute(d, g int, w Workload, opts ...Option) (*Plan, error) {
+	p, err := NewPlanner(d, g, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return p.Execute(context.Background(), w)
+}
+
 func TestFacadeRoute(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pi := RandomPermutation(64, rng)
-	plan, err := Route(8, 8, pi)
+	plan, err := execute(8, 8, Permutation(pi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,20 +34,15 @@ func TestFacadeRouteWithAlgorithms(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	pi := RandomDerangement(24, rng)
 	for _, algo := range []Algorithm{RepeatedMatching, EulerSplitDC, Insertion} {
-		plan, err := Route(4, 6, pi, WithAlgorithm(algo), WithVerify(true))
+		plan, err := execute(4, 6, Permutation(pi), WithAlgorithm(algo), WithVerify(true))
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
 		if plan.Strategy != StrategyTheoremTwo {
 			t.Fatalf("%v: strategy = %q, want %q", algo, plan.Strategy, StrategyTheoremTwo)
 		}
-		// The deprecated struct-options entry point must agree.
-		old, err := RouteWith(4, 6, pi, Options{Algorithm: algo})
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
-		if old.SlotCount() != plan.SlotCount() {
-			t.Fatalf("%v: RouteWith slots %d != Route slots %d", algo, old.SlotCount(), plan.SlotCount())
+		if plan.SlotCount() != OptimalSlots(4, 6) {
+			t.Fatalf("%v: slots = %d, want %d", algo, plan.SlotCount(), OptimalSlots(4, 6))
 		}
 	}
 }
@@ -88,48 +92,12 @@ func TestFacadeGreedyAndSingleSlot(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappers keeps the legacy free functions working: they must
-// delegate to the routers and produce identical slot counts.
-func TestDeprecatedWrappers(t *testing.T) {
-	pi, err := GroupRotation(4, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, slots, err := GreedyRoute(4, 4, pi); err != nil || slots != 4 {
-		t.Fatalf("GreedyRoute = %d slots, err %v; want 4, nil", slots, err)
-	}
-	if _, slots, err := DirectOptimalRoute(4, 4, pi); err != nil || slots != 4 {
-		t.Fatalf("DirectOptimalRoute = %d slots, err %v; want 4, nil", slots, err)
-	}
-	if _, err := OneSlotRoute(4, 4, pi); err == nil {
-		t.Fatal("OneSlotRoute accepted unroutable permutation")
-	}
-}
-
 func TestFacadeBroadcastAndRun(t *testing.T) {
 	nw, err := NewNetwork(2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := BroadcastSchedule(nw, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := Run(sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.PacketsMoved) != 1 || tr.PacketsMoved[0] != nw.N() {
-		t.Fatalf("broadcast trace = %+v", tr)
-	}
-
-	// The OneToAll workload carries the same schedule plus the broadcast
-	// delivery contract on Verify.
-	p, err := NewPlanner(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := p.Execute(context.Background(), OneToAll(4))
+	plan, err := execute(2, 3, OneToAll(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,6 +106,15 @@ func TestFacadeBroadcastAndRun(t *testing.T) {
 	}
 	if _, err := plan.Verify(); err != nil {
 		t.Fatal(err)
+	}
+
+	// Run replays the paper's one-slot broadcast: every processor receives.
+	tr, err := Run(plan.Schedule())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.PacketsMoved) != 1 || tr.PacketsMoved[0] != nw.N() {
+		t.Fatalf("broadcast trace = %+v", tr)
 	}
 }
 
@@ -183,7 +160,7 @@ func TestFacadePermutationFamilies(t *testing.T) {
 
 func TestFacadeHRelation(t *testing.T) {
 	reqs := []Request{{Src: 0, Dst: 3}, {Src: 0, Dst: 2}, {Src: 1, Dst: 3}}
-	plan, err := RouteHRelation(2, 2, reqs)
+	plan, err := execute(2, 2, HRelation(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +176,7 @@ func TestFacadeHRelation(t *testing.T) {
 }
 
 func TestFacadeAllToAll(t *testing.T) {
-	plan, err := RouteAllToAll(2, 2)
+	plan, err := execute(2, 2, AllToAll())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package pops
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"pops/internal/core"
 	"pops/internal/perms"
 )
 
@@ -165,14 +167,14 @@ func TestRouteBatchMatchesSequentialAndIsOrderStable(t *testing.T) {
 			if !reflect.DeepEqual(plan.Pi, pis[i]) {
 				t.Fatalf("par=%d: plan %d is for the wrong permutation", par, i)
 			}
-			seq, err := Route(d, g, pis[i])
+			seq, err := core.PlanRoute(d, g, pis[i], Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Planning is deterministic, so the batch schedule must be
 			// identical to the sequential one, not merely equivalent.
 			if !reflect.DeepEqual(plan.Schedule().Slots, seq.Schedule().Slots) {
-				t.Fatalf("par=%d: plan %d differs from sequential Route", par, i)
+				t.Fatalf("par=%d: plan %d differs from sequential core.PlanRoute", par, i)
 			}
 			if _, err := plan.Verify(); err != nil {
 				t.Fatalf("par=%d: plan %d: %v", par, i, err)
@@ -242,7 +244,7 @@ func TestPlannerRectangularShapes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for it := 0; it < 2; it++ {
-			plan, err := p.Route(RandomPermutation(s.d*s.g, rng))
+			plan, err := p.Execute(context.Background(), Permutation(RandomPermutation(s.d*s.g, rng)))
 			if err != nil {
 				t.Fatalf("d=%d g=%d: %v", s.d, s.g, err)
 			}
@@ -267,7 +269,7 @@ func TestPlannerConcurrentRoute(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for it := 0; it < 10; it++ {
 				pi := RandomPermutation(32, rng)
-				plan, err := planner.Route(pi)
+				plan, err := planner.Execute(context.Background(), Permutation(pi))
 				if err != nil {
 					errs[w] = err
 					return

@@ -1,7 +1,6 @@
 package pops
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -83,15 +82,6 @@ type PlanStream struct {
 	// observed at ExecuteStream time).
 	span     *obs.Span
 	obsStart time.Time
-}
-
-// RouteStream begins streaming the Theorem 2 routing of pi.
-//
-// Deprecated: use ExecuteStream with a Permutation workload, which also
-// carries a context for cancellation. RouteStream remains a thin wrapper
-// over it and behaves identically.
-func (p *Planner) RouteStream(pi []int) (*PlanStream, error) {
-	return p.ExecuteStream(context.Background(), Permutation(pi))
 }
 
 // Next emits the next slot fragment; ok is false once the stream is

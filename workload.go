@@ -75,9 +75,10 @@ func HRelation(reqs []Request) Workload { return hrelationWorkload{reqs: reqs} }
 
 // AllToAll is the complete-exchange workload: every processor sends one
 // distinct packet to every other processor, an (n−1)-relation routed like
-// HRelation. The request list is deterministic (see RouteAllToAll), so the
-// workload is fully determined by the planner's shape — repeated executions
-// hit the plan cache without rebuilding the n·(n−1) requests.
+// HRelation. The request list is deterministic (request k·n + s moves the
+// packet from processor s to (s+k+1) mod n), so the workload is fully
+// determined by the planner's shape — repeated executions hit the plan cache
+// without rebuilding the n·(n−1) requests.
 func AllToAll() Workload { return allToAllWorkload{} }
 
 // OneToAll is the broadcast workload: the paper's one-slot schedule
@@ -173,9 +174,8 @@ func WorkloadFingerprint(w Workload) uint64 {
 var ErrNilWorkload = errors.New("pops: nil workload")
 
 // Execute plans workload w, reusing the planner's pooled worker arenas.
-// It is the workload-polymorphic form of Route: Permutation workloads
-// produce exactly the plan Route returns, HRelation and AllToAll workloads
-// the plan RouteHRelation/RouteAllToAll return, and OneToAll the one-slot
+// Permutation workloads produce the Theorem 2 plan, HRelation and AllToAll
+// workloads the König-decomposed h-relation plan, and OneToAll the one-slot
 // broadcast. With WithPlanCache, recurring workloads of any kind are
 // answered from the fingerprint plan cache.
 //
@@ -244,9 +244,9 @@ func (p *Planner) broadcastPlan(speaker int) (*Plan, error) {
 	return plan, nil
 }
 
-// routePermutation is the permutation fast path of ExecuteCached, shared
-// with the deprecated Planner.Route: it avoids boxing a workload value, so
-// a fingerprint-cache hit stays allocation-free.
+// routePermutation is the permutation fast path of ExecuteCached: unlike
+// executeWorkload it needs no planning closure, so a fingerprint-cache hit
+// stays allocation-free.
 func (p *Planner) routePermutation(ctx context.Context, pi []int) (*Plan, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
@@ -314,13 +314,13 @@ func (p *Planner) executeWorkload(ctx context.Context, w Workload, plan func(*co
 // ExecuteStream begins streaming the plan of workload w: the returned
 // PlanStream delivers the schedule as slot fragments while planning is
 // still in progress. For Permutation workloads fragments are per relay
-// color class, exactly like RouteStream; for HRelation and AllToAll
-// workloads each fragment is one whole schedule slot, emitted as soon as
-// its König factor has been peeled from the request-graph factorization and
-// routed — the first slots are ready long before the factorization behind a
-// batch Execute completes. OneToAll streams its single slot. With
-// WithPlanCache, a memoized workload short-circuits to a materialized
-// stream that replays whole slots and holds no worker planner.
+// color class; for HRelation and AllToAll workloads each fragment is one
+// whole schedule slot, emitted as soon as its König factor has been peeled
+// from the request-graph factorization and routed — the first slots are
+// ready long before the factorization behind a batch Execute completes.
+// OneToAll streams its single slot. With WithPlanCache, a memoized workload
+// short-circuits to a materialized stream that replays whole slots and holds
+// no worker planner.
 //
 // ctx gates the stream: an already-cancelled context returns ctx.Err()
 // without acquiring a worker, and cancelling it mid-stream stops factor

@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"pops/internal/core"
 )
 
 // randomRelation builds the union of h random permutations on n processors:
@@ -38,40 +40,11 @@ func schedulesEqual(t *testing.T, got, want *Schedule, context string) {
 	}
 }
 
-// TestExecutePermutationEqualsRoute pins the migration contract of the
-// deprecated wrappers: Execute(Permutation(pi)) is byte-identical to
-// Route(pi) on every shape.
-func TestExecutePermutationEqualsRoute(t *testing.T) {
-	ctx := context.Background()
-	for _, s := range []struct{ d, g int }{{1, 5}, {2, 2}, {3, 3}, {8, 4}, {4, 16}} {
-		p, err := NewPlanner(s.d, s.g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for seed := int64(0); seed < 4; seed++ {
-			pi := RandomPermutation(s.d*s.g, rand.New(rand.NewSource(seed)))
-			want, err := p.Route(pi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := p.Execute(ctx, Permutation(pi))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got.Pi, want.Pi) || !reflect.DeepEqual(got.Colors, want.Colors) ||
-				got.Strategy != want.Strategy || got.Rounds != want.Rounds {
-				t.Fatalf("d=%d g=%d: Execute plan metadata diverges from Route", s.d, s.g)
-			}
-			schedulesEqual(t, got.Schedule(), want.Schedule(), "execute-vs-route")
-		}
-	}
-}
-
-// TestExecuteStreamHRelationEqualsRouteHRelation pins the h-relation side:
-// Execute(HRelation(reqs)), ExecuteStream(HRelation(reqs)).Collect() and the
-// deprecated RouteHRelation wrapper produce slot-for-slot identical
+// TestExecuteStreamHRelationEqualsPlanHRelation pins the h-relation side:
+// Execute(HRelation(reqs)), ExecuteStream(HRelation(reqs)).Collect() and a
+// fresh core planner's PlanHRelation produce slot-for-slot identical
 // schedules, and the streamed fragments tile the schedule exactly.
-func TestExecuteStreamHRelationEqualsRouteHRelation(t *testing.T) {
+func TestExecuteStreamHRelationEqualsPlanHRelation(t *testing.T) {
 	ctx := context.Background()
 	for _, s := range []struct{ d, g, h int }{{1, 4, 2}, {2, 2, 3}, {4, 4, 2}, {3, 5, 4}, {8, 2, 2}} {
 		p, err := NewPlanner(s.d, s.g)
@@ -80,7 +53,11 @@ func TestExecuteStreamHRelationEqualsRouteHRelation(t *testing.T) {
 		}
 		for seed := int64(0); seed < 3; seed++ {
 			reqs := randomRelation(s.d*s.g, s.h, rand.New(rand.NewSource(seed)))
-			legacy, err := RouteHRelation(s.d, s.g, reqs)
+			pl, err := core.NewPlanner(s.d, s.g, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := pl.PlanHRelation(ctx, reqs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,14 +85,14 @@ func TestExecuteStreamHRelationEqualsRouteHRelation(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if batch.H != s.h || streamed.H != s.h || legacy.H != s.h {
-				t.Fatalf("d=%d g=%d: degrees %d/%d/%d, want %d", s.d, s.g, batch.H, streamed.H, legacy.H, s.h)
+			if batch.H != s.h || streamed.H != s.h || direct.H != s.h {
+				t.Fatalf("d=%d g=%d: degrees %d/%d/%d, want %d", s.d, s.g, batch.H, streamed.H, direct.H, s.h)
 			}
-			if !reflect.DeepEqual(batch.Factors, streamed.Factors) || !reflect.DeepEqual(batch.Factors, legacy.Factors) {
+			if !reflect.DeepEqual(batch.Factors, streamed.Factors) || !reflect.DeepEqual(batch.Factors, direct.Factors) {
 				t.Fatalf("d=%d g=%d seed=%d: factor listings diverge", s.d, s.g, seed)
 			}
 			schedulesEqual(t, streamed.Schedule(), batch.Schedule(), "stream-vs-execute")
-			schedulesEqual(t, batch.Schedule(), legacy.Schedule(), "execute-vs-wrapper")
+			schedulesEqual(t, batch.Schedule(), direct.Schedule(), "execute-vs-core")
 			if _, err := streamed.Verify(); err != nil {
 				t.Fatalf("d=%d g=%d seed=%d: %v", s.d, s.g, seed, err)
 			}
@@ -223,13 +200,17 @@ func FuzzExecuteStreamHRelation(f *testing.F) {
 	})
 }
 
-// TestExecuteAllToAllMatchesWrapperAndCaches pins the AllToAll workload to
-// the deprecated wrapper and its plan-cache behavior: the exchange is fully
-// determined by the shape, so a second Execute is a cache hit returning the
-// same *Plan.
-func TestExecuteAllToAllMatchesWrapperAndCaches(t *testing.T) {
+// TestExecuteAllToAllMatchesPlanHRelationAndCaches pins the AllToAll
+// workload to a core planner's PlanHRelation of the complete-exchange
+// requests, and its plan-cache behavior: the exchange is fully determined by
+// the shape, so a second Execute is a cache hit returning the same *Plan.
+func TestExecuteAllToAllMatchesPlanHRelationAndCaches(t *testing.T) {
 	ctx := context.Background()
-	legacy, err := RouteAllToAll(2, 3)
+	pl, err := core.NewPlanner(2, 3, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := pl.PlanHRelation(ctx, core.AllToAllRequests(2*3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +225,7 @@ func TestExecuteAllToAllMatchesWrapperAndCaches(t *testing.T) {
 	if first.H != 2*3-1 || first.Strategy != StrategyHRelation {
 		t.Fatalf("all-to-all plan: h=%d strategy=%q", first.H, first.Strategy)
 	}
-	schedulesEqual(t, first.Schedule(), legacy.Schedule(), "all-to-all-vs-wrapper")
+	schedulesEqual(t, first.Schedule(), direct.Schedule(), "all-to-all-vs-core")
 	second, cached, err := p.ExecuteCached(ctx, AllToAll())
 	if err != nil || !cached || second != first {
 		t.Fatalf("second all-to-all: cached=%v same=%v err=%v", cached, second == first, err)
@@ -418,8 +399,8 @@ func TestExecuteStreamCancelMidStream(t *testing.T) {
 
 // TestHRelationPooledAllocBudget is the alloc-guard half of moving
 // h-relations onto the pooled planners: steady-state Execute on a warmed
-// planner must allocate well under half of what the per-call deprecated
-// RouteHRelation costs (which rebuilds planner, arenas and demand graph
+// planner must allocate well under half of what a fresh planner per call
+// costs (NewPlanner + Execute rebuilds planner, arenas and demand graph
 // every call).
 func TestHRelationPooledAllocBudget(t *testing.T) {
 	const d, g, h = 4, 8, 3
@@ -438,7 +419,11 @@ func TestHRelationPooledAllocBudget(t *testing.T) {
 		}
 	})
 	perCall := testing.AllocsPerRun(10, func() {
-		if _, err := RouteHRelation(d, g, reqs); err != nil {
+		fresh, err := NewPlanner(d, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fresh.Execute(ctx, HRelation(reqs)); err != nil {
 			t.Fatal(err)
 		}
 	})
