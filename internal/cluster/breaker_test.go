@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -64,9 +65,12 @@ func TestProxyOverloadSpillsOnce(t *testing.T) {
 	}
 
 	// Drive enough distinct workloads that some are owned by the shedder.
-	for i := 0; i < 16; i++ {
-		pi := pops.IdentityPermutation(8)
-		pi[0], pi[i%8] = pi[i%8], pi[0]
+	// Ring placement hashes the backends' ephemeral URLs, so a handful of
+	// keys can all land on the healthy node; 64 seeded random permutations
+	// make that vanishingly unlikely.
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 64; i++ {
+		pi := pops.RandomPermutation(8, rng)
 		if _, err := p.Execute(context.Background(), 2, 4, pops.Permutation(pi)); err != nil {
 			t.Fatalf("Execute %d: %v (want spill to the healthy sibling)", i, err)
 		}

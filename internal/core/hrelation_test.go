@@ -208,6 +208,12 @@ func TestPlanHRelationInvalidInput(t *testing.T) {
 	}
 }
 
+func TestAllToAllRequestsInvalidShape(t *testing.T) {
+	if _, err := planHRelation(0, 2, AllToAllRequests(0)); err == nil {
+		t.Fatal("invalid shape accepted")
+	}
+}
+
 func TestAllToAllRequestsRoute(t *testing.T) {
 	for _, tc := range []struct{ d, g int }{{2, 2}, {2, 3}, {3, 2}, {1, 4}} {
 		n := tc.d * tc.g
