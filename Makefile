@@ -100,8 +100,9 @@ examples:
 # The steady-state allocation guard of the coloring engine: fails if
 # Factorizer/Matcher/Splitter reuse regresses past the alloc budget. The
 # streaming path is covered too: a warmed Stream drain allocates nothing
-# beyond its handle, and ExecuteStream+Collect stays within Execute's budget
-# plus the fixed stream handles. TestHRelationPooledAllocBudget guards the
+# beyond its handle, and — Execute being the drained stream — a cold Execute
+# at POPS(8,8) is pinned at 12 allocs/op with ExecuteStream+Collect at no
+# more than Execute. TestHRelationPooledAllocBudget guards the
 # pooled h-relation path of Execute: steady state must stay under half the
 # allocations of a fresh Planner per call (the measured delta is recorded in
 # BENCH_2026-07-30_hrelation.json). The tracing layer

@@ -138,6 +138,50 @@ func TestFaultyPermutationStream(t *testing.T) {
 	schedulesEqual(t, streamed.Schedule(), batch.Schedule(), "fault stream-vs-batch")
 }
 
+// TestMaterializedStreamsMemoize pins the cache policy of the two workloads
+// planned whole rather than class by class: fault plans are memoized — also
+// under WithVerify, and also when streamed and drained through Next — while
+// one-to-all broadcasts never touch the cache.
+func TestMaterializedStreamsMemoize(t *testing.T) {
+	ctx := context.Background()
+	const d, g = 2, 4
+	p, err := NewPlanner(d, g, WithVerify(true), WithPlanCache(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := FaultSet{Couplers: []Coupler{{B: 2, A: 1}}}
+	batch := FaultyPermutation(RandomPermutation(d*g, rand.New(rand.NewSource(1))), fs)
+	if _, err := p.Execute(ctx, batch); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := p.CachedWorkload(batch); !ok {
+		t.Fatal("verified fault plan was not memoized by Execute")
+	}
+	streamed := FaultyPermutation(RandomPermutation(d*g, rand.New(rand.NewSource(2))), fs)
+	ps, err := p.ExecuteStream(ctx, streamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, ok := ps.Next(); !ok {
+			break
+		}
+	}
+	if _, ok := p.CachedWorkload(streamed); !ok {
+		t.Fatal("Next-drained fault stream was not memoized")
+	}
+
+	before := p.CacheStats()
+	for i := 0; i < 2; i++ {
+		if _, cached, err := p.ExecuteCached(ctx, OneToAll(3)); err != nil || cached {
+			t.Fatalf("broadcast %d: cached=%v err=%v", i, cached, err)
+		}
+	}
+	if after := p.CacheStats(); after != before {
+		t.Fatalf("broadcasts touched the plan cache: %+v, want %+v", after, before)
+	}
+}
+
 // FuzzFaultyPermutation is the end-to-end property: for fuzzer-chosen shapes,
 // permutations and fault sets, every plan must deliver pi on the
 // fault-injected simulator without driving a dead coupler — or fail with the

@@ -60,9 +60,9 @@ type Options struct {
 	// Verify replays every produced schedule on the slot-level simulator
 	// before returning it; a simulation failure becomes a planning error.
 	Verify bool
-	// Parallelism bounds the worker pool of batch operations (the public
-	// Planner's RouteBatch and hrelation factor routing). Zero or negative
-	// means "pick a default" (GOMAXPROCS); a single planner call ignores it.
+	// Parallelism bounds the public Planner's worker pool: its free list of
+	// core planners and RouteBatch's fan-out. Zero or negative means "pick a
+	// default" (GOMAXPROCS); a single planner call ignores it.
 	Parallelism int
 	// PlanNoCopy makes Theorem 2 Plans alias the caller's permutation slice
 	// instead of snapshotting it. Ownership contract: the caller must not
@@ -92,8 +92,8 @@ func (o Options) snapshotPerm(pi []int) []int {
 }
 
 // Workers resolves the Parallelism option to a concrete worker count: the
-// option itself when positive, GOMAXPROCS otherwise. Every batch layer
-// (Planner.RouteBatch, hrelation factor routing) sizes its pool with this.
+// option itself when positive, GOMAXPROCS otherwise. The public Planner sizes
+// its free list and RouteBatch's fan-out with this.
 func (o Options) Workers() int {
 	if o.Parallelism > 0 {
 		return o.Parallelism
@@ -256,14 +256,59 @@ func directSchedule(nw popsnet.Network, pi []int) (*popsnet.Schedule, error) {
 	return &popsnet.Schedule{Net: nw, Slots: []popsnet.Slot{slot}}, nil
 }
 
-// planFromColors turns per-packet relay colors into the two-slot-per-round
-// schedule, sanity-checking the fair-distribution invariants on the way. It
-// is the one-shot form of (*Planner).buildPlan; callers reach it only for
-// d > 1, with pi already validated, so just the build scratch is allocated.
+// planFromColors is the reference schedule builder: it turns per-packet
+// relay colors into the two-slot-per-round schedule in one batch pass,
+// re-checking equations (4)–(7) per color class first. Production planning
+// assembles the same layout class by class in PlanStream.Next; the stream
+// tests and FuzzStreamMatchesReference hold the two to deep equality.
+// Callers reach it only for d > 1, with pi already validated.
 func planFromColors(nw popsnet.Network, pi, colors []int) (*Plan, error) {
-	pl := &Planner{nw: nw}
-	pl.initBuildScratch()
-	return pl.buildPlan(pi, colors)
+	if len(colors) != nw.N() {
+		return nil, fmt.Errorf("core: %d colors for %d packets", len(colors), nw.N())
+	}
+	colorCount := max(nw.D, nw.G)
+	byColor := make([][]int, colorCount)
+	for p, c := range colors {
+		if c < 0 || c >= colorCount {
+			return nil, fmt.Errorf("core: packet %d has color %d outside [0,%d)", p, c, colorCount)
+		}
+		byColor[c] = append(byColor[c], p)
+	}
+	pl := &Planner{nw: nw, seenGroup: make([]bool, nw.G)}
+	for c, class := range byColor {
+		if err := pl.checkClass(pi, class, c); err != nil {
+			return nil, err
+		}
+	}
+	sched := relaySchedule(nw, pi, byColor)
+	return &Plan{Net: nw, Pi: copyPerm(pi), Strategy: StrategyTheoremTwo, Colors: colors, Rounds: len(sched.Slots) / 2, sched: sched}, nil
+}
+
+// relaySchedule lays out the relay schedule of per-color packet classes:
+// round k = ⌊c/g⌋ takes two slots, class c relays through group j = c mod g,
+// and each class's packets, in processor order, take the relays of group j
+// by rank. Properness of the classes at source and destination groups and
+// their size bound make both slots conflict free.
+func relaySchedule(nw popsnet.Network, pi []int, byColor [][]int) *popsnet.Schedule {
+	g := nw.G
+	rounds := ceilDiv(len(byColor), g)
+	sched := &popsnet.Schedule{Net: nw, Slots: make([]popsnet.Slot, 0, 2*rounds)}
+	for k := 0; k < rounds; k++ {
+		var slot1, slot2 popsnet.Slot
+		for c := k * g; c < min((k+1)*g, len(byColor)); c++ {
+			j := c % g
+			for rank, p := range byColor[c] {
+				relay := nw.Proc(j, rank)
+				dest := pi[p]
+				slot1.Sends = append(slot1.Sends, popsnet.Send{Src: p, DestGroup: j, Packet: p})
+				slot1.Recvs = append(slot1.Recvs, popsnet.Recv{Proc: relay, SrcGroup: nw.Group(p)})
+				slot2.Sends = append(slot2.Sends, popsnet.Send{Src: relay, DestGroup: nw.Group(dest), Packet: p})
+				slot2.Recvs = append(slot2.Recvs, popsnet.Recv{Proc: dest, SrcGroup: j})
+			}
+		}
+		sched.Slots = append(sched.Slots, slot1, slot2)
+	}
+	return sched
 }
 
 // Schedule returns the plan's slot schedule.

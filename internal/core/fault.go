@@ -362,7 +362,7 @@ func (pl *Planner) planFaultyRelay(ctx context.Context, pi []int, fs popsnet.Fau
 	return pl.buildFaultyPlan(pi, colors, totalColors, capacity, fs, fn)
 }
 
-// buildFaultyPlan is buildPlan under the repaired coloring's relaxed
+// buildFaultyPlan is planFromColors under the repaired coloring's relaxed
 // invariants: classes are proper and within capacity but need not be exactly
 // full (repair drains classes and overflow rounds are sparse), and every
 // class relay must be alive for all its packets. The schedule layout is
@@ -407,30 +407,8 @@ func (pl *Planner) buildFaultyPlan(pi, colors []int, colorCount, capacity int, f
 		}
 	}
 
-	sched := &popsnet.Schedule{Net: nw, Slots: make([]popsnet.Slot, 0, 2*rounds)}
-	for k := 0; k < rounds; k++ {
-		lo, hi := k*g, (k+1)*g
-		if hi > colorCount {
-			hi = colorCount
-		}
-		slot1 := popsnet.Slot{}
-		slot2 := popsnet.Slot{}
-		for c := lo; c < hi; c++ {
-			j := c % g
-			for rank, p := range byColor[c] {
-				relay := nw.Proc(j, rank)
-				dest := pi[p]
-				slot1.Sends = append(slot1.Sends, popsnet.Send{Src: p, DestGroup: j, Packet: p})
-				slot1.Recvs = append(slot1.Recvs, popsnet.Recv{Proc: relay, SrcGroup: nw.Group(p)})
-				slot2.Sends = append(slot2.Sends, popsnet.Send{Src: relay, DestGroup: nw.Group(dest), Packet: p})
-				slot2.Recvs = append(slot2.Recvs, popsnet.Recv{Proc: dest, SrcGroup: j})
-			}
-		}
-		sched.Slots = append(sched.Slots, slot1, slot2)
-	}
-
 	return &Plan{
 		Net: nw, Pi: pl.opts.snapshotPerm(pi), Strategy: StrategyFaulty,
-		Colors: colors, Rounds: rounds, Faults: fs, sched: sched,
+		Colors: colors, Rounds: rounds, Faults: fs, sched: relaySchedule(nw, pi, byColor),
 	}, nil
 }

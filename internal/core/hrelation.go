@@ -75,14 +75,14 @@ func BroadcastPlan(nw popsnet.Network, speaker int) (*Plan, error) {
 // PlanHRelation routes an h-relation on the planner's POPS(d, g) network:
 // the padded request multigraph is decomposed into h permutations (König),
 // each routed by Theorem 2, for h · OptimalSlots(d, g) slots in total. It is
-// the batch form of StartHRelation — both drain the same arena steppers, so
-// their schedules are byte-identical. The counting lower bound for a
-// saturated h-relation of derangements is ⌈h·d/g⌉ slots (h·n packets, g² per
-// slot), so the schedule is within a factor 2 of optimal for d ≥ g — the
-// paper's h = 1 guarantee one level up. The request-graph factorization runs
-// on a second arena held by the planner, and all padding/relabeling scratch
-// is reused across calls, so repeated h-relation planning allocates only
-// what the returned Plan retains.
+// StartHRelation drained, just as PlanCtx is StartPlanCtx drained. The
+// counting lower bound for a saturated h-relation of derangements is
+// ⌈h·d/g⌉ slots (h·n packets, g² per slot), so the schedule is within a
+// factor 2 of optimal for d ≥ g — the paper's h = 1 guarantee one level up.
+// The request-graph factorization runs on a second arena held by the
+// planner, and all padding/relabeling scratch is reused across calls, so
+// repeated h-relation planning allocates only what the returned Plan
+// retains.
 func (pl *Planner) PlanHRelation(ctx context.Context, reqs []Request) (*Plan, error) {
 	ps, err := pl.StartHRelation(ctx, reqs)
 	if err != nil {

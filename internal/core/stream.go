@@ -41,9 +41,9 @@ type StreamedSlot struct {
 // just long enough to peel one more color class, emitting that class's two
 // slot fragments. The paper's fair-distribution invariants (equations
 // (4)–(7)) are re-checked per class as it lands rather than at the end.
-// Once the final fragment has been emitted, the accumulated Plan — byte
-// identical to what Planner.Plan would have produced — is available from
-// Collect or Plan.
+// Once the final fragment has been emitted, the accumulated Plan is
+// available from Collect or Plan; Planner.Plan and PlanCtx are this stream
+// drained.
 //
 // A PlanStream owns its Planner until it is exhausted or abandoned: any
 // other call on the same Planner supersedes the stream mid-flight.
@@ -95,9 +95,12 @@ func (pl *Planner) StartPlanCtx(ctx context.Context, pi []int) (*PlanStream, err
 	}
 	ps := &PlanStream{pl: pl, ctx: ctx, span: obs.SpanFromContext(ctx), pi: pl.opts.snapshotPerm(pi)}
 	// Stream setup (demand build, schedule preallocation, coloring kickoff)
-	// and each peeled factor count as factorize time on the trace span.
-	setupStart := time.Now()
-	defer func() { ps.span.Add(obs.PhaseFactorize, time.Since(setupStart)) }()
+	// and each peeled factor count as factorize time on the trace span. An
+	// untraced plan skips the clock reads altogether.
+	if ps.span != nil {
+		setupStart := time.Now()
+		defer func() { ps.span.Add(obs.PhaseFactorize, time.Since(setupStart)) }()
+	}
 	if nw.D == 1 {
 		sched, err := directSchedule(nw, ps.pi)
 		if err != nil {
@@ -177,7 +180,10 @@ func (ps *PlanStream) Next() (StreamedSlot, bool) {
 		return StreamedSlot{Slot: 0, Color: -1, Final: true, Sends: slot.Sends, Recvs: slot.Recvs}, true
 	}
 
-	factorStart := time.Now()
+	var factorStart time.Time
+	if ps.span != nil {
+		factorStart = time.Now()
+	}
 	c, ok, err := ps.stream.Next(ps.colors)
 	if err != nil {
 		ps.err = fmt.Errorf("core: coloring demand graph: %w", err)
@@ -196,7 +202,7 @@ func (ps *PlanStream) Next() (StreamedSlot, bool) {
 	}
 	// The class arrives in factorization order; rank assignment needs it in
 	// processor order (that is what makes arrivals per group hit distinct
-	// relays, and what the batch builder uses).
+	// relays, and what the reference builder planFromColors uses).
 	pl.classBuf = append(pl.classBuf[:0], ps.stream.Factor()...)
 	slices.Sort(pl.classBuf)
 	class := pl.classBuf
@@ -231,7 +237,9 @@ func (ps *PlanStream) Next() (StreamedSlot, bool) {
 	}
 	ps.hasPending = true
 	ps.emitted++
-	ps.span.Add(obs.PhaseFactorize, time.Since(factorStart))
+	if ps.span != nil {
+		ps.span.Add(obs.PhaseFactorize, time.Since(factorStart))
+	}
 	return frag1, true
 }
 
@@ -249,10 +257,9 @@ func (ps *PlanStream) finishIfDelivered() {
 	}
 }
 
-// Collect drains the remaining fragments and returns the assembled plan,
-// byte identical to what Planner.Plan would have produced for the same
-// permutation. Under Options.Verify the completed schedule is replayed on
-// the simulator, exactly like the batch path.
+// Collect drains the remaining fragments and returns the assembled plan.
+// Under Options.Verify the completed schedule is replayed on the simulator
+// first.
 func (ps *PlanStream) Collect() (*Plan, error) {
 	for {
 		if _, ok := ps.Next(); !ok {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pops/internal/edgecolor"
+	"pops/internal/graph"
 	"pops/internal/perms"
 	"pops/internal/popsnet"
 )
@@ -18,10 +19,62 @@ func streamShapes() []struct{ d, g int } {
 	}
 }
 
-// TestStartPlanCollectMatchesPlan requires the collected streaming plan to
-// be deep-equal to the batch plan — permutation, colors, rounds, strategy,
-// and every slot of the schedule — across shapes, algorithms and seeds.
-func TestStartPlanCollectMatchesPlan(t *testing.T) {
+// referencePlan builds pi's Theorem 2 plan without PlanStream: a separate
+// Factorizer colors the same demand graph in one batch BalancedInto call,
+// and planFromColors lays the schedule out. For d = 1 the reference is the
+// direct one-slot schedule.
+func referencePlan(t testing.TB, nw popsnet.Network, pi []int, algo edgecolor.Algorithm) *Plan {
+	t.Helper()
+	if nw.D == 1 {
+		sched, err := directSchedule(nw, pi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &Plan{Net: nw, Pi: copyPerm(pi), Strategy: StrategyTheoremTwo, sched: sched}
+	}
+	demand := graph.New(nw.G, nw.G)
+	for p := range pi {
+		demand.AddEdge(nw.Group(p), nw.Group(pi[p]))
+	}
+	colors := make([]int, nw.N())
+	if err := edgecolor.NewFactorizer().BalancedInto(colors, demand, max(nw.D, nw.G), algo); err != nil {
+		t.Fatalf("%v: reference coloring: %v", nw, err)
+	}
+	plan, err := planFromColors(nw, pi, colors)
+	if err != nil {
+		t.Fatalf("%v: reference build: %v", nw, err)
+	}
+	return plan
+}
+
+// checkStreamMatchesReference collects pi's stream on pl and requires it to
+// be deep-equal to referencePlan: permutation, colors, rounds, strategy and
+// every slot of the schedule.
+func checkStreamMatchesReference(t testing.TB, pl *Planner, pi []int, algo edgecolor.Algorithm) {
+	t.Helper()
+	nw := pl.Network()
+	ps, err := pl.StartPlan(pi)
+	if err != nil {
+		t.Fatalf("%v %v: StartPlan: %v", algo, nw, err)
+	}
+	got, err := ps.Collect()
+	if err != nil {
+		t.Fatalf("%v %v: Collect: %v", algo, nw, err)
+	}
+	want := referencePlan(t, nw, pi, algo)
+	if !reflect.DeepEqual(got.Pi, want.Pi) || !reflect.DeepEqual(got.Colors, want.Colors) ||
+		got.Rounds != want.Rounds || got.Strategy != want.Strategy || got.Net != want.Net {
+		t.Fatalf("%v %v pi=%v: plan metadata diverges from the reference", algo, nw, pi)
+	}
+	if !reflect.DeepEqual(got.Schedule().Slots, want.Schedule().Slots) {
+		t.Fatalf("%v %v pi=%v: schedule diverges from the reference", algo, nw, pi)
+	}
+}
+
+// TestStartPlanCollectMatchesReference holds the streaming planner — which
+// Plan and PlanCtx drain — to the independent batch reference across
+// backends, shapes and seeds.
+func TestStartPlanCollectMatchesReference(t *testing.T) {
 	for _, algo := range []edgecolor.Algorithm{edgecolor.RepeatedMatching, edgecolor.EulerSplitDC, edgecolor.Insertion} {
 		for _, s := range streamShapes() {
 			pl, err := NewPlanner(s.d, s.g, Options{Algorithm: algo})
@@ -29,29 +82,31 @@ func TestStartPlanCollectMatchesPlan(t *testing.T) {
 				t.Fatal(err)
 			}
 			for seed := int64(0); seed < 3; seed++ {
-				pi := perms.Random(s.d*s.g, rand.New(rand.NewSource(seed)))
-				want, err := pl.Plan(pi)
-				if err != nil {
-					t.Fatalf("%v d=%d g=%d: batch: %v", algo, s.d, s.g, err)
-				}
-				ps, err := pl.StartPlan(pi)
-				if err != nil {
-					t.Fatalf("%v d=%d g=%d: StartPlan: %v", algo, s.d, s.g, err)
-				}
-				got, err := ps.Collect()
-				if err != nil {
-					t.Fatalf("%v d=%d g=%d: Collect: %v", algo, s.d, s.g, err)
-				}
-				if !reflect.DeepEqual(got.Pi, want.Pi) || !reflect.DeepEqual(got.Colors, want.Colors) ||
-					got.Rounds != want.Rounds || got.Strategy != want.Strategy || got.Net != want.Net {
-					t.Fatalf("%v d=%d g=%d seed=%d: plan metadata diverges", algo, s.d, s.g, seed)
-				}
-				if !reflect.DeepEqual(got.Schedule().Slots, want.Schedule().Slots) {
-					t.Fatalf("%v d=%d g=%d seed=%d: schedules diverge", algo, s.d, s.g, seed)
-				}
+				checkStreamMatchesReference(t, pl, perms.Random(s.d*s.g, rand.New(rand.NewSource(seed))), algo)
 			}
 		}
 	}
+}
+
+// FuzzStreamMatchesReference is the native-fuzzer form of
+// TestStartPlanCollectMatchesReference over fuzzer-chosen shapes, backends
+// and permutation seeds.
+func FuzzStreamMatchesReference(f *testing.F) {
+	// Seeds are (d−1, g−1, backend, seed): POPS(3,3), (2,8), (12,8), (1,6).
+	f.Add(uint8(2), uint8(2), uint8(0), int64(1))
+	f.Add(uint8(1), uint8(7), uint8(1), int64(2))
+	f.Add(uint8(11), uint8(7), uint8(2), int64(3))
+	f.Add(uint8(0), uint8(5), uint8(0), int64(4))
+	algos := []edgecolor.Algorithm{edgecolor.RepeatedMatching, edgecolor.EulerSplitDC, edgecolor.Insertion}
+	f.Fuzz(func(t *testing.T, dSeed, gSeed, algoSeed uint8, seed int64) {
+		d, g := int(dSeed)%16+1, int(gSeed)%16+1
+		algo := algos[int(algoSeed)%len(algos)]
+		pl, err := NewPlanner(d, g, Options{Algorithm: algo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkStreamMatchesReference(t, pl, perms.Random(d*g, rand.New(rand.NewSource(seed))), algo)
+	})
 }
 
 // TestPlanStreamFragments walks the fragments of one stream and checks the

@@ -61,6 +61,7 @@ type Factorizer struct {
 	// path, see colorInsertionInto.
 	colL, colR []int
 	path       []int
+	insEnd     []int // insertion stream: class c's edge IDs end at ids[insEnd[c]]
 
 	// Balanced scratch: the Theorem 1 padding graph and its coloring.
 	padded     *graph.Bipartite

@@ -212,7 +212,9 @@ func (st *Stream) Next(colorBuf []int) (factorID int, ok bool, err error) {
 // insNext adapts the insertion coloring — which repairs earlier colors
 // along alternating paths and therefore cannot expose intermediate state —
 // to the stream contract: the full coloring is materialized on the first
-// call, then emitted one class per call in ascending color order.
+// call and bucketed by color (a counting sort into the arena's ids, so IDs
+// stay ascending within a class), then emitted one class per call in
+// ascending color order at O(class size) each.
 func (st *Stream) insNext(target []int) (factorID int, factor []int, ok bool, err error) {
 	f := st.f
 	if !st.insReady {
@@ -223,19 +225,33 @@ func (st *Stream) insNext(target []int) (factorID int, factor []int, ok bool, er
 		if c > st.k {
 			return 0, nil, false, fmt.Errorf("edgecolor: insertion used %d colors on %d-regular graph", c, st.k)
 		}
+		colors := target[:st.inner.NumEdges()]
+		f.insEnd = graph.ResizeInts(f.insEnd, st.k)
+		clear(f.insEnd)
+		for _, c := range colors {
+			f.insEnd[c]++
+		}
+		start := 0
+		for c, size := range f.insEnd {
+			f.insEnd[c] = start
+			start += size
+		}
+		f.ids = graph.ResizeInts(f.ids, len(colors))
+		for id, c := range colors {
+			f.ids[f.insEnd[c]] = id
+			f.insEnd[c]++ // ends at class c's end, the start of class c+1
+		}
 		st.insReady = true
 	}
 	if st.produced >= st.k {
 		return 0, nil, false, nil
 	}
 	factorID = st.produced
-	f.factorBuf = f.factorBuf[:0]
-	for id, c := range target[:st.inner.NumEdges()] {
-		if c == factorID {
-			f.factorBuf = append(f.factorBuf, id)
-		}
+	lo := 0
+	if factorID > 0 {
+		lo = f.insEnd[factorID-1]
 	}
-	return factorID, f.factorBuf, true, nil
+	return factorID, f.ids[lo:f.insEnd[factorID]], true, nil
 }
 
 // Factor returns the edge IDs of the most recently produced factor, in the

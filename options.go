@@ -20,9 +20,9 @@ func WithVerify(v bool) Option {
 	return func(o *Options) { o.Verify = v }
 }
 
-// WithParallelism bounds the worker pools of batch operations: the Planner's
-// RouteBatch and the per-factor routing of h-relations. n < 1 selects the
-// default, GOMAXPROCS. Single-permutation planning is unaffected.
+// WithParallelism bounds the Planner's worker pool: how many core planners
+// its free list keeps and how many workers RouteBatch fans out to. n < 1
+// selects the default, GOMAXPROCS. Single-permutation planning is unaffected.
 func WithParallelism(n int) Option {
 	return func(o *Options) { o.Parallelism = n }
 }

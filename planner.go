@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"pops/internal/core"
-	"pops/internal/obs"
-	"pops/internal/perms"
 )
 
 // Planner is the entry point for planning workloads on one POPS(d, g)
@@ -83,41 +83,6 @@ func (p *Planner) observePlan(strategy string, cached bool, start time.Time) {
 	}
 }
 
-// routeOne plans pi through the fingerprint cache when one is configured:
-// a verified hit skips planning entirely, a miss plans and memoizes. The
-// returned bool reports whether the plan came from the cache. Cache lookup
-// and memoization are attributed to the cache phase of ctx's trace span;
-// the planning itself records its own phases inside PlanCtx.
-func (p *Planner) routeOne(ctx context.Context, pl *core.Planner, pi []int) (*Plan, bool, error) {
-	start := time.Now()
-	if p.cache == nil {
-		plan, err := pl.PlanCtx(ctx, pi)
-		if err != nil {
-			return nil, false, err
-		}
-		p.observePlan(plan.Strategy, false, start)
-		return plan, false, nil
-	}
-	sp := obs.SpanFromContext(ctx)
-	sp.Begin(obs.PhaseCache)
-	fp := perms.Fingerprint(pi)
-	plan, ok := p.cache.get(fp, cacheKindPermutation, pi)
-	sp.End()
-	if ok {
-		p.observePlan(plan.Strategy, true, start)
-		return plan, true, nil
-	}
-	plan, err := pl.PlanCtx(ctx, pi)
-	if err != nil {
-		return nil, false, err
-	}
-	sp.Begin(obs.PhaseCache)
-	p.cache.put(fp, cacheKindPermutation, pi, plan)
-	sp.End()
-	p.observePlan(plan.Strategy, false, start)
-	return plan, false, nil
-}
-
 // CachedPlan reports whether pi's plan is currently memoized, returning it
 // on a verified hit. The lookup counts toward CacheStats like any other.
 // Without WithPlanCache it reports false and counts nothing.
@@ -167,10 +132,10 @@ func (e *BatchError) Error() string {
 // Unwrap exposes the underlying planning error to errors.Is/As.
 func (e *BatchError) Unwrap() error { return e.Err }
 
-// RouteBatch plans every permutation of pis on a bounded worker pool
-// (WithParallelism workers) and returns the plans in input order. Results
-// are identical to calling Execute sequentially on each permutation: workers
-// only amortize allocations, they do not change the construction.
+// RouteBatch runs Execute(Permutation(pi)) for every permutation of pis,
+// fanned out over at most WithParallelism goroutines, and returns the plans
+// in input order. The fan-out does not change the construction: results are
+// identical to calling Execute sequentially on each permutation.
 //
 // All entries are planned even when some fail. Successful plans are always
 // returned at their indices; a failing permutation leaves a nil plan at its
@@ -197,16 +162,35 @@ func (p *Planner) RouteBatchContexts(ctxs []context.Context, pis [][]int) (plans
 	plans = make([]*Plan, len(pis))
 	cached = make([]bool, len(pis))
 	errs := make([]error, len(pis))
-	core.ForEach(p.par, len(pis), p.acquire, p.release, func(pl *core.Planner, i int) {
+	route := func(i int) {
 		ctx := context.Background()
 		if ctxs != nil && ctxs[i] != nil {
 			ctx = ctxs[i]
 		}
 		var planErr error
-		plans[i], cached[i], planErr = p.routeOne(ctx, pl, pis[i])
+		plans[i], cached[i], planErr = p.ExecuteCached(ctx, Permutation(pis[i]))
 		if planErr != nil {
 			errs[i] = &BatchError{Index: i, Err: planErr}
 		}
-	})
+	}
+	// The caller's goroutine is one of the min(par, n) workers, so a
+	// single-worker batch spawns nothing. Each ExecuteCached checks its own
+	// worker planner out of the free list: workers share only the counter.
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < len(pis); i = int(next.Add(1) - 1) {
+			route(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(p.par, len(pis)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 	return plans, cached, errors.Join(errs...)
 }

@@ -17,8 +17,8 @@ type StreamedSlot = core.StreamedSlot
 
 // coreStream is the incremental planner behind a PlanStream: the Theorem 2
 // per-color-class stream (core.PlanStream) or the per-factor h-relation
-// stream (core.HRelationStream). Both deliver StreamedSlots and assemble
-// the identical *Plan their batch counterparts produce.
+// stream (core.HRelationStream). Both deliver StreamedSlots; their batch
+// forms, PlanCtx and PlanHRelation, are the same streams drained.
 type coreStream interface {
 	Next() (core.StreamedSlot, bool)
 	Collect() (*core.Plan, error)
@@ -51,35 +51,38 @@ var (
 // exhaustion.
 //
 // A PlanStream is not safe for concurrent use, but different streams of one
-// Planner — and concurrent Route/RouteBatch calls — are independent.
+// Planner — and concurrent Execute/RouteBatch calls — are independent.
 type PlanStream struct {
 	p      *Planner
 	worker *core.Planner
 	cs     coreStream
 
-	// Cache-hit replay state: the memoized plan is emitted as one
-	// whole-slot fragment per schedule slot, no worker needed.
+	// Materialized replay state (cache hits, broadcasts, fault plans): the
+	// finished plan is emitted as one whole-slot fragment per schedule
+	// slot, no worker needed.
 	plan      *Plan
 	cached    bool
 	replayIdx int
 
 	// Memoization key (valid when hasKey): the workload cache key and kind.
-	// nocache marks streams that are never memoized (one-to-all replay).
-	ckey    uint64
-	ckind   uint8
-	hasKey  bool
-	nocache bool
+	// hasKey is false without a plan cache, for broadcasts (never cached),
+	// and for cache-hit replays.
+	ckey   uint64
+	ckind  uint8
+	hasKey bool
 
-	collected bool // Collect ran (and, with WithVerify, the replay passed)
-	err       error
-	done      bool
-	total     int
+	// verified reports that plan has passed its WithVerify replay: the core
+	// stream's Collect, the planner that materialized it, or the Collect
+	// after a Next drain. Memoization waits for it under WithVerify.
+	verified bool
+	err      error
+	done     bool
+	total    int
 
-	// Plan-time observation state of incremental streams: the span carried
-	// by the ExecuteStream ctx and the stream's start time. obsStart is
-	// non-zero only for streams that still owe a PlanObserver notification
-	// (materialized streams — cache hits, broadcasts, fault plans — were
-	// observed at ExecuteStream time).
+	// Plan-time observation state of planned (not cache-hit) streams: the
+	// span carried by the ExecuteStream ctx and the stream's start time.
+	// obsStart is non-zero only while the stream still owes its
+	// PlanObserver notification; cache hits were observed at lookup.
 	span     *obs.Span
 	obsStart time.Time
 }
@@ -116,52 +119,43 @@ func (ps *PlanStream) Next() (StreamedSlot, bool) {
 	return frag, true
 }
 
-// Collect drains the remaining fragments and returns the finished plan,
-// byte identical to Execute's result for the same workload (golden-pinned
-// by the package tests). Like Execute, a collected plan is memoized in the
-// fingerprint cache. With WithVerify the completed schedule is replayed on
-// the simulator first. Collect on a Closed (abandoned) stream returns an
-// error: its worker planner is already back in the pool.
+// Collect drains the remaining fragments and returns the finished plan —
+// Execute's result for the same workload, since Execute is this stream
+// drained. Like Execute, a collected plan is memoized in the fingerprint
+// cache. With WithVerify the completed schedule is replayed on the
+// simulator first. Collect on a Closed (abandoned) stream returns an error:
+// its worker planner is already back in the pool.
 func (ps *PlanStream) Collect() (*Plan, error) {
-	if ps.done {
-		// Exhausted (plan ready), failed (sticky error), or abandoned via
-		// Close — never touch the released worker again. A Next-drained
-		// plan still owes its WithVerify replay and memoization: both need
-		// only the finished plan, not the worker.
-		if ps.err != nil {
+	if !ps.done {
+		if ps.cs == nil {
+			ps.replayIdx = ps.plan.SlotCount()
+		} else {
+			// The core stream's Collect replays the schedule under WithVerify.
+			ps.plan, ps.err = ps.cs.Collect()
+			ps.verified = ps.err == nil
+		}
+		ps.finish()
+	}
+	// Exhausted, failed, or abandoned: never touch the released worker
+	// again. A Next-drained plan still owes its WithVerify replay and
+	// memoization; both need only the finished plan, not the worker.
+	if ps.err != nil {
+		return nil, ps.err
+	}
+	if ps.plan == nil {
+		return nil, errors.New("pops: plan stream closed before completion")
+	}
+	if ps.p.opts.Verify && !ps.verified {
+		ps.span.Begin(obs.PhaseVerify)
+		if _, err := ps.plan.Verify(); err != nil {
+			ps.err = fmt.Errorf("pops: schedule failed verification: %w", err)
 			return nil, ps.err
 		}
-		if ps.plan == nil {
-			return nil, errors.New("pops: plan stream closed before completion")
-		}
-		if ps.p.opts.Verify && !ps.collected && !ps.cached {
-			ps.span.Begin(obs.PhaseVerify)
-			if _, err := ps.plan.Verify(); err != nil {
-				ps.err = fmt.Errorf("pops: schedule failed verification: %w", err)
-				return nil, ps.err
-			}
-			ps.span.End()
-			ps.collected = true
-			ps.memoize()
-		}
-		return ps.plan, nil
+		ps.span.End()
+		ps.verified = true
+		ps.memoize()
 	}
-	if ps.cs == nil {
-		// Cache hit (or broadcast): the plan is already materialized (and
-		// was verified by whichever call originally planned it).
-		ps.replayIdx = ps.plan.SlotCount()
-		ps.finish()
-		return ps.plan, nil
-	}
-	plan, err := ps.cs.Collect()
-	if err != nil {
-		ps.err = err
-	} else {
-		ps.collected = true
-	}
-	ps.plan = plan
-	ps.finish()
-	return plan, err
+	return ps.plan, nil
 }
 
 // Close releases the stream's worker planner back to the pool without
@@ -169,8 +163,9 @@ func (ps *PlanStream) Collect() (*Plan, error) {
 // leaks its worker from the free list. Idempotent; safe after exhaustion.
 func (ps *PlanStream) Close() { ps.finish() }
 
-// finish is the single release point: it returns the worker to the pool
-// exactly once and memoizes a successfully completed plan.
+// finish is the single completion point of every stream, Execute's
+// included: it returns the worker to the pool exactly once, memoizes a
+// successfully completed plan, and notifies the PlanObserver.
 func (ps *PlanStream) finish() {
 	if ps.done {
 		return
@@ -187,18 +182,20 @@ func (ps *PlanStream) finish() {
 	}
 }
 
-// memoize caches a successfully completed plan like Execute would — except
-// a Next-drained stream under WithVerify, whose plan has not been replayed
-// yet: cached plans must be as trustworthy as Execute's, so memoization
-// waits for the Collect that performs the replay.
+// memoize caches a successfully completed plan — except a Next-drained
+// stream under WithVerify, whose plan has not been replayed yet: cached
+// plans must be verified, so memoization waits for the Collect that
+// performs the replay.
 func (ps *PlanStream) memoize() {
-	if ps.p.cache == nil || !ps.hasKey || ps.nocache || ps.cached {
+	if ps.p.cache == nil || !ps.hasKey || ps.err != nil || ps.plan == nil {
 		return
 	}
-	verifiedEnough := !ps.p.opts.Verify || ps.collected
-	if ps.err == nil && ps.plan != nil && verifiedEnough {
-		ps.p.cache.put(ps.ckey, ps.ckind, cacheIdentFor(ps.ckind, ps.plan), ps.plan)
+	if ps.p.opts.Verify && !ps.verified {
+		return
 	}
+	ps.span.Begin(obs.PhaseCache)
+	ps.p.cache.put(ps.ckey, ps.ckind, cacheIdentFor(ps.ckind, ps.plan), ps.plan)
+	ps.span.End()
 }
 
 // Err returns the stream's sticky planning error, if any — including the

@@ -136,7 +136,7 @@ func workloadKey(w Workload) (key uint64, kind uint8, ident []int) {
 		flat := faultyIdent(w.faults, w.pi)
 		return perms.Fingerprint(flat) ^ workloadSalt[cacheKindFaulty], cacheKindFaulty, flat
 	default:
-		panic(fmt.Sprintf("pops: unknown workload type %T", w))
+		panic("pops: unknown workload type")
 	}
 }
 
@@ -179,9 +179,11 @@ var ErrNilWorkload = errors.New("pops: nil workload")
 // broadcast. With WithPlanCache, recurring workloads of any kind are
 // answered from the fingerprint plan cache.
 //
-// ctx gates the work: an already-cancelled context returns ctx.Err()
-// without acquiring a worker planner, and h-relation planning re-checks
-// cancellation between König factors. The returned Plan owns its memory and
+// Execute is ExecuteStream drained by Collect, so ctx gates the work the
+// same way: an already-cancelled context returns ctx.Err() without
+// acquiring a worker planner, and planning re-checks cancellation between
+// factors (color classes of a permutation, König factors of an h-relation).
+// A cancelled plan is not memoized. The returned Plan owns its memory and
 // stays valid across subsequent calls.
 func (p *Planner) Execute(ctx context.Context, w Workload) (*Plan, error) {
 	plan, _, err := p.ExecuteCached(ctx, w)
@@ -191,7 +193,9 @@ func (p *Planner) Execute(ctx context.Context, w Workload) (*Plan, error) {
 // ExecuteCached is Execute plus cache attribution: cached reports whether
 // the plan was answered from the fingerprint plan cache (always false
 // without WithPlanCache). It is the primitive the serving layer uses, where
-// hit/miss visibility is part of the response.
+// hit/miss visibility is part of the response. A miss is ExecuteStream's
+// miss path drained by Collect, so batch and streamed plans come from one
+// construction and memoize in one place.
 func (p *Planner) ExecuteCached(ctx context.Context, w Workload) (plan *Plan, cached bool, err error) {
 	if w == nil {
 		return nil, false, ErrNilWorkload
@@ -199,34 +203,17 @@ func (p *Planner) ExecuteCached(ctx context.Context, w Workload) (plan *Plan, ca
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	switch w := w.(type) {
-	case permutationWorkload:
-		return p.routePermutation(ctx, w.pi)
-	case hrelationWorkload:
-		return p.executeWorkload(ctx, w, func(pl *core.Planner) (*Plan, error) {
-			return pl.PlanHRelation(ctx, w.reqs)
-		})
-	case allToAllWorkload:
-		return p.executeWorkload(ctx, w, func(pl *core.Planner) (*Plan, error) {
-			return pl.PlanHRelation(ctx, core.AllToAllRequests(p.nw.N()))
-		})
-	case faultyWorkload:
-		return p.executeWorkload(ctx, w, func(pl *core.Planner) (*Plan, error) {
-			return pl.PlanFaulty(ctx, w.pi, w.faults)
-		})
-	case oneToAllWorkload:
-		// Broadcast planning is a single O(n) fan-out slot: cheaper than a
-		// cache round-trip, so it is always planned fresh, with no worker.
-		start := time.Now()
-		plan, err := p.broadcastPlan(w.speaker)
-		if err != nil {
-			return nil, false, err
-		}
-		p.observePlan(plan.Strategy, false, start)
-		return plan, false, nil
-	default:
-		return nil, false, fmt.Errorf("pops: unknown workload type %T", w)
+	start := time.Now()
+	key, kind, hit := p.lookup(ctx, w, start)
+	if hit != nil {
+		return hit, true, nil
 	}
+	ps, err := p.startMiss(ctx, w, key, kind, start)
+	if err != nil {
+		return nil, false, err
+	}
+	plan, err = ps.Collect()
+	return plan, false, err
 }
 
 // broadcastPlan builds the one-to-all plan, honoring WithVerify like every
@@ -244,83 +231,15 @@ func (p *Planner) broadcastPlan(speaker int) (*Plan, error) {
 	return plan, nil
 }
 
-// routePermutation is the permutation fast path of ExecuteCached: unlike
-// executeWorkload it needs no planning closure, so a fingerprint-cache hit
-// stays allocation-free.
-func (p *Planner) routePermutation(ctx context.Context, pi []int) (*Plan, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	start := time.Now()
-	sp := obs.SpanFromContext(ctx)
-	if p.cache != nil {
-		sp.Begin(obs.PhaseCache)
-		plan, ok := p.cache.get(perms.Fingerprint(pi), cacheKindPermutation, pi)
-		sp.End()
-		if ok {
-			p.observePlan(plan.Strategy, true, start)
-			return plan, true, nil
-		}
-	}
-	pl := p.acquire()
-	defer p.release(pl)
-	plan, err := pl.PlanCtx(ctx, pi)
-	if err != nil {
-		return nil, false, err
-	}
-	if p.cache != nil {
-		sp.Begin(obs.PhaseCache)
-		p.cache.put(perms.Fingerprint(pi), cacheKindPermutation, pi, plan)
-		sp.End()
-	}
-	p.observePlan(plan.Strategy, false, start)
-	return plan, false, nil
-}
-
-// executeWorkload is the shared cache-then-plan path: a verified cache hit
-// skips planning entirely; a miss checks a worker planner out of the pool,
-// plans, memoizes, and returns the worker.
-func (p *Planner) executeWorkload(ctx context.Context, w Workload, plan func(*core.Planner) (*Plan, error)) (*Plan, bool, error) {
-	start := time.Now()
-	sp := obs.SpanFromContext(ctx)
-	var key uint64
-	var kind uint8
-	if p.cache != nil {
-		var ident []int
-		key, kind, ident = workloadKey(w)
-		sp.Begin(obs.PhaseCache)
-		hit, ok := p.cache.get(key, kind, ident)
-		sp.End()
-		if ok {
-			p.observePlan(hit.Strategy, true, start)
-			return hit, true, nil
-		}
-	}
-	pl := p.acquire()
-	defer p.release(pl)
-	built, err := plan(pl)
-	if err != nil {
-		return nil, false, err
-	}
-	if p.cache != nil {
-		sp.Begin(obs.PhaseCache)
-		p.cache.put(key, kind, cacheIdentFor(kind, built), built)
-		sp.End()
-	}
-	p.observePlan(built.Strategy, false, start)
-	return built, false, nil
-}
-
 // ExecuteStream begins streaming the plan of workload w: the returned
 // PlanStream delivers the schedule as slot fragments while planning is
 // still in progress. For Permutation workloads fragments are per relay
 // color class; for HRelation and AllToAll workloads each fragment is one
 // whole schedule slot, emitted as soon as its König factor has been peeled
 // from the request-graph factorization and routed — the first slots are
-// ready long before the factorization behind a batch Execute completes.
-// OneToAll streams its single slot. With WithPlanCache, a memoized workload
-// short-circuits to a materialized stream that replays whole slots and holds
-// no worker planner.
+// ready long before the whole factorization completes. OneToAll streams its
+// single slot. With WithPlanCache, a memoized workload short-circuits to a
+// materialized stream that replays whole slots and holds no worker planner.
 //
 // ctx gates the stream: an already-cancelled context returns ctx.Err()
 // without acquiring a worker, and cancelling it mid-stream stops factor
@@ -335,40 +254,62 @@ func (p *Planner) ExecuteStream(ctx context.Context, w Workload) (*PlanStream, e
 		return nil, err
 	}
 	start := time.Now()
-	if ow, ok := w.(oneToAllWorkload); ok {
-		plan, err := p.broadcastPlan(ow.speaker)
-		if err != nil {
-			return nil, err
-		}
-		p.observePlan(plan.Strategy, false, start)
-		return &PlanStream{p: p, plan: plan, nocache: true, total: plan.SlotCount()}, nil
+	key, kind, hit := p.lookup(ctx, w, start)
+	if hit != nil {
+		return &PlanStream{p: p, plan: hit, cached: true, verified: true, total: hit.SlotCount()}, nil
 	}
-	if fw, ok := w.(faultyWorkload); ok {
-		// Fault repair is whole-plan (Kempe flips are global), so the stream
-		// materializes the finished plan and replays whole slots — the same
-		// shape a fingerprint-cache hit streams. ExecuteCached already
-		// memoized the plan, hence nocache.
-		plan, cached, err := p.ExecuteCached(ctx, Workload(fw))
-		if err != nil {
-			return nil, err
-		}
-		return &PlanStream{p: p, plan: plan, cached: cached, nocache: true, total: plan.SlotCount()}, nil
-	}
+	return p.startMiss(ctx, w, key, kind, start)
+}
 
+// lookup consults the fingerprint plan cache for w, returning w's cache key
+// and kind alongside a verified hit (nil on a miss). A hit is observed here;
+// a miss is observed when its stream finishes. Broadcasts bypass the cache:
+// a one-to-all plan is a single O(n) fan-out slot, cheaper than a cache
+// round-trip.
+func (p *Planner) lookup(ctx context.Context, w Workload, start time.Time) (key uint64, kind uint8, hit *Plan) {
+	if p.cache == nil {
+		return 0, 0, nil
+	}
+	if _, ok := w.(oneToAllWorkload); ok {
+		return 0, 0, nil
+	}
+	key, kind, ident := workloadKey(w)
 	sp := obs.SpanFromContext(ctx)
-	var key uint64
-	var kind uint8
-	hasKey := p.cache != nil
-	if hasKey {
-		var ident []int
-		key, kind, ident = workloadKey(w)
-		sp.Begin(obs.PhaseCache)
-		plan, ok := p.cache.get(key, kind, ident)
-		sp.End()
-		if ok {
-			p.observePlan(plan.Strategy, true, start)
-			return &PlanStream{p: p, plan: plan, cached: true, ckey: key, ckind: kind, hasKey: true, total: plan.SlotCount()}, nil
+	sp.Begin(obs.PhaseCache)
+	hit, ok := p.cache.get(key, kind, ident)
+	sp.End()
+	if ok {
+		p.observePlan(hit.Strategy, true, start)
+	}
+	return key, kind, hit
+}
+
+// startMiss plans a workload the cache did not answer, as a stream that
+// memoizes its finished plan under (key, kind). Permutations and h-relations
+// stream incrementally from a checked-out worker planner. Broadcasts and
+// fault plans are materialized up front — fault repair is whole-plan (Kempe
+// flips are global) — and replay whole slots like a cache hit; broadcasts
+// are never memoized.
+func (p *Planner) startMiss(ctx context.Context, w Workload, key uint64, kind uint8, start time.Time) (*PlanStream, error) {
+	ps := &PlanStream{p: p, ckey: key, ckind: kind, hasKey: p.cache != nil, span: obs.SpanFromContext(ctx), obsStart: start}
+	switch w := w.(type) {
+	case oneToAllWorkload:
+		plan, err := p.broadcastPlan(w.speaker)
+		if err != nil {
+			return nil, err
 		}
+		ps.plan, ps.verified, ps.total, ps.hasKey = plan, true, plan.SlotCount(), false
+		return ps, nil
+	case faultyWorkload:
+		worker := p.acquire()
+		plan, err := worker.PlanFaulty(ctx, w.pi, w.faults)
+		p.release(worker)
+		if err != nil {
+			return nil, err
+		}
+		// PlanFaulty already replayed the schedule under WithVerify.
+		ps.plan, ps.verified, ps.total = plan, true, plan.SlotCount()
+		return ps, nil
 	}
 	worker := p.acquire()
 	var cs coreStream
@@ -381,11 +322,12 @@ func (p *Planner) ExecuteStream(ctx context.Context, w Workload) (*PlanStream, e
 	case allToAllWorkload:
 		cs, err = worker.StartHRelation(ctx, core.AllToAllRequests(p.nw.N()))
 	default:
-		err = fmt.Errorf("pops: unknown workload type %T", w)
+		err = errors.New("pops: unknown workload type")
 	}
 	if err != nil {
 		p.release(worker)
 		return nil, err
 	}
-	return &PlanStream{p: p, worker: worker, cs: cs, ckey: key, ckind: kind, hasKey: hasKey, total: cs.FragmentCount(), span: sp, obsStart: start}, nil
+	ps.worker, ps.cs, ps.total = worker, cs, cs.FragmentCount()
+	return ps, nil
 }

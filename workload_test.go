@@ -397,6 +397,74 @@ func TestExecuteStreamCancelMidStream(t *testing.T) {
 	}
 }
 
+// countdownCtx is a context whose Err stays nil for its first left calls
+// and reports context.Canceled from then on, so a test can cancel planning
+// at an exact poll instead of racing a timer.
+type countdownCtx struct {
+	context.Context
+	left int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left <= 0 {
+		return context.Canceled
+	}
+	c.left--
+	return nil
+}
+
+// TestExecuteCancelledMidPlan pins that a batch Execute stops between
+// factors: for every cancellation point of a permutation plan, Execute
+// returns context.Canceled, memoizes nothing, and returns its worker.
+func TestExecuteCancelledMidPlan(t *testing.T) {
+	const d, g = 4, 8
+	pi := RandomPermutation(d*g, rand.New(rand.NewSource(5)))
+
+	// Count the Err polls of one uncancelled plan.
+	const unlimited = 1 << 30
+	probe := &countdownCtx{Context: context.Background(), left: unlimited}
+	probePlanner, err := NewPlanner(d, g, WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := probePlanner.Execute(probe, Permutation(pi)); err != nil {
+		t.Fatal(err)
+	}
+	polls := unlimited - probe.left
+	// The entry gate, StartPlanCtx, and at least one poll per color class.
+	if polls < 2+max(d, g) {
+		t.Fatalf("a full plan polled ctx.Err %d times; want a poll per factor", polls)
+	}
+
+	p, err := NewPlanner(d, g, WithParallelism(1), WithPlanCache(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := p.CacheStats()
+	for k := 0; k < polls; k++ {
+		plan, err := p.Execute(&countdownCtx{Context: context.Background(), left: k}, Permutation(pi))
+		if !errors.Is(err, context.Canceled) || plan != nil {
+			t.Fatalf("cancelled after %d of %d polls: Execute = (%v, %v), want context.Canceled", k, polls, plan, err)
+		}
+		if k > 0 && len(p.free) != 1 {
+			t.Fatalf("cancelled after %d polls: free list holds %d workers, want 1", k, len(p.free))
+		}
+	}
+	// Each cancelled call past the entry gate is one cache miss; nothing
+	// else moves.
+	after := p.CacheStats()
+	after.Misses -= uint64(polls - 1)
+	if after != before {
+		t.Fatalf("cancelled plans changed the cache: %+v, want %+v plus %d misses", p.CacheStats(), before, polls-1)
+	}
+	if _, err := p.Execute(context.Background(), Permutation(pi)); err != nil {
+		t.Fatalf("planner unusable after cancelled plans: %v", err)
+	}
+	if got := p.CacheStats().Entries; got != 1 {
+		t.Fatalf("uncancelled plan left %d cache entries, want 1", got)
+	}
+}
+
 // TestHRelationPooledAllocBudget is the alloc-guard half of moving
 // h-relations onto the pooled planners: steady-state Execute on a warmed
 // planner must allocate well under half of what a fresh planner per call
