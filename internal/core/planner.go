@@ -25,7 +25,7 @@ type Planner struct {
 	// scratch are nil for d = 1, where routing is direct and needs no
 	// coloring. fact is the allocation-free edge-coloring engine — the
 	// planner's dominant cost — whose arena (Euler-split work stack,
-	// matching buffers, Theorem 1 padding graph) persists across calls.
+	// matching buffers, balanced-coloring tables) persists across calls.
 	demand     *graph.Bipartite
 	fact       *edgecolor.Factorizer
 	seen       []bool // perms.ValidateInto scratch

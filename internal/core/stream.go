@@ -69,11 +69,11 @@ type PlanStream struct {
 }
 
 // StartPlan begins a streaming Theorem 2 planning of pi. It performs the
-// same validation as Plan, builds the demand multigraph and the Theorem 1
-// padding graph once, and returns a stream whose Next calls deliver the
-// schedule fragment by fragment. The first fragment is ready after a single
-// color class has been peeled — long before the full factorization that a
-// batch Plan call must wait for.
+// same validation as Plan, builds the demand multigraph once, and returns
+// a stream whose Next calls deliver the schedule fragment by fragment. The
+// first fragment is ready after a single color class has been peeled —
+// for d < g, right after the first perfect matching of the demand graph —
+// long before the full factorization that a batch Plan call must wait for.
 func (pl *Planner) StartPlan(pi []int) (*PlanStream, error) {
 	return pl.StartPlanCtx(context.Background(), pi)
 }

@@ -16,6 +16,8 @@ import (
 func streamShapes() []struct{ d, g int } {
 	return []struct{ d, g int }{
 		{1, 6}, {2, 2}, {3, 3}, {2, 8}, {4, 16}, {8, 4}, {12, 8}, {5, 3}, {16, 4},
+		// d < g with d ∤ g: the balanced coloring swaps alternating paths.
+		{3, 8}, {5, 7}, {6, 9}, {12, 64},
 	}
 }
 

@@ -11,19 +11,23 @@ import (
 // count C with k ≤ C and C | n·k, it returns a proper edge coloring with C
 // colors in which every color class has size exactly Δ2 = n·k/C.
 //
-// Construction (the paper's proof, Section 3.1): add |V| = n − Δ2 new nodes
-// on each side. New left nodes are joined to every original right node and
-// new right nodes to every original left node by round-robin biregular
-// padding graphs H2 and H1 in which new nodes have degree C and original
-// nodes gain degree C − k. The padded graph is C-regular on (2n − Δ2)-node
-// sides; König's theorem decomposes it into C perfect matchings; each
-// matching uses 2·(n − Δ2) padding edges, so it contains exactly Δ2 real
-// edges — the required balanced classes.
+// The paper proves the theorem by padding b to a C-regular graph on
+// (2n − Δ2)-node sides and 1-factorizing that. The code builds the same
+// coloring on b itself, after de Werra's equitable edge-coloring theorem for
+// bipartite multigraphs (D. de Werra, 1971): chunk and balance. The k
+// perfect matchings of b are peeled one at a time and cut into classes of
+// Δ2 edges — any subset of a matching is a matching, so each full chunk is
+// final. At most one open class (fewer than Δ2 edges) carries from one
+// matching to the next; it is topped up from the next matching A by
+// swapping A-heavy alternating paths of A ∪ open, which exist while A is
+// the larger of the two. A class is emitted only when full and never
+// touched again. When Δ2 divides n no swap ever runs. For C == k the
+// coloring is the plain 1-factorization of FactorizeInto.
 //
 // The returned slice maps edge ID of b to its color in [0, C). It is the
 // convenience form of Factorizer.BalancedInto with a throwaway arena;
-// repeated callers (the Theorem 2 planner) hold a Factorizer and reuse the
-// padding graph and all coloring scratch across calls.
+// repeated callers (the Theorem 2 planner) hold a Factorizer and reuse its
+// scratch across calls.
 func Balanced(b *graph.Bipartite, colorCount int, algo Algorithm) ([]int, error) {
 	var f Factorizer
 	colors := make([]int, b.NumEdges())
@@ -35,104 +39,151 @@ func Balanced(b *graph.Bipartite, colorCount int, algo Algorithm) ([]int, error)
 
 // BalancedInto is the arena form of Balanced: it writes the color of every
 // edge of b into colors (indexed by edge ID, len(colors) == b.NumEdges()).
-// The Theorem 1 padding graph is rebuilt in place when the shape repeats —
-// the common case for a planner coloring a stream of demand graphs on one
-// network — so steady-state calls do not allocate.
+// It is the StartBalanced stream drained, so the two cannot diverge; the
+// stream lives on the stack and steady-state calls do not allocate.
 func (f *Factorizer) BalancedInto(colors []int, b *graph.Bipartite, colorCount int, algo Algorithm) error {
-	f.streamGen++ // supersede any in-flight Stream; the arena is reused now
-	classSize, padded, err := f.balancedSetup(b, colorCount, len(colors))
-	if err != nil || colorCount == 0 {
-		return err
-	}
-	if padded == nil {
-		// C == k: a plain 1-factorization already has classes of size n.
-		return f.FactorizeInto(colors, b, algo)
-	}
-
-	f.padColors = graph.ResizeInts(f.padColors, padded.NumEdges())
-	if err := f.FactorizeInto(f.padColors, padded, algo); err != nil {
-		return fmt.Errorf("edgecolor: factorizing padded graph: %w", err)
-	}
-	f.classCount = graph.ResizeInts(f.classCount, colorCount)
-	for c := range f.classCount {
-		f.classCount[c] = 0
-	}
-	for id := 0; id < b.NumEdges(); id++ {
-		c := f.padColors[id]
-		colors[id] = c
-		f.classCount[c]++
-	}
-	for c, size := range f.classCount {
-		if size != classSize {
-			return fmt.Errorf("edgecolor: internal error: class %d has %d real edges, want %d",
-				c, size, classSize)
+	var st Stream
+	f.begin(&st, nil, b, colorCount, algo)
+	for {
+		_, ok, err := st.Next(colors)
+		if err != nil || !ok {
+			return err
 		}
 	}
-	return nil
 }
 
-// balancedSetup validates a Balanced instance and, when padding is needed
-// (classSize < n), rebuilds the Theorem 1 padded graph in the arena and
-// returns it; a nil padded graph means a plain 1-factorization of b already
-// has the required class sizes. colorsLen is the caller's output-slice
-// length, validated against b. Shared by the batch BalancedInto and the
-// streaming StartBalanced so both factorize the identical instance.
-func (f *Factorizer) balancedSetup(b *graph.Bipartite, colorCount, colorsLen int) (classSize int, padded *graph.Bipartite, err error) {
+// balancedCheck validates a Balanced instance and returns the regular
+// degree k of b and the class size n·k/C.
+func balancedCheck(b *graph.Bipartite, colorCount int) (k, classSize int, err error) {
 	n := b.NLeft()
 	if n != b.NRight() {
-		return 0, nil, fmt.Errorf("edgecolor: Balanced needs equal sides, got %d and %d", n, b.NRight())
+		return 0, 0, fmt.Errorf("edgecolor: Balanced needs equal sides, got %d and %d", n, b.NRight())
 	}
 	k, ok := b.RegularDegree()
 	if !ok {
-		return 0, nil, graph.ErrNotBipartiteRegular
+		return 0, 0, graph.ErrNotBipartiteRegular
 	}
 	if colorCount < k {
-		return 0, nil, fmt.Errorf("edgecolor: %d colors cannot properly color a %d-regular graph", colorCount, k)
-	}
-	if colorsLen != b.NumEdges() {
-		return 0, nil, fmt.Errorf("edgecolor: %d color slots for %d edges", colorsLen, b.NumEdges())
+		return 0, 0, fmt.Errorf("edgecolor: %d colors cannot properly color a %d-regular graph", colorCount, k)
 	}
 	if colorCount == 0 {
-		return 0, nil, nil
+		return 0, 0, nil
 	}
 	if (n*k)%colorCount != 0 {
-		return 0, nil, fmt.Errorf("edgecolor: %d colors do not divide %d edges evenly", colorCount, n*k)
+		return 0, 0, fmt.Errorf("edgecolor: %d colors do not divide %d edges evenly", colorCount, n*k)
 	}
-	classSize = n * k / colorCount
-	pad := n - classSize // |V| = |V'|
-	if pad < 0 {
-		return 0, nil, fmt.Errorf("edgecolor: class size %d exceeds side size %d", classSize, n)
-	}
-	if pad == 0 {
-		return classSize, nil, nil
-	}
+	return k, n * k / colorCount, nil
+}
 
-	// Build the padded graph into the arena. Real edges first so their IDs
-	// are preserved.
-	side := n + pad
-	if f.padded == nil || f.padded.NLeft() != side || f.padded.NRight() != side {
-		f.padded = graph.New(side, side)
-	} else {
-		f.padded.Reset()
+// resetOpen sizes the balancing tables for n-node sides and empties the
+// open class.
+func (f *Factorizer) resetOpen(n, classSize int) {
+	f.aL = graph.ResizeInts(f.aL, n)
+	f.oL = graph.ResizeInts(f.oL, n)
+	f.oR = graph.ResizeInts(f.oR, n)
+	for i := range f.oL {
+		f.oL[i], f.oR[i] = -1, -1
 	}
-	p := f.padded
-	for id := 0; id < b.NumEdges(); id++ {
-		e := b.Edge(id)
-		p.AddEdge(e.L, e.R)
+	if cap(f.open) < classSize {
+		f.open = make([]int, 0, classSize)
 	}
-	// H1: new left nodes (degree C) vs original right nodes (degree C-k).
-	// Round-robin keeps both degree constraints exact; parallel edges are
-	// fine in a multigraph (they arise whenever C > n).
-	h1 := pad * colorCount // == n*(colorCount-k)
-	for c := 0; c < h1; c++ {
-		p.AddEdge(n+c/colorCount, c%n)
+	if cap(f.balA) < n {
+		f.balA = make([]int, 0, n)
 	}
-	// H2: original left nodes (degree C-k) vs new right nodes (degree C).
-	for c := 0; c < h1; c++ {
-		p.AddEdge(c%n, n+c/colorCount)
+	if cap(f.swap) < 2*classSize {
+		f.swap = make([]int, 0, 2*classSize)
 	}
-	if !p.IsRegular(colorCount) {
-		return 0, nil, fmt.Errorf("edgecolor: internal error: padded graph is not %d-regular", colorCount)
+	f.open = f.open[:0]
+}
+
+// openAdd puts edge id into the open class; its endpoints must be free
+// there.
+func (f *Factorizer) openAdd(all []graph.Edge, id int) {
+	e := all[id]
+	f.oL[e.L], f.oR[e.R] = id, id
+	f.open = append(f.open, id)
+}
+
+// clearOpen empties the open class after it was emitted.
+func (f *Factorizer) clearOpen(all []graph.Edge) {
+	for _, id := range f.open {
+		e := all[id]
+		f.oL[e.L], f.oR[e.R] = -1, -1
 	}
-	return classSize, p, nil
+	f.open = f.open[:0]
+}
+
+// balance tops up the non-empty open class O (fewer than s edges) from a, a
+// fresh perfect matching on n-node sides, until one of the two holds
+// exactly s edges. Each step swaps an a-heavy alternating path of a ∪ O,
+// moving one edge net from a into O; both stay matchings. If n + |O| ≥ 2s,
+// O fills to s and a keeps the rest; otherwise a shrinks to s and O keeps
+// n + |O| − s < s edges. Either way a stays larger than O before every
+// step, so the path the step needs exists (de Werra's counting argument).
+//
+// The rebuilt a is left in f.balA and O in f.open, each in left-node order.
+// full reports which one holds the s-edge class: true for O.
+func (f *Factorizer) balance(all []graph.Edge, a []int, s int) (full bool, err error) {
+	n, o := len(a), len(f.open)
+	need := n - s // shrink a to s
+	if n+o >= 2*s {
+		need = s - o // fill O to s
+	}
+	for _, id := range a {
+		f.aL[all[id].L] = id
+	}
+	// Every O-free left node starts an a-heavy path: a covered every node
+	// when it arrived, so a walk a, O, a, … from such a node only stops at a
+	// right node that O leaves free. A swap turns its path O-heavy and
+	// leaves every other component as it was, so one pass over the left
+	// nodes finds all the paths the fill needs: there are n − |O| ≥ need.
+	for l := 0; need > 0; l++ {
+		if l == n {
+			return false, fmt.Errorf("edgecolor: internal error: %d swaps short balancing a class of %d", need, s)
+		}
+		if f.oL[l] >= 0 {
+			continue
+		}
+		f.swap = f.swap[:0]
+		at := l
+		for {
+			ea := f.aL[at]
+			if ea < 0 {
+				return false, fmt.Errorf("edgecolor: internal error: left node %d has no matching edge", at)
+			}
+			f.swap = append(f.swap, ea)
+			eo := f.oR[all[ea].R]
+			if eo < 0 {
+				break
+			}
+			f.swap = append(f.swap, eo)
+			at = all[eo].L
+		}
+		// Swap the path: its a-edges join O and its O-edges join a. Every
+		// table entry along it is rewritten but a's at l, which is cleared.
+		for i, id := range f.swap {
+			e := all[id]
+			if i%2 == 0 {
+				f.oL[e.L], f.oR[e.R] = id, id
+			} else {
+				f.aL[e.L] = id
+			}
+		}
+		f.aL[l] = -1
+		need--
+	}
+	f.open, f.balA = f.open[:0], f.balA[:0]
+	for l := 0; l < n; l++ {
+		if id := f.oL[l]; id >= 0 {
+			f.open = append(f.open, id)
+		}
+		if id := f.aL[l]; id >= 0 {
+			f.balA = append(f.balA, id)
+		}
+	}
+	if len(f.open) != s && len(f.balA) != s {
+		return false, fmt.Errorf("edgecolor: internal error: balancing left %d and %d edges, want a class of %d",
+			len(f.open), len(f.balA), s)
+	}
+	return len(f.open) == s, nil
 }

@@ -25,7 +25,9 @@
 //
 // Balanced colorings with exact color-class sizes — the actual statement of
 // Theorem 1, needed when the network has fewer packets per group than groups
-// (d < g) — are in balanced.go.
+// (d < g) — are in balanced.go. They are cut from the 1-factors of the
+// demand graph itself (chunk and balance, after de Werra) rather than from
+// the paper's padded graph.
 package edgecolor
 
 import (

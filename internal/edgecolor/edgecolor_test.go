@@ -189,14 +189,20 @@ func TestBalancedExactClassSizes(t *testing.T) {
 	cases := []struct{ n, k, colors int }{
 		{4, 2, 4},   // d < g case shape: class size 2
 		{6, 3, 6},   // class size 3
-		{8, 8, 8},   // no padding
+		{8, 8, 8},   // C == k: the plain 1-factorization
 		{5, 1, 5},   // class size 1
 		{6, 2, 3},   // C between k and n: class size 4
 		{6, 2, 4},   // class size 3
 		{9, 3, 9},   // class size 3
-		{4, 3, 12},  // C > n: class size 1, heavy padding with parallel edges
+		{4, 3, 12},  // C > n: class size 1
 		{3, 2, 6},   // C = 2n: class size 1
 		{12, 4, 16}, // class size 3
+		// Class size not dividing n: the open class carries across
+		// factors and the alternating-path swaps run.
+		{8, 3, 8},    // class size 3
+		{7, 5, 7},    // class size 5 > n/2: the factor shrinks to the class
+		{64, 12, 64}, // class size 12
+		{8, 3, 4},    // class size 6
 	}
 	for _, algo := range allAlgorithms {
 		for _, tc := range cases {
@@ -232,20 +238,50 @@ func TestBalancedRejectsBadParameters(t *testing.T) {
 }
 
 func TestBalancedProperty(t *testing.T) {
-	// Random (n, k) with C = n (the Theorem 2 d<g configuration).
-	f := func(nSeed, kSeed uint8, seed int64) bool {
+	// Random (n, k) with a random admissible C ≥ k, C | n·k — C = n is the
+	// Theorem 2 d<g configuration, and most draws have a class size that
+	// does not divide n — on every backend, one reused arena each.
+	arenas := map[Algorithm]*Factorizer{}
+	for _, algo := range allAlgorithms {
+		arenas[algo] = NewFactorizer()
+	}
+	f := func(nSeed, kSeed, cSeed uint8, seed int64) bool {
 		n := int(nSeed)%12 + 1
 		k := int(kSeed)%n + 1
+		colorCount := balancedColorCount(n, k, int(cSeed))
 		b := randomRegular(n, k, rand.New(rand.NewSource(seed)))
-		colors, err := Balanced(b, n, EulerSplitDC)
-		if err != nil {
-			return false
+		for _, algo := range allAlgorithms {
+			colors := make([]int, b.NumEdges())
+			if err := arenas[algo].BalancedInto(colors, b, colorCount, algo); err != nil {
+				t.Logf("%v n=%d k=%d C=%d: %v", algo, n, k, colorCount, err)
+				return false
+			}
+			if err := Verify(b, colors, colorCount, n*k/colorCount); err != nil {
+				t.Logf("%v n=%d k=%d C=%d: %v", algo, n, k, colorCount, err)
+				return false
+			}
 		}
-		return Verify(b, colors, n, k) == nil
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// balancedColorCount picks a color count C for a Balanced instance on
+// k-regular n-node sides: pick indexes the admissible counts (k ≤ C,
+// C | n·k), with C = n whenever n is admissible and pick is even.
+func balancedColorCount(n, k, pick int) int {
+	if pick%2 == 0 && n >= k {
+		return n
+	}
+	var admissible []int
+	for c := k; c <= n*k; c++ {
+		if (n*k)%c == 0 {
+			admissible = append(admissible, c)
+		}
+	}
+	return admissible[pick%len(admissible)]
 }
 
 func TestVerifyCatchesViolations(t *testing.T) {

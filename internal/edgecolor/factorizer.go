@@ -21,8 +21,8 @@ import (
 //   - the matching routines (Hopcroft–Karp, the Alon Euler-halving perfect
 //     matcher) and the Euler splitter write into caller-provided buffers
 //     owned by the arena (matching.Matcher, graph.Splitter);
-//   - the Balanced padding graph is rebuilt in place (graph.Reset) when the
-//     shape repeats.
+//   - the Balanced chunk-and-balance construction keeps its open class and
+//     its node-indexed matching tables in arena slices sized once per shape.
 //
 // After a warm-up call per shape, FactorizeInto and BalancedInto perform no
 // heap allocations. The zero value is ready to use. A Factorizer is not
@@ -46,7 +46,6 @@ type Factorizer struct {
 	inMatch    bitvec.Vec
 	stack      []segTask
 	factorBuf  []int // edge IDs of the factor peeled by a matching step
-	realBuf    []int // factorBuf filtered to real (unpadded) edge IDs
 
 	// Repeated-matching resumption state: the round about to be extracted
 	// and the live segment length. The Euler-split stepper needs no extra
@@ -63,10 +62,12 @@ type Factorizer struct {
 	path       []int
 	insEnd     []int // insertion stream: class c's edge IDs end at ids[insEnd[c]]
 
-	// Balanced scratch: the Theorem 1 padding graph and its coloring.
-	padded     *graph.Bipartite
-	padColors  []int
-	classCount []int
+	// Balanced scratch (see balance): the open class, the factor it is
+	// balanced against, the alternating path being swapped, and per-node
+	// tables — left node -> edge of that factor, left/right node -> edge of
+	// the open class (-1 for none).
+	open, balA, swap []int
+	aL, oL, oR       []int
 }
 
 // segTask is one pending subproblem of the Euler-split divide and conquer:
@@ -152,9 +153,6 @@ func (f *Factorizer) prepare(m, nL int) {
 	}
 	if cap(f.factorBuf) < nL {
 		f.factorBuf = make([]int, 0, nL)
-	}
-	if cap(f.realBuf) < nL {
-		f.realBuf = make([]int, 0, nL)
 	}
 }
 

@@ -101,12 +101,13 @@ func TestFactorizerReuseDeterministic(t *testing.T) {
 }
 
 // TestBalancedIntoMatchesWrapperAcrossShapes runs one arena through a
-// shape-changing stream of Balanced instances (padding graph grows, shrinks
-// and repeats) and compares against the fresh-arena wrapper.
+// shape-changing stream of Balanced instances (the balancing tables grow,
+// shrink and repeat) and compares against the fresh-arena wrapper.
 func TestBalancedIntoMatchesWrapperAcrossShapes(t *testing.T) {
 	cases := []struct{ n, k, colors, seed int }{
 		{4, 2, 4, 61}, {6, 3, 6, 62}, {8, 8, 8, 63}, {6, 2, 3, 64},
-		{4, 3, 12, 65}, {12, 4, 16, 66}, {4, 2, 4, 61}, // repeat of the first shape
+		{4, 3, 12, 65}, {12, 4, 16, 66}, {8, 3, 8, 67}, {7, 5, 7, 68},
+		{4, 2, 4, 61}, // repeat of the first shape
 	}
 	for _, algo := range allAlgorithms {
 		f := NewFactorizer()
@@ -184,6 +185,53 @@ func FuzzFactorizeInto(f *testing.F) {
 	})
 }
 
+// FuzzBalancedInto drives the chunk-and-balance construction with
+// fuzzer-chosen k-regular shapes and admissible color counts (C ≥ k,
+// C | n·k): on every backend the coloring must be proper with classes of
+// exactly n·k/C edges, and the drained StartBalanced stream must equal the
+// batch BalancedInto.
+func FuzzBalancedInto(f *testing.F) {
+	f.Add(uint8(8), uint8(3), uint8(0), int64(1))  // (3,8): class size 3 ∤ 8
+	f.Add(uint8(7), uint8(5), uint8(0), int64(2))  // (5,7): class size 5 > 7/2
+	f.Add(uint8(9), uint8(6), uint8(0), int64(3))  // (6,9)
+	f.Add(uint8(16), uint8(4), uint8(0), int64(4)) // class size divides n: no swaps
+	f.Add(uint8(6), uint8(2), uint8(1), int64(5))  // C < n
+	f.Add(uint8(4), uint8(3), uint8(5), int64(6))  // C > n
+	batch, stream := NewFactorizer(), NewFactorizer()
+	f.Fuzz(func(t *testing.T, nSeed, kSeed, cSeed uint8, seed int64) {
+		n := int(nSeed)%24 + 1
+		k := int(kSeed)%12 + 1
+		colorCount := balancedColorCount(n, k, int(cSeed))
+		b := randomRegular(n, k, rand.New(rand.NewSource(seed)))
+		for _, algo := range allAlgorithms {
+			want := make([]int, b.NumEdges())
+			if err := batch.BalancedInto(want, b, colorCount, algo); err != nil {
+				t.Fatalf("%v n=%d k=%d C=%d: %v", algo, n, k, colorCount, err)
+			}
+			if err := Verify(b, want, colorCount, n*k/colorCount); err != nil {
+				t.Fatalf("%v n=%d k=%d C=%d: %v", algo, n, k, colorCount, err)
+			}
+			got := make([]int, b.NumEdges())
+			st := stream.StartBalanced(b, colorCount, algo)
+			for {
+				_, ok, err := st.Next(got)
+				if err != nil {
+					t.Fatalf("%v n=%d k=%d C=%d: stream: %v", algo, n, k, colorCount, err)
+				}
+				if !ok {
+					break
+				}
+			}
+			for id := range got {
+				if got[id] != want[id] {
+					t.Fatalf("%v n=%d k=%d C=%d: stream diverges at edge %d: %d vs %d",
+						algo, n, k, colorCount, id, got[id], want[id])
+				}
+			}
+		}
+	})
+}
+
 // TestFactorizerAllocBudget is the steady-state allocation guard: after one
 // warm-up call, FactorizeInto and BalancedInto on a reused arena must stay
 // within a fixed allocation budget (the engine itself is allocation-free;
@@ -207,20 +255,23 @@ func TestFactorizerAllocBudget(t *testing.T) {
 			t.Errorf("%v: FactorizeInto allocates %.1f/op on a warmed arena, budget %d", algo, allocs, budget)
 		}
 	}
-	// Balanced with padding (the d < g planner path): C = n > k.
-	b := randomRegular(24, 6, rand.New(rand.NewSource(72)))
-	f := NewFactorizer()
-	colors := make([]int, b.NumEdges())
-	if err := f.BalancedInto(colors, b, 24, EulerSplitDC); err != nil { // warm up
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if err := f.BalancedInto(colors, b, 24, EulerSplitDC); err != nil {
+	// Balanced with C = n > k (the d < g planner path), once with a class
+	// size dividing n and once without, where the swaps run.
+	for _, tc := range []struct{ n, k, seed int }{{24, 6, 72}, {64, 12, 73}} {
+		b := randomRegular(tc.n, tc.k, rand.New(rand.NewSource(int64(tc.seed))))
+		f := NewFactorizer()
+		colors := make([]int, b.NumEdges())
+		if err := f.BalancedInto(colors, b, tc.n, EulerSplitDC); err != nil { // warm up
 			t.Fatal(err)
 		}
-	})
-	if allocs > budget {
-		t.Errorf("BalancedInto allocates %.1f/op on a warmed arena, budget %d", allocs, budget)
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := f.BalancedInto(colors, b, tc.n, EulerSplitDC); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > budget {
+			t.Errorf("n=%d k=%d: BalancedInto allocates %.1f/op on a warmed arena, budget %d", tc.n, tc.k, allocs, budget)
+		}
 	}
 }
 

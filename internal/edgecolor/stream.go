@@ -14,11 +14,11 @@ import (
 var ErrStreamSuperseded = errors.New("edgecolor: stream superseded by a later call on its Factorizer")
 
 // Stream is a paused 1-factorization: each Next call resumes the underlying
-// algorithm just long enough to peel one more 1-factor and then suspends it
-// again, leaving the factor's class index in the caller's color buffer. It
-// is the incremental form of FactorizeInto/BalancedInto — driving a Stream
-// to exhaustion writes exactly the colors the batch call would have written,
-// because batch and stream drain the same arena steppers.
+// algorithm just long enough to produce one more color class and then
+// suspends it again, leaving the class index in the caller's color buffer.
+// It is the incremental form of FactorizeInto/BalancedInto — driving a
+// Stream to exhaustion writes exactly the colors the batch call would have
+// written, because batch and stream drain the same arena steppers.
 //
 // A Stream borrows its Factorizer's arena: starting another factorization
 // on the same arena (FactorizeInto, BalancedInto, Start, StartBalanced)
@@ -29,22 +29,24 @@ type Stream struct {
 	f    *Factorizer
 	gen  uint64
 	algo Algorithm
-	ctx  context.Context // cancellation checked between factors; nil = never
+	ctx  context.Context // cancellation checked between classes; nil = never
 
-	b     *graph.Bipartite // caller's graph; colorBuf and Factor are indexed by its edge IDs
-	inner *graph.Bipartite // graph actually factorized (the padded graph, or b itself)
-	all   []graph.Edge     // inner's edge list
-	nL    int
-	nR    int
-	k     int // total number of factors this stream will produce
+	b       *graph.Bipartite // colorBuf and Factor are indexed by its edge IDs
+	all     []graph.Edge     // b's edge list
+	nL, nR  int
+	k       int // 1-factors the stepper peels: the regular degree
+	classes int // classes the stream yields: k, or the color count C
 
-	// padded marks the Theorem 1 balanced mode: factors are peeled from the
-	// padded graph and filtered down to real edges, each class carrying
-	// exactly classSize of them.
-	padded    bool
+	// balanced marks StartBalanced with C > k: the peeled factors are cut
+	// into classes of exactly classSize edges (see balancedNext).
+	balanced  bool
 	classSize int
+	cur       []int // factor being cut into classes; arena-owned
+	pos       int   // first edge of cur not yet in a class
+	openFull  bool  // the last class emitted was the open class
 
-	insReady bool // insertion backend: inner coloring materialized
+	insReady  bool // insertion backend: coloring materialized
+	insCursor int  // insertion backend: next factor to emit
 
 	produced int
 	factor   []int
@@ -65,79 +67,83 @@ func (f *Factorizer) Start(b *graph.Bipartite, algo Algorithm) *Stream {
 // cancelling it stops factor production at the next Next call, which then
 // returns ctx.Err() as the stream's sticky error.
 func (f *Factorizer) StartCtx(ctx context.Context, b *graph.Bipartite, algo Algorithm) *Stream {
-	f.streamGen++
-	st := &Stream{f: f, gen: f.streamGen, algo: algo, ctx: ctx, b: b, inner: b}
-	if b.NLeft() != b.NRight() {
-		st.err = fmt.Errorf("edgecolor: sides differ (%d vs %d)", b.NLeft(), b.NRight())
-		return st
-	}
-	k, ok := b.RegularDegree()
-	if !ok {
-		st.err = graph.ErrNotBipartiteRegular
-		return st
-	}
-	st.k = k
-	st.classSize = -1
-	st.start()
+	st := &Stream{}
+	f.begin(st, ctx, b, -1, algo)
 	return st
 }
 
 // StartBalanced begins a streaming balanced coloring (Theorem 1): the
-// stream yields colorCount classes of exactly n·k/C real edges each,
-// peeling them from the padded graph of BalancedInto. Driving the stream to
-// exhaustion writes exactly the colors BalancedInto would have written. The
-// per-class size check runs as each factor lands instead of at the end.
+// stream yields colorCount classes of exactly n·k/C edges each, built by
+// the chunk-and-balance construction of Balanced. Driving the stream to
+// exhaustion writes exactly the colors BalancedInto would have written.
+// For C > k the classes are numbered in emission order, and the first one
+// is ready as soon as the first perfect matching has been peeled.
 func (f *Factorizer) StartBalanced(b *graph.Bipartite, colorCount int, algo Algorithm) *Stream {
 	return f.StartBalancedCtx(context.Background(), b, colorCount, algo)
 }
 
-// StartBalancedCtx is StartBalanced with a context, checked between factors
+// StartBalancedCtx is StartBalanced with a context, checked between classes
 // like StartCtx.
 func (f *Factorizer) StartBalancedCtx(ctx context.Context, b *graph.Bipartite, colorCount int, algo Algorithm) *Stream {
-	f.streamGen++
-	st := &Stream{f: f, gen: f.streamGen, algo: algo, ctx: ctx, b: b, inner: b}
-	classSize, padded, err := f.balancedSetup(b, colorCount, b.NumEdges())
-	if err != nil {
-		st.err = err
-		return st
-	}
-	st.k = colorCount
-	st.classSize = -1
-	if padded != nil {
-		st.inner = padded
-		st.padded = true
-		st.classSize = classSize
-		f.padColors = graph.ResizeInts(f.padColors, padded.NumEdges())
-	}
-	st.start()
+	st := &Stream{}
+	f.begin(st, ctx, b, colorCount, algo)
 	return st
 }
 
-// start finishes stream setup once the inner graph and factor count are
-// known: it validates the algorithm and seeds the matching stepper.
-func (st *Stream) start() {
-	st.all = st.inner.EdgeList()
-	st.nL, st.nR = st.inner.NLeft(), st.inner.NRight()
-	switch st.algo {
+// begin sets st up as a stream over b on f's arena: the plain
+// 1-factorization for colorCount < 0, the balanced coloring otherwise. It
+// validates the instance and seeds the matching stepper; errors are left
+// sticky in st.
+func (f *Factorizer) begin(st *Stream, ctx context.Context, b *graph.Bipartite, colorCount int, algo Algorithm) {
+	f.streamGen++
+	*st = Stream{f: f, gen: f.streamGen, algo: algo, ctx: ctx, b: b}
+	var k, classSize int
+	if colorCount < 0 {
+		if b.NLeft() != b.NRight() {
+			st.err = fmt.Errorf("edgecolor: sides differ (%d vs %d)", b.NLeft(), b.NRight())
+			return
+		}
+		var ok bool
+		if k, ok = b.RegularDegree(); !ok {
+			st.err = graph.ErrNotBipartiteRegular
+			return
+		}
+		colorCount = k
+	} else {
+		var err error
+		if k, classSize, err = balancedCheck(b, colorCount); err != nil {
+			st.err = err
+			return
+		}
+	}
+	st.k, st.classes = k, colorCount
+	st.all = b.EdgeList()
+	st.nL, st.nR = b.NLeft(), b.NRight()
+	if colorCount > k {
+		st.balanced, st.classSize = true, classSize
+		f.resetOpen(st.nL, classSize)
+	}
+	switch algo {
 	case EulerSplitDC:
-		st.f.eulerStart(st.inner, st.k)
+		f.eulerStart(b, k)
 	case RepeatedMatching:
-		st.f.repStart(st.inner, st.k)
+		f.repStart(b, k)
 	case Insertion:
 		// Materialized lazily on the first Next (the coloring needs its
 		// target buffer in hand); nothing to seed here.
 	default:
-		st.err = fmt.Errorf("edgecolor: unknown algorithm %v", st.algo)
+		st.err = fmt.Errorf("edgecolor: unknown algorithm %v", algo)
 	}
 }
 
-// Next resumes the factorization until one more 1-factor is complete,
-// writing the factor's class index into colorBuf (indexed by edge ID of the
-// graph passed to Start/StartBalanced) for every edge of the factor. It
-// returns the class index and ok == true, or ok == false once all factors
-// have been produced. The same colorBuf must be passed to every Next call
-// of one stream; after the final factor it is identical to what the batch
-// FactorizeInto/BalancedInto call would have produced. Errors are sticky.
+// Next resumes the coloring until one more class is complete, writing the
+// class index into colorBuf (indexed by edge ID of the graph passed to
+// Start/StartBalanced) for every edge of the class. It returns the class
+// index and ok == true, or ok == false once all classes have been
+// produced. The same colorBuf must be passed to every Next call of one
+// stream; after the final class it is identical to what the batch
+// FactorizeInto/BalancedInto call would have produced. Entries of edges not
+// yet in a class are scratch until then. Errors are sticky.
 func (st *Stream) Next(colorBuf []int) (factorID int, ok bool, err error) {
 	if st.err != nil {
 		return 0, false, st.err
@@ -160,72 +166,119 @@ func (st *Stream) Next(colorBuf []int) (factorID int, ok bool, err error) {
 		return 0, false, st.err
 	}
 
-	// In padded mode the steppers color the padded graph into the arena's
-	// padColors; the real classes are filtered out below.
-	target := colorBuf
-	if st.padded {
-		target = st.f.padColors
-	}
 	var factor []int
-	switch st.algo {
-	case EulerSplitDC:
-		factorID, factor, ok, err = st.f.eulerNext(target, st.all, st.nL, st.nR)
-	case RepeatedMatching:
-		factorID, factor, ok, err = st.f.repNext(target, st.all, st.nL, st.nR)
-	case Insertion:
-		factorID, factor, ok, err = st.insNext(target)
+	if st.balanced {
+		factorID, factor, ok, err = st.balancedNext(colorBuf)
+	} else {
+		factorID, factor, ok, err = st.peel(colorBuf)
 	}
 	if err != nil {
 		st.err = err
 		return 0, false, err
 	}
 	if !ok {
-		if st.produced != st.k {
-			st.err = fmt.Errorf("edgecolor: internal error: stream produced %d of %d factors", st.produced, st.k)
+		if st.produced != st.classes {
+			st.err = fmt.Errorf("edgecolor: internal error: stream produced %d of %d classes", st.produced, st.classes)
 			return 0, false, st.err
 		}
 		st.done = true
 		st.factor = nil
 		return 0, false, nil
 	}
-	if st.padded {
-		real := st.b.NumEdges()
-		st.f.realBuf = st.f.realBuf[:0]
-		for _, id := range factor {
-			if id < real {
-				st.f.realBuf = append(st.f.realBuf, id)
-				colorBuf[id] = factorID
-			}
-		}
-		factor = st.f.realBuf
-		if len(factor) != st.classSize {
-			st.err = fmt.Errorf("edgecolor: internal error: class %d has %d real edges, want %d",
-				factorID, len(factor), st.classSize)
-			return 0, false, st.err
-		}
-	}
 	st.produced++
 	st.factor = factor
 	return factorID, true, nil
 }
 
-// insNext adapts the insertion coloring — which repairs earlier colors
+// peel resumes the backend's stepper until one more 1-factor of b is
+// complete, writing its index into colors for each of its edges.
+func (st *Stream) peel(colors []int) (factorID int, factor []int, ok bool, err error) {
+	switch st.algo {
+	case EulerSplitDC:
+		return st.f.eulerNext(colors, st.all, st.nL, st.nR)
+	case RepeatedMatching:
+		return st.f.repNext(colors, st.all, st.nL, st.nR)
+	default:
+		return st.insStep(colors)
+	}
+}
+
+// balancedNext yields the next class of the chunk-and-balance construction
+// (see Balanced). Classes are cut from the current factor in order; the
+// tail of a factor too short for a class opens the open class, which the
+// next factor then tops up through balance. Every class is written into
+// colors once, when it is emitted, as the number of classes before it.
+func (st *Stream) balancedNext(colors []int) (classID int, class []int, ok bool, err error) {
+	f, s := st.f, st.classSize
+	if st.openFull {
+		f.clearOpen(st.all)
+		st.openFull = false
+	}
+	for st.produced < st.classes && len(st.cur)-st.pos < s {
+		// The tail joins the open class, which is empty whenever the tail
+		// is not: a tail is only left after the open class was emitted.
+		for _, id := range st.cur[st.pos:] {
+			f.openAdd(st.all, id)
+		}
+		_, a, ok, err := st.peel(colors)
+		if err != nil {
+			return 0, nil, false, err
+		}
+		if !ok {
+			return 0, nil, false, fmt.Errorf("edgecolor: internal error: factors ran out after %d of %d classes",
+				st.produced, st.classes)
+		}
+		st.cur, st.pos = a, 0
+		if len(f.open) == 0 {
+			continue
+		}
+		full, err := f.balance(st.all, a, s)
+		if err != nil {
+			return 0, nil, false, err
+		}
+		st.cur = f.balA
+		if full {
+			st.openFull = true
+			return st.emit(colors, f.open)
+		}
+		st.pos = s
+		return st.emit(colors, f.balA)
+	}
+	if st.produced == st.classes {
+		if _, _, more, err := st.peel(colors); more || err != nil || len(f.open) != 0 || st.pos != len(st.cur) {
+			return 0, nil, false, fmt.Errorf("edgecolor: internal error: edges left after %d classes", st.classes)
+		}
+		return 0, nil, false, nil
+	}
+	st.pos += s
+	return st.emit(colors, st.cur[st.pos-s:st.pos])
+}
+
+// emit writes the next class index into colors for every edge of class.
+func (st *Stream) emit(colors, class []int) (int, []int, bool, error) {
+	for _, id := range class {
+		colors[id] = st.produced
+	}
+	return st.produced, class, true, nil
+}
+
+// insStep adapts the insertion coloring — which repairs earlier colors
 // along alternating paths and therefore cannot expose intermediate state —
 // to the stream contract: the full coloring is materialized on the first
 // call and bucketed by color (a counting sort into the arena's ids, so IDs
 // stay ascending within a class), then emitted one class per call in
 // ascending color order at O(class size) each.
-func (st *Stream) insNext(target []int) (factorID int, factor []int, ok bool, err error) {
+func (st *Stream) insStep(target []int) (factorID int, factor []int, ok bool, err error) {
 	f := st.f
 	if !st.insReady {
-		c, err := f.colorInsertionInto(target, st.inner)
+		c, err := f.colorInsertionInto(target, st.b)
 		if err != nil {
 			return 0, nil, false, err
 		}
 		if c > st.k {
 			return 0, nil, false, fmt.Errorf("edgecolor: insertion used %d colors on %d-regular graph", c, st.k)
 		}
-		colors := target[:st.inner.NumEdges()]
+		colors := target[:len(st.all)]
 		f.insEnd = graph.ResizeInts(f.insEnd, st.k)
 		clear(f.insEnd)
 		for _, c := range colors {
@@ -243,10 +296,11 @@ func (st *Stream) insNext(target []int) (factorID int, factor []int, ok bool, er
 		}
 		st.insReady = true
 	}
-	if st.produced >= st.k {
+	if st.insCursor >= st.k {
 		return 0, nil, false, nil
 	}
-	factorID = st.produced
+	factorID = st.insCursor
+	st.insCursor++
 	lo := 0
 	if factorID > 0 {
 		lo = f.insEnd[factorID-1]
@@ -254,18 +308,17 @@ func (st *Stream) insNext(target []int) (factorID int, factor []int, ok bool, er
 	return factorID, f.ids[lo:f.insEnd[factorID]], true, nil
 }
 
-// Factor returns the edge IDs of the most recently produced factor, in the
-// graph passed to Start/StartBalanced (padding edges are already filtered
-// out). The slice is arena-owned: it is valid until the next Next call or
+// Factor returns the edge IDs of the most recently produced class, in the
+// graph passed to Start/StartBalanced. The slice is arena-owned: it is valid until the next Next call or
 // any other call on the stream's Factorizer, and must not be modified. The
 // IDs are in no particular order.
 func (st *Stream) Factor() []int { return st.factor }
 
-// NumFactors returns the total number of factors the stream produces: the
+// NumFactors returns the total number of classes the stream produces: the
 // regular degree for Start, colorCount for StartBalanced.
-func (st *Stream) NumFactors() int { return st.k }
+func (st *Stream) NumFactors() int { return st.classes }
 
-// Produced returns how many factors Next has yielded so far.
+// Produced returns how many classes Next has yielded so far.
 func (st *Stream) Produced() int { return st.produced }
 
 // Err returns the stream's sticky error, if any.

@@ -70,13 +70,15 @@ func TestStreamMatchesFactorizeInto(t *testing.T) {
 	}
 }
 
-// TestStreamBalancedMatchesBalancedInto is the padded (Theorem 1) analogue:
-// per-factor filtered emission must reproduce the batch balanced coloring,
-// including on shapes where the padding graph grows, shrinks, and repeats.
+// TestStreamBalancedMatchesBalancedInto is the balanced (Theorem 1)
+// analogue: per-class emission must reproduce the batch balanced coloring,
+// including on shapes where the balancing tables grow, shrink, and repeat
+// and on class sizes that do not divide n.
 func TestStreamBalancedMatchesBalancedInto(t *testing.T) {
 	cases := []struct{ n, k, colors, seed int }{
 		{4, 2, 4, 61}, {6, 3, 6, 62}, {8, 8, 8, 63}, {6, 2, 3, 64},
-		{4, 3, 12, 65}, {12, 4, 16, 66}, {4, 2, 4, 61},
+		{4, 3, 12, 65}, {12, 4, 16, 66}, {8, 3, 8, 67}, {7, 5, 7, 68},
+		{4, 2, 4, 61},
 	}
 	for _, algo := range allAlgorithms {
 		f := NewFactorizer()
@@ -95,9 +97,8 @@ func TestStreamBalancedMatchesBalancedInto(t *testing.T) {
 						algo, tc.n, tc.k, tc.colors, id, got[id], want[id])
 				}
 			}
-			// Every factor of a balanced stream must carry exactly
-			// classSize real edges; sizes were checked per factor by Next,
-			// re-check the final coloring end to end.
+			// Every class of a balanced stream must carry exactly
+			// n·k/C edges; re-check the final coloring end to end.
 			if err := Verify(b, got, tc.colors, tc.n*tc.k/tc.colors); err != nil {
 				t.Fatalf("%v n=%d k=%d C=%d: %v", algo, tc.n, tc.k, tc.colors, err)
 			}
@@ -208,20 +209,24 @@ func TestStreamValidationErrors(t *testing.T) {
 	}
 }
 
-// TestStreamEmptyGraph: a 0-regular instance streams zero factors.
+// TestStreamEmptyGraph: a 0-regular instance streams zero factors, and a
+// balanced stream over it yields its C classes empty.
 func TestStreamEmptyGraph(t *testing.T) {
 	b := graph.New(3, 3)
 	st := NewFactorizer().Start(b, EulerSplitDC)
 	if fid, ok, err := st.Next([]int{}); ok || err != nil {
 		t.Fatalf("empty graph yielded factor %d (ok=%v err=%v)", fid, ok, err)
 	}
+	for _, algo := range allAlgorithms {
+		drainStream(t, NewFactorizer().StartBalanced(b, 2, algo), []int{}, 2)
+	}
 }
 
 // TestStreamAllocBudget extends the steady-state allocation guard to the
 // streaming path: after one warm-up stream per shape, a full Start +
 // drain-to-exhaustion cycle allocates nothing beyond the stream handle
-// itself (Next is allocation-free), for both the plain and the padded
-// balanced modes. CI runs this with make alloc-guard.
+// itself (Next is allocation-free), for both the plain and the balanced
+// modes. CI runs this with make alloc-guard.
 func TestStreamAllocBudget(t *testing.T) {
 	const budget = 1 // the *Stream handle; every Next is allocation-free
 	for _, algo := range []Algorithm{RepeatedMatching, EulerSplitDC, Insertion} {
@@ -245,24 +250,28 @@ func TestStreamAllocBudget(t *testing.T) {
 			t.Errorf("%v: streaming drain allocates %.1f/op on a warmed arena, budget %d", algo, allocs, budget)
 		}
 	}
-	// Balanced with padding (the d < g planner path): C = n > k.
-	b := randomRegular(24, 6, rand.New(rand.NewSource(72)))
-	f := NewFactorizer()
-	colors := make([]int, b.NumEdges())
-	drain := func() {
-		st := f.StartBalanced(b, 24, EulerSplitDC)
-		for {
-			_, ok, err := st.Next(colors)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				return
+	// Balanced with C = n > k (the d < g planner path), once with a class
+	// size dividing n and once without, where the swaps run.
+	for _, tc := range []struct{ n, k, seed int }{{24, 6, 72}, {64, 12, 73}} {
+		b := randomRegular(tc.n, tc.k, rand.New(rand.NewSource(int64(tc.seed))))
+		f := NewFactorizer()
+		colors := make([]int, b.NumEdges())
+		drain := func() {
+			st := f.StartBalanced(b, tc.n, EulerSplitDC)
+			for {
+				_, ok, err := st.Next(colors)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					return
+				}
 			}
 		}
-	}
-	drain() // warm up
-	if allocs := testing.AllocsPerRun(10, drain); allocs > budget {
-		t.Errorf("StartBalanced: streaming drain allocates %.1f/op on a warmed arena, budget %d", allocs, budget)
+		drain() // warm up
+		if allocs := testing.AllocsPerRun(10, drain); allocs > budget {
+			t.Errorf("n=%d k=%d: StartBalanced: streaming drain allocates %.1f/op on a warmed arena, budget %d",
+				tc.n, tc.k, allocs, budget)
+		}
 	}
 }

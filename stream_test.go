@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"pops/internal/popsnet"
 )
 
 // collectStream fully drains a stream via Next and returns its fragments.
@@ -91,6 +93,46 @@ func TestRouteStreamCollectEqualsRoute(t *testing.T) {
 				t.Fatal(err)
 			}
 			plansEqual(t, got2, want, "drain-vs-execute")
+		}
+	}
+}
+
+// TestBalancedShapesAllBackends covers the d < g shapes whose class size d
+// does not divide g, where the balanced coloring has to swap alternating
+// paths: on every backend the plan takes OptimalSlots, replays on the
+// simulator with every packet delivered, and ExecuteStream+Collect equals
+// Execute.
+func TestBalancedShapesAllBackends(t *testing.T) {
+	ctx := context.Background()
+	for _, algo := range []Algorithm{RepeatedMatching, EulerSplitDC, Insertion} {
+		for _, s := range []struct{ d, g int }{{3, 8}, {5, 7}, {6, 9}, {12, 64}} {
+			p, err := NewPlanner(s.d, s.g, WithAlgorithm(algo))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := int64(0); seed < 3; seed++ {
+				pi := RandomPermutation(s.d*s.g, rand.New(rand.NewSource(seed)))
+				name := fmt.Sprintf("%v d=%d g=%d seed=%d", algo, s.d, s.g, seed)
+				want, err := p.Execute(ctx, Permutation(pi))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if want.SlotCount() != OptimalSlots(s.d, s.g) {
+					t.Fatalf("%s: %d slots, want %d", name, want.SlotCount(), OptimalSlots(s.d, s.g))
+				}
+				if _, err := popsnet.VerifyPermutationRouted(want.Schedule(), pi); err != nil {
+					t.Fatalf("%s: replay: %v", name, err)
+				}
+				ps, err := p.ExecuteStream(ctx, Permutation(pi))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				got, err := ps.Collect()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				plansEqual(t, got, want, name)
+			}
 		}
 	}
 }
