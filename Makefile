@@ -17,6 +17,19 @@ vet:
 # The tier-1 gate: build, vet, test — what every change must keep green.
 tier1: build vet test
 
+# smoke runs the tests of package $(2) that the -run pattern $(1) selects.
+# It first lists the package's tests and fails if any |-separated
+# alternative of the pattern names none of them: `go test -run` passes with
+# "no tests to run" when nothing matches, so a renamed or missing test would
+# otherwise leave a smoke target checking nothing.
+define smoke
+	@tests=$$(go test -list . $(2) | grep '^Test'); \
+	for alt in $$(echo '$(1)' | tr '|' ' '); do \
+		echo "$$tests" | grep -Eq "$$alt" || { echo "smoke: -run alternative '$$alt' matches no test in $(2)" >&2; exit 1; }; \
+	done
+	go test -run '$(1)' -count=1 -v $(2)
+endef
+
 race:
 	go test -race . ./internal/popsnet ./internal/wirebin ./internal/service/... ./internal/cluster/... ./internal/chaos ./cmd/popsserved ./cmd/popsproxy
 
@@ -31,7 +44,7 @@ race:
 # h-relation workload through /route/stream the same way — >= 2 chunks, and
 # a workload plan cache hit when the identical relation is streamed again.
 serve-smoke:
-	go test -run 'TestServeSmoke|TestServeSmokeStream' -count=1 -v ./cmd/popsserved
+	$(call smoke,TestServeSmoke|TestServeSmokeStream,./cmd/popsserved)
 
 # End-to-end cluster smoke: boot three in-process popsserved backends and a
 # popsproxy front door, drive a permutation trace through the unchanged
@@ -42,7 +55,7 @@ serve-smoke:
 # TestClusterSmokeStreamBinary pins the codec to binary end to end — the
 # proxy must relay the backends' binary framing intact.
 cluster-smoke:
-	go test -run 'TestClusterSmoke' -count=1 -v ./cmd/popsproxy
+	$(call smoke,TestClusterSmoke,./cmd/popsproxy)
 
 # End-to-end fault-tolerance smoke: round-trip a FaultyPermutation workload
 # through a live popsserved, verify the served schedule on the fault-injected
@@ -50,27 +63,33 @@ cluster-smoke:
 # cache hit and the /stats fault counters moved, and assert a dead-group
 # request comes back as a typed *pops.UnroutableError across the wire.
 fault-smoke:
-	go test -run 'TestFaultSmoke' -count=1 -v ./cmd/popsserved
+	$(call smoke,TestFaultSmoke,./cmd/popsserved)
 
-# End-to-end overload smoke: two throttled popsserved backends behind a
-# popsproxy, a 4x load ramp with one backend degraded to 200ms per request.
-# Asserts the robustness contract: nonzero typed sheds (429 + Retry-After),
-# admitted p99 within 5x of the uncontended baseline, the slow node's
-# circuit breaker opens (health checks alone cannot catch it) and re-closes
-# once the slowness lifts. The shed-don't-collapse and tenant-fairness
-# properties are covered in-process by ./internal/chaos.
+# Overload smoke. In ./internal/cluster, against in-process backends behind
+# a proxy: a node that keeps passing health checks while dropping /route
+# connections is held out by its consecutive-error circuit breaker, which
+# half-opens after the cooldown and closes on the next good answer; a node
+# that answers slower than BreakerLatency trips its breaker on the latency
+# EWMA; and when every ring owner sheds, the caller gets the typed 429 with
+# Retry-After, not a 502. In ./internal/chaos: under a load ramp the stack
+# sheds with typed 429s instead of collapsing (admitted p99 within 5x of
+# the uncontended baseline), and of two tenants weighted 9:1 the light one
+# still lands at least 8% of the admitted goodput.
 overload-smoke:
-	go test -run 'TestOverloadSmoke' -count=1 -v ./cmd/popsproxy
-	go test -run 'TestOverloadShedsDontCollapse|TestTenantWeightedFairness' -count=1 -v ./internal/chaos
+	$(call smoke,TestBreakerTripsAndRecovers|TestBreakerLatencyTrip|TestProxyAllSheddingRelays429,./internal/cluster)
+	$(call smoke,TestOverloadShedsDontCollapse|TestTenantWeightedFairness,./internal/chaos)
 
-# End-to-end observability smoke: boot popsserved with a -debug-addr
-# listener, route a permutation under a caller-chosen X-Request-Id, and
-# assert the ID echoes through the client round trip, GET /metrics serves
-# Prometheus text with a (d, g, strategy)-labeled plan-time series, the
-# traced request lands in GET /debug/slow, and the debug listener answers
-# both /metrics and net/http/pprof.
+# Observability smoke over real HTTP. In ./internal/service: a caller's
+# X-Request-Id is echoed in the response header and body, and a generated
+# 16-hex ID is echoed when none is sent; GET /metrics serves Prometheus text
+# with the request counters and the (d, g, strategy)-labeled plan-time
+# series; GET /debug/slow lists traced requests slowest-first with their
+# phases, honours ?n= and answers 400 to a bad one. In ./internal/cluster:
+# the proxy's /metrics carries its fleet and per-backend series, and its
+# /debug/slow entries name the backend that answered and a forward phase.
 obs-smoke:
-	go test -run 'TestObsSmoke' -count=1 -v ./cmd/popsserved
+	$(call smoke,TestMetricsEndpoint|TestDebugSlowEndpoint|TestRequestIDEchoedAndGenerated,./internal/service)
+	$(call smoke,TestProxyMetricsEndpoint|TestProxyDebugSlowAttributesBackend,./internal/cluster)
 
 # Record a BENCH_<date>.json with the benchmark set the baselines use.
 # Override the output or note: make bench BENCH_OUT=BENCH_x.json BENCH_NOTE="..."

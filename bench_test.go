@@ -324,19 +324,37 @@ func BenchmarkHRelation(b *testing.B) {
 }
 
 // BenchmarkE10Factorize compares the three 1-factorization backends on the
-// square (d = g) planning workload — the Remark 1 ablation.
+// square (d = g) planning workload — the Remark 1 ablation. Beside random
+// permutations it plans two structured ones at g = 128, transpose and bit
+// reversal, whose demand graphs are the hard cases for insertion.
 func BenchmarkE10Factorize(b *testing.B) {
+	bitRev, err := perms.BitReversal(14) // n = 128·128
+	if err != nil {
+		b.Fatal(err)
+	}
+	structured := []struct {
+		name string
+		pi   []int
+	}{
+		{"transpose", perms.Transpose(128, 128)},
+		{"bit-reversal", bitRev.Permutation()},
+	}
+	run := func(name string, algo Algorithm, g int, pi []int) {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := core.PlanRoute(g, g, pi, core.Options{Algorithm: algo}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	for _, algo := range []Algorithm{RepeatedMatching, EulerSplitDC, Insertion} {
 		for _, g := range []int{32, 128, 512} {
 			rng := rand.New(rand.NewSource(2))
-			pi := perms.Random(g*g, rng)
-			b.Run(fmt.Sprintf("%v/g=%d", algo, g), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := core.PlanRoute(g, g, pi, core.Options{Algorithm: algo}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+			run(fmt.Sprintf("%v/g=%d", algo, g), algo, g, perms.Random(g*g, rng))
+		}
+		for _, s := range structured {
+			run(fmt.Sprintf("%v/%s/g=128", algo, s.name), algo, 128, s.pi)
 		}
 	}
 }

@@ -257,8 +257,9 @@ func RequestIDFromContext(ctx context.Context) string {
 }
 
 // Do posts one ServiceRouteRequest and returns the decoded response. It is
-// the general form behind Route and RouteBatch: callers use it to select a
-// strategy or ask for full schedules (IncludeSchedule).
+// the general form behind Execute and RouteBatch: callers use it to ask for
+// full schedules (IncludeSchedule). The service plans Theorem 2 only, so a
+// Strategy other than "" or "theorem2" is answered 400.
 func (c *ServiceClient) Do(ctx context.Context, req *ServiceRouteRequest) (*ServiceRouteResponse, error) {
 	pb, err := marshalBody(req)
 	if err != nil {
@@ -419,8 +420,8 @@ func workloadRouteRequest(d, g int, w Workload) (*ServiceRouteRequest, error) {
 	}
 }
 
-// RouteBatch plans a batch of permutations on POPS(d, g) with the default
-// strategy, returning one ServicePlan per permutation in input order.
+// RouteBatch plans a batch of permutations on POPS(d, g) with Theorem 2,
+// returning one ServicePlan per permutation in input order.
 // Per-permutation failures stay in the corresponding ServicePlan.Error,
 // matching the Planner.RouteBatch contract.
 func (c *ServiceClient) RouteBatch(ctx context.Context, d, g int, pis [][]int) ([]ServicePlan, error) {
@@ -460,13 +461,6 @@ func (c *ServiceClient) ExecuteStream(ctx context.Context, d, g int, w Workload)
 	if err != nil {
 		return nil, err
 	}
-	return c.DoStream(ctx, req)
-}
-
-// DoStream is the general streaming form: it posts req to /route/stream and
-// decodes the stream's opening meta record. Callers use it to select a
-// non-default strategy (whose plans are streamed as whole slots).
-func (c *ServiceClient) DoStream(ctx context.Context, req *ServiceRouteRequest) (*ServiceStream, error) {
 	pb, err := marshalBody(req)
 	if err != nil {
 		return nil, err

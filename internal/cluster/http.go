@@ -246,7 +246,6 @@ func (p *Proxy) handleRoute(w http.ResponseWriter, r *http.Request) {
 	id := requestID(r)
 	w.Header().Set("X-Request-Id", id)
 	sp := p.tracer.Start(id, req.D, req.G)
-	sp.Strategy = req.Strategy
 	sp.Workload = req.Workload
 	sp.Begin(obs.PhaseForward)
 	resp, err := p.forward(ctx, requestKey(&req), "/route", body, false, id, r.Header, sp)
@@ -301,7 +300,6 @@ func (p *Proxy) handleRouteStream(w http.ResponseWriter, r *http.Request) {
 	id := requestID(r)
 	w.Header().Set("X-Request-Id", id)
 	sp := p.tracer.Start(id, req.D, req.G)
-	sp.Strategy = req.Strategy
 	sp.Workload = req.Workload
 	// Stream spans feed the slow ring only, not the latency histogram: a
 	// stream's wall clock is dominated by how fast the caller reads.

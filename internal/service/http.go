@@ -32,10 +32,10 @@ const maxRequestBody = 64 << 20
 //	GET  /healthz       liveness ("ok" until Close starts)
 //
 // Requests and responses use the JSON schema of internal/wire. Malformed
-// requests (bad JSON, invalid shape, unknown strategy) get 400; requests
-// admitted after Close starts get 503; per-permutation planning failures
-// travel as the error field of their PlanResult under a 200 (or as an
-// "error" stream record once a stream has opened).
+// requests (bad JSON, invalid shape, a strategy other than "theorem2") get
+// 400; requests admitted after Close starts get 503; per-permutation
+// planning failures travel as the error field of their PlanResult under a
+// 200 (or as an "error" stream record once a stream has opened).
 //
 // Every request is assigned a request ID — the client's X-Request-Id header
 // when present, a generated one otherwise — echoed in the X-Request-Id
@@ -194,11 +194,15 @@ func (s *Service) requestContext(w http.ResponseWriter, r *http.Request, req *wi
 }
 
 // workloadFromRequest resolves a tagged route request to its pops.Workload.
-// It returns (nil, "") for the permutation kinds, which the handlers serve
-// through the micro-batching queue instead, and an error for malformed
-// combinations (wrong payload for the kind, a strategy on a non-permutation
-// workload).
+// It returns (nil, nil) for the permutation kinds, which the handlers serve
+// through the micro-batching queue instead, and an error for a request the
+// service does not plan: a strategy other than Theorem 2, or a malformed
+// combination (wrong payload for the kind). It is the one strategy check of
+// /route and /route/stream, and runs before any shard is created or counted.
 func workloadFromRequest(req *wire.RouteRequest) (pops.Workload, error) {
+	if err := checkStrategy(req.Strategy); err != nil {
+		return nil, err
+	}
 	// A fault set on any other kind would be silently ignored — reject it so
 	// the caller never believes a plan routed around faults it never saw.
 	if req.Faults != nil && req.Workload != wire.WorkloadFaultyPermutation {
@@ -266,10 +270,6 @@ func (s *Service) handleRoute(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	resp := wire.RouteResponse{D: req.D, G: req.G, RequestID: id}
 	if wl != nil {
-		if req.Strategy != "" && req.Strategy != pops.StrategyTheoremTwo {
-			http.Error(w, "service: strategy selection applies to permutation workloads only", http.StatusBadRequest)
-			return
-		}
 		sp := s.tracer.Start(id, req.D, req.G)
 		sp.Workload = wl.Kind()
 		res, err := s.Execute(obs.ContextWithSpan(ctx, sp), req.D, req.G, wl)
@@ -300,7 +300,7 @@ func (s *Service) handleRoute(w http.ResponseWriter, r *http.Request) {
 	}
 	if single {
 		sp := s.tracer.Start(id, req.D, req.G)
-		res, err := s.Route(obs.ContextWithSpan(ctx, sp), req.D, req.G, req.Pi, req.Strategy)
+		res, err := s.Route(obs.ContextWithSpan(ctx, sp), req.D, req.G, req.Pi, "")
 		if err != nil {
 			writeError(w, err)
 			// The micro-batch entry may still be in flight and recording
@@ -321,7 +321,7 @@ func (s *Service) handleRoute(w http.ResponseWriter, r *http.Request) {
 	// Batch requests share one response but plan as independent queue
 	// entries; a single span would double-charge the concurrent waits, so
 	// batches go untraced and observe the latency histogram in RouteMany.
-	results, err := s.RouteMany(ctx, req.D, req.G, req.Pis, req.Strategy)
+	results, err := s.RouteMany(ctx, req.D, req.G, req.Pis)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -387,21 +387,16 @@ func (s *Service) handleRouteStream(w http.ResponseWriter, r *http.Request) {
 	// total feeds only the slow ring here, never the histogram.
 	defer s.tracer.Finish(sp)
 	ctx := obs.ContextWithSpan(reqCtx, sp)
-	var st *Stream
 	if wl != nil {
-		if req.Strategy != "" && req.Strategy != pops.StrategyTheoremTwo {
-			http.Error(w, "service: strategy selection applies to permutation workloads only", http.StatusBadRequest)
-			return
-		}
 		sp.Workload = wl.Kind()
-		st, err = s.ExecuteStream(ctx, req.D, req.G, wl)
 	} else {
 		if len(req.Pis) > 0 || len(req.Pi) == 0 {
 			http.Error(w, "service: /route/stream takes exactly one permutation (pi)", http.StatusBadRequest)
 			return
 		}
-		st, err = s.RouteStream(ctx, req.D, req.G, req.Pi, req.Strategy)
+		wl = pops.Permutation(req.Pi)
 	}
+	st, err := s.ExecuteStream(ctx, req.D, req.G, wl)
 	if err != nil {
 		writeError(w, err)
 		return

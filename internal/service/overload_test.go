@@ -62,14 +62,14 @@ func TestQueueOverflowShedsTyped(t *testing.T) {
 	ctx := context.Background()
 	var waiters []chan Result
 	for i := 0; i < 2; i++ {
-		ch, err := sh.admit(ctx, pi, "")
+		ch, err := sh.admit(ctx, pi)
 		if err != nil {
 			t.Fatalf("admit %d within the queue bound: %v", i, err)
 		}
 		waiters = append(waiters, ch)
 	}
 
-	_, err := sh.admit(ctx, pi, "")
+	_, err := sh.admit(ctx, pi)
 	var oe *pops.OverloadError
 	if !errors.As(err, &oe) {
 		t.Fatalf("overflow admission returned %v, want *pops.OverloadError", err)
@@ -112,11 +112,11 @@ func TestDeadlineExpiredQueuedRequestShed(t *testing.T) {
 
 	dctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	doomed, err := sh.admit(dctx, pops.VectorReversal(16), "")
+	doomed, err := sh.admit(dctx, pops.VectorReversal(16))
 	if err != nil {
 		t.Fatalf("admit with a live deadline: %v", err)
 	}
-	alive, err := sh.admit(context.Background(), pops.IdentityPermutation(16), "")
+	alive, err := sh.admit(context.Background(), pops.IdentityPermutation(16))
 	if err != nil {
 		t.Fatalf("admit without a deadline: %v", err)
 	}
@@ -157,7 +157,7 @@ func TestAdmitRefusesExpiredContext(t *testing.T) {
 	sh := newIdleShard(t, svc, 4, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sh.admit(ctx, pops.VectorReversal(16), ""); !errors.Is(err, context.Canceled) {
+	if _, err := sh.admit(ctx, pops.VectorReversal(16)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("admit with a dead context: %v, want context.Canceled", err)
 	}
 	if n := len(sh.reqs); n != 0 {
@@ -176,12 +176,12 @@ func TestStreamCapSheds(t *testing.T) {
 	const d, g = 4, 4
 	pi := pops.VectorReversal(d * g)
 
-	st, err := svc.RouteStream(context.Background(), d, g, pi, "")
+	st, err := svc.ExecuteStream(context.Background(), d, g, pops.Permutation(pi))
 	if err != nil {
 		t.Fatalf("first stream: %v", err)
 	}
 
-	_, err = svc.RouteStream(context.Background(), d, g, pi, "")
+	_, err = svc.ExecuteStream(context.Background(), d, g, pops.Permutation(pi))
 	var oe *pops.OverloadError
 	if !errors.As(err, &oe) {
 		t.Fatalf("second stream error %v, want *pops.OverloadError", err)
@@ -191,7 +191,7 @@ func TestStreamCapSheds(t *testing.T) {
 	}
 
 	st.Close() // release the slot; the next stream must be admitted again
-	st3, err := svc.RouteStream(context.Background(), d, g, pi, "")
+	st3, err := svc.ExecuteStream(context.Background(), d, g, pops.Permutation(pi))
 	if err != nil {
 		t.Fatalf("stream after slot release: %v", err)
 	}
@@ -208,7 +208,7 @@ func TestHTTPShedAnswers429WithRetryAfter(t *testing.T) {
 
 	// Hold the shard's one stream slot open in-process so the HTTP attempt
 	// below is deterministically over the cap.
-	st, err := svc.RouteStream(context.Background(), 4, 4, pops.VectorReversal(16), "")
+	st, err := svc.ExecuteStream(context.Background(), 4, 4, pops.Permutation(pops.VectorReversal(16)))
 	if err != nil {
 		t.Fatalf("first stream: %v", err)
 	}

@@ -79,8 +79,9 @@ type Config struct {
 	// negative disables the cap.
 	MaxStreams int
 	// MaxDirect bounds concurrently executing direct-path requests per
-	// shard (non-batched strategies and workload kinds). Default 0: no cap,
-	// matching the previous behavior; set it to shed the direct path too.
+	// shard (the non-permutation workload kinds, which skip the
+	// micro-batching queue). Default 0: no cap; set it to shed the direct
+	// path too.
 	MaxDirect int
 	// TenantWeights assigns admission weights to tenant names for the
 	// TenantMix quota model: when a shard's queue is contended, each tenant
@@ -318,14 +319,28 @@ func (s *Service) retire(sh *shard) {
 	s.evictedShards.Add(1)
 }
 
+// checkStrategy accepts the strategies the service plans: "" and
+// "theorem2". The baselines (greedy, direct-optimal, singleslot, auto) run
+// in-process as pops Routers, not over the wire.
+func checkStrategy(strategy string) error {
+	if strategy != "" && strategy != pops.StrategyTheoremTwo {
+		return fmt.Errorf(`service: strategy %q is not served, only "theorem2" is; the baselines run in-process (pops Routers, popsroute -strategy)`, strategy)
+	}
+	return nil
+}
+
 // Route plans one permutation on POPS(d, g) through the shard's admission
-// queue (strategy "" or "theorem2") or directly through the named strategy
-// router. ctx gates the wait: a cancelled context abandons the request (the
-// in-flight micro-batch still completes server-side) and returns ctx.Err().
-// The returned error is otherwise request-level (invalid shape, unknown
-// strategy, service shutting down); per-permutation planning failures come
-// back in Result.Err, mirroring the batch contract.
+// queue. strategy must be "" or "theorem2"; any other value is a
+// request-level error (HTTP 400) returned before a shard is touched. ctx
+// gates the wait: a cancelled context abandons the request (the in-flight
+// micro-batch still completes server-side) and returns ctx.Err(). The
+// returned error is otherwise request-level (invalid shape, service
+// shutting down); per-permutation planning failures come back in
+// Result.Err, mirroring the batch contract.
 func (s *Service) Route(ctx context.Context, d, g int, pi []int, strategy string) (Result, error) {
+	if err := checkStrategy(strategy); err != nil {
+		return Result{}, err
+	}
 	defer s.observeLatency(ctx, time.Now())
 	s.requests.Add(1)
 	for {
@@ -333,7 +348,7 @@ func (s *Service) Route(ctx context.Context, d, g int, pi []int, strategy string
 		if err != nil {
 			return Result{}, err
 		}
-		res, err := sh.route(ctx, pi, strategy)
+		res, err := sh.route(ctx, pi)
 		if err == errShardRetired {
 			continue // the shard was evicted between lookup and admission
 		}
@@ -384,7 +399,7 @@ func (s *Service) Execute(ctx context.Context, d, g int, w pops.Workload) (Resul
 // error, mirroring the pops.Planner.RouteBatch contract — an entry shed by
 // the admission bound carries its *pops.OverloadError without failing its
 // batchmates. A cancelled ctx abandons the wait and returns ctx.Err().
-func (s *Service) RouteMany(ctx context.Context, d, g int, pis [][]int, strategy string) ([]Result, error) {
+func (s *Service) RouteMany(ctx context.Context, d, g int, pis [][]int) ([]Result, error) {
 	defer s.observeLatency(ctx, time.Now())
 	s.requests.Add(uint64(len(pis)))
 	results := make([]Result, len(pis))
@@ -399,7 +414,7 @@ func (s *Service) RouteMany(ctx context.Context, d, g int, pis [][]int, strategy
 		admitted := 0
 		retired := false
 		for i, pi := range pending {
-			ch, err := sh.admit(ctx, pi, strategy)
+			ch, err := sh.admit(ctx, pi)
 			if err == errShardRetired {
 				retired = true
 				break

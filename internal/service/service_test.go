@@ -9,7 +9,6 @@ import (
 
 	"pops"
 	"pops/internal/obs"
-	"pops/internal/perms"
 	"pops/internal/popsnet"
 )
 
@@ -290,39 +289,6 @@ func TestShardLRUEvictionBoundsLiveShards(t *testing.T) {
 	}
 }
 
-// TestStrategySelection routes through a non-default strategy and checks it
-// bypasses the cache but still plans correctly.
-func TestStrategySelection(t *testing.T) {
-	_, client := newTestServer(t, Config{})
-	const d, g = 4, 4
-	// The staircase permutation is single-slot routable, so Auto must pick
-	// the one-slot router over Theorem 2's two slots.
-	pi := perms.Staircase(d, g)
-	resp, err := client.Do(context.Background(), &pops.ServiceRouteRequest{
-		D: d, G: g, Pi: pi, Strategy: "auto", IncludeSchedule: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := resp.Plans[0]
-	if plan.Error != "" {
-		t.Fatal(plan.Error)
-	}
-	if plan.Strategy != "singleslot" {
-		t.Fatalf("auto picked %q for the staircase, want singleslot", plan.Strategy)
-	}
-	if plan.Slots != 1 {
-		t.Fatalf("slots = %d, want 1", plan.Slots)
-	}
-	if _, err := popsnet.VerifyPermutationRouted(plan.Schedule, pi); err != nil {
-		t.Fatal(err)
-	}
-	// Unknown strategies are request-level errors.
-	if _, err := client.Do(context.Background(), &pops.ServiceRouteRequest{D: d, G: g, Pi: pi, Strategy: "nonsense"}); err == nil {
-		t.Fatal("unknown strategy accepted")
-	}
-}
-
 // TestRequestValidation covers the request-level failure modes of the HTTP
 // surface.
 func TestRequestValidation(t *testing.T) {
@@ -406,7 +372,7 @@ func TestCloseDrainsInFlightAndRejectsNew(t *testing.T) {
 		}
 		waiters := make([]chan Result, n)
 		for i, pi := range pis {
-			ch, err := sh.admit(context.Background(), pi, "")
+			ch, err := sh.admit(context.Background(), pi)
 			if err != nil {
 				done <- outcome{err: err}
 				return

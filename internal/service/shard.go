@@ -73,10 +73,9 @@ func (c observerChain) ObservePlan(strategy string, cached bool, d time.Duration
 }
 
 // shard serves one POPS(d, g) shape: a pops.Planner with a fingerprint plan
-// cache, fed by an admission queue that coalesces concurrent requests into
-// micro-batches for RouteBatch. Non-default strategies bypass the queue —
-// routers are stateless and safe for concurrent use, and only the Theorem 2
-// planner has batch-amortizable state.
+// cache, fed by an admission queue that coalesces concurrent permutation
+// requests into micro-batches for RouteBatch. Non-permutation workloads take
+// the direct path (execute) and slot streams their own (admitStream).
 type shard struct {
 	key shapeKey
 	svc *Service
@@ -91,9 +90,6 @@ type shard struct {
 	closed bool
 	reqs   chan request
 	done   chan struct{} // closed when loop has drained and exited
-
-	routersMu sync.Mutex
-	routers   map[string]pops.Router
 
 	// buckets holds the per-tenant admission quotas (TenantMix): while the
 	// queue is contended, each admission debits the tenant's bucket and each
@@ -138,15 +134,14 @@ func newShard(s *Service, d, g int) (*shard, error) {
 		planner: planner,
 		reqs:    make(chan request, s.cfg.QueueDepth),
 		done:    make(chan struct{}),
-		routers: make(map[string]pops.Router),
 		buckets: make(map[string]*tenantBucket),
 	}, nil
 }
 
 // route admits pi and waits for its result, abandoning the wait when ctx is
 // cancelled (the admitted entry still completes within its micro-batch).
-func (sh *shard) route(ctx context.Context, pi []int, strategy string) (Result, error) {
-	ch, err := sh.admit(ctx, pi, strategy)
+func (sh *shard) route(ctx context.Context, pi []int) (Result, error) {
+	ch, err := sh.admit(ctx, pi)
 	if err != nil {
 		return Result{}, err
 	}
@@ -195,45 +190,18 @@ func (sh *shard) execute(ctx context.Context, w pops.Workload) (Result, error) {
 	return Result{Plan: plan, Cached: cached}, nil
 }
 
-// admit enqueues pi on the micro-batching queue (default strategy) or
-// dispatches it to the named strategy router, returning the channel its
+// admit enqueues pi on the micro-batching queue, returning the channel its
 // Result will arrive on. The returned error is request-level: a retired
-// shard, an unknown strategy, or an overload verdict — never a planning
-// failure. The queue send never blocks: a full queue (or an exhausted
-// tenant quota while the queue is contended) sheds the request immediately
-// with a typed *pops.OverloadError, so callers learn to back off in
-// admission time rather than queueing time. ctx's trace span (if any) rides
-// along: queued requests charge the wait to the queue phase, and strategy
-// routers — which have no internal phase hooks — charge their whole routing
-// time to the factorize phase. The channel hand-off orders the goroutines'
-// span writes before the admitting request reads them.
-func (sh *shard) admit(ctx context.Context, pi []int, strategy string) (chan Result, error) {
+// shard or an overload verdict — never a planning failure. The queue send
+// never blocks: a full queue (or an exhausted tenant quota while the queue
+// is contended) sheds the request immediately with a typed
+// *pops.OverloadError, so callers learn to back off in admission time
+// rather than queueing time. ctx's trace span (if any) rides along, and the
+// flush charges the queue wait to its queue phase.
+func (sh *shard) admit(ctx context.Context, pi []int) (chan Result, error) {
 	ch := make(chan Result, 1)
 	sp := obs.SpanFromContext(ctx)
 	tenant := pops.TenantFromContext(ctx)
-	if strategy != "" && strategy != pops.StrategyTheoremTwo {
-		r, err := sh.routerFor(strategy)
-		if err != nil {
-			return nil, err
-		}
-		if !sh.acquireDirect() {
-			return nil, sh.shed(tenant, "direct")
-		}
-		sh.requests.Add(1)
-		sh.svc.tenant(tenant).admitted.Add(1)
-		go func() {
-			defer sh.releaseDirect()
-			start := time.Now()
-			plan, rerr := r.Route(pi)
-			dur := time.Since(start)
-			sp.Add(obs.PhaseFactorize, dur)
-			if plan != nil {
-				sh.svc.tracer.Plan.Observe(sh.key.d, sh.key.g, plan.Strategy, false, dur)
-			}
-			ch <- Result{Plan: plan, Err: rerr}
-		}()
-		return ch, nil
-	}
 	if err := ctx.Err(); err != nil {
 		// The caller is already gone (deadline passed or hung up); refuse
 		// the queue slot rather than planning for nobody.
@@ -264,7 +232,7 @@ func (sh *shard) admit(ctx context.Context, pi []int, strategy string) (chan Res
 	}
 }
 
-// acquireDirect claims one direct-path slot (strategy routers, workload
+// acquireDirect claims one direct-path slot (non-permutation workload
 // execution), reporting false when MaxDirect is configured and exhausted.
 func (sh *shard) acquireDirect() bool {
 	n := sh.directActive.Add(1)
@@ -402,21 +370,6 @@ func (sh *shard) refundTenant(tenant string) {
 		b.tokens++
 	}
 	sh.tenantMu.Unlock()
-}
-
-// routerFor lazily builds and caches the non-default strategy routers.
-func (sh *shard) routerFor(strategy string) (pops.Router, error) {
-	sh.routersMu.Lock()
-	defer sh.routersMu.Unlock()
-	if r, ok := sh.routers[strategy]; ok {
-		return r, nil
-	}
-	r, err := pops.NewRouter(strategy, sh.key.d, sh.key.g, sh.svc.cfg.PlannerOptions...)
-	if err != nil {
-		return nil, err
-	}
-	sh.routers[strategy] = r
-	return r, nil
 }
 
 // close stops admissions and closes the queue; the loop drains whatever is

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"pops"
-	"pops/internal/obs"
 	"pops/internal/wire"
 )
 
@@ -30,30 +29,15 @@ import (
 type Stream struct {
 	svc   *Service
 	sh    *shard
-	ps    *pops.PlanStream // nil for non-relay strategies (plan below)
-	plan  *pops.Plan       // whole-slot replay for non-default strategies
+	ps    *pops.PlanStream
 	meta  wire.StreamMeta
 	start time.Time
 	ttfs  bool // first fragment observed
 
-	replayIdx int
-	slots     uint64
-	ended     bool // all fragments produced (or planning failed)
-	err       error
-	closed    bool
-}
-
-// RouteStream admits a streaming plan request for permutation pi on
-// POPS(d, g). The returned error is request-level (invalid shape or
-// permutation, unknown strategy, service shutting down); planning failures
-// after admission surface through Stream.Err. Strategy "" and "theorem2"
-// stream incrementally; other strategies plan first and then replay whole
-// slots.
-func (s *Service) RouteStream(ctx context.Context, d, g int, pi []int, strategy string) (*Stream, error) {
-	if strategy != "" && strategy != pops.StrategyTheoremTwo {
-		return s.admitStreamRetrying(ctx, d, g, nil, pi, strategy)
-	}
-	return s.admitStreamRetrying(ctx, d, g, pops.Permutation(pi), nil, "")
+	slots  uint64
+	ended  bool // all fragments produced (or planning failed)
+	err    error
+	closed bool
 }
 
 // ExecuteStream admits a streaming plan request for any workload: slot
@@ -64,7 +48,7 @@ func (s *Service) ExecuteStream(ctx context.Context, d, g int, w pops.Workload) 
 	if w == nil {
 		return nil, pops.ErrNilWorkload
 	}
-	st, err := s.admitStreamRetrying(ctx, d, g, w, nil, "")
+	st, err := s.admitStreamRetrying(ctx, d, g, w)
 	if w.Kind() == pops.WorkloadFaultyPermutation {
 		// Fault streams are planned at admission, so an unroutable fault set
 		// surfaces here as the admission error — count it like Execute does.
@@ -78,15 +62,14 @@ func (s *Service) ExecuteStream(ctx context.Context, d, g int, w pops.Workload) 
 }
 
 // admitStreamRetrying resolves the shard (retrying across evictions) and
-// admits the stream. Exactly one of w (workload streaming) and pi+strategy
-// (non-default strategy replay) is set.
-func (s *Service) admitStreamRetrying(ctx context.Context, d, g int, w pops.Workload, pi []int, strategy string) (*Stream, error) {
+// admits the stream.
+func (s *Service) admitStreamRetrying(ctx context.Context, d, g int, w pops.Workload) (*Stream, error) {
 	for {
 		sh, err := s.shardFor(d, g)
 		if err != nil {
 			return nil, err
 		}
-		st, err := sh.admitStream(ctx, w, pi, strategy)
+		st, err := sh.admitStream(ctx, w)
 		if err == errShardRetired {
 			continue // the shard was evicted between lookup and admission
 		}
@@ -99,7 +82,7 @@ func (s *Service) admitStreamRetrying(ctx context.Context, d, g int, w pops.Work
 
 // admitStream checks shutdown state and the shard's concurrent-stream cap,
 // registers the stream with the service's drain group, and starts planning.
-func (sh *shard) admitStream(ctx context.Context, w pops.Workload, pi []int, strategy string) (*Stream, error) {
+func (sh *shard) admitStream(ctx context.Context, w pops.Workload) (*Stream, error) {
 	svc := sh.svc
 	tenant := pops.TenantFromContext(ctx)
 	sh.mu.RLock()
@@ -129,56 +112,30 @@ func (sh *shard) admitStream(ctx context.Context, w pops.Workload, pi []int, str
 		}
 	}()
 
-	if w != nil {
-		ps, err := sh.planner.ExecuteStream(ctx, w)
-		if err != nil {
-			return nil, err
-		}
-		st.ps = ps
-		wireKind := w.Kind()
-		planStrategy := pops.StrategyTheoremTwo
-		switch wireKind {
-		case pops.WorkloadPermutation:
-			wireKind = "" // the original untagged schema
-		case pops.WorkloadHRelation, pops.WorkloadAllToAll:
-			planStrategy = pops.StrategyHRelation
-		case pops.WorkloadOneToAll:
-			planStrategy = pops.StrategyOneToAll
-		case pops.WorkloadFaultyPermutation:
-			// StrategyFaulty for a repaired plan, StrategyTheoremTwo when the
-			// fault set was empty and planning delegated.
-			planStrategy = ps.Strategy()
-		}
-		st.meta = wire.StreamMeta{
-			D: sh.key.d, G: sh.key.g, Workload: wireKind,
-			Slots: ps.SlotCount(), Fragments: ps.FragmentCount(),
-			Strategy: planStrategy, Fingerprint: fmt.Sprintf("%016x", pops.WorkloadFingerprint(w)),
-			Cached: ps.Cached(),
-		}
-	} else {
-		// Direct strategies have no incremental planner; plan up front and
-		// stream the finished slots (their time-to-first-slot is the full
-		// planning latency, faithfully recorded in the histogram). The
-		// router has no internal phase hooks, so its whole routing time is
-		// the factorize phase and one plan-time observation.
-		r, err := sh.routerFor(strategy)
-		if err != nil {
-			return nil, err
-		}
-		routeStart := time.Now()
-		plan, err := r.Route(pi)
-		dur := time.Since(routeStart)
-		obs.SpanFromContext(ctx).Add(obs.PhaseFactorize, dur)
-		if err != nil {
-			return nil, err
-		}
-		svc.tracer.Plan.Observe(sh.key.d, sh.key.g, plan.Strategy, false, dur)
-		st.plan = plan
-		st.meta = wire.StreamMeta{
-			D: sh.key.d, G: sh.key.g,
-			Slots: plan.SlotCount(), Fragments: plan.SlotCount(),
-			Strategy: plan.Strategy, Fingerprint: fmt.Sprintf("%016x", pops.PermutationFingerprint(pi)),
-		}
+	ps, err := sh.planner.ExecuteStream(ctx, w)
+	if err != nil {
+		return nil, err
+	}
+	st.ps = ps
+	wireKind := w.Kind()
+	planStrategy := pops.StrategyTheoremTwo
+	switch wireKind {
+	case pops.WorkloadPermutation:
+		wireKind = "" // the original untagged schema
+	case pops.WorkloadHRelation, pops.WorkloadAllToAll:
+		planStrategy = pops.StrategyHRelation
+	case pops.WorkloadOneToAll:
+		planStrategy = pops.StrategyOneToAll
+	case pops.WorkloadFaultyPermutation:
+		// StrategyFaulty for a repaired plan, StrategyTheoremTwo when the
+		// fault set was empty and planning delegated.
+		planStrategy = ps.Strategy()
+	}
+	st.meta = wire.StreamMeta{
+		D: sh.key.d, G: sh.key.g, Workload: wireKind,
+		Slots: ps.SlotCount(), Fragments: ps.FragmentCount(),
+		Strategy: planStrategy, Fingerprint: fmt.Sprintf("%016x", pops.WorkloadFingerprint(w)),
+		Cached: ps.Cached(),
 	}
 	sh.requests.Add(1)
 	sh.streams.Add(1)
@@ -200,35 +157,23 @@ func (st *Stream) Next() (wire.StreamSlot, bool) {
 	if st.err != nil || st.closed {
 		return wire.StreamSlot{}, false
 	}
-	var rec wire.StreamSlot
-	if st.ps != nil {
-		frag, ok := st.ps.Next()
-		if !ok {
-			st.err = st.ps.Err()
-			if st.err == nil {
-				// Collect the drained plan: under pops.WithVerify this is
-				// where the completed schedule is replayed on the simulator
-				// (a failure becomes the stream's error record instead of a
-				// done record), and where the plan is memoized so repeated
-				// streamed workloads hit the fingerprint cache.
-				if _, err := st.ps.Collect(); err != nil {
-					st.err = err
-				}
+	frag, ok := st.ps.Next()
+	if !ok {
+		st.err = st.ps.Err()
+		if st.err == nil {
+			// Collect the drained plan: under pops.WithVerify this is where
+			// the completed schedule is replayed on the simulator (a failure
+			// becomes the stream's error record instead of a done record),
+			// and where the plan is memoized so repeated streamed workloads
+			// hit the fingerprint cache.
+			if _, err := st.ps.Collect(); err != nil {
+				st.err = err
 			}
-			st.finish()
-			return wire.StreamSlot{}, false
 		}
-		rec = wire.StreamSlot{Slot: frag.Slot, Color: frag.Color, Offset: frag.Offset, Final: frag.Final, Sends: frag.Sends, Recvs: frag.Recvs}
-	} else {
-		slots := st.plan.Schedule().Slots
-		if st.replayIdx >= len(slots) {
-			st.finish()
-			return wire.StreamSlot{}, false
-		}
-		slot := &slots[st.replayIdx]
-		rec = wire.StreamSlot{Slot: st.replayIdx, Color: -1, Final: true, Sends: slot.Sends, Recvs: slot.Recvs}
-		st.replayIdx++
+		st.finish()
+		return wire.StreamSlot{}, false
 	}
+	rec := wire.StreamSlot{Slot: frag.Slot, Color: frag.Color, Offset: frag.Offset, Final: frag.Final, Sends: frag.Sends, Recvs: frag.Recvs}
 	if !st.ttfs {
 		st.ttfs = true
 		st.svc.ttfs.Observe(time.Since(st.start))
@@ -263,9 +208,7 @@ func (st *Stream) Close() {
 		return
 	}
 	st.closed = true
-	if st.ps != nil {
-		st.ps.Close()
-	}
+	st.ps.Close()
 	st.sh.releaseStream()
 	st.svc.streamsWG.Done()
 }

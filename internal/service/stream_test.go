@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -164,28 +165,6 @@ func TestStreamCacheHitReplaysWholeSlots(t *testing.T) {
 	}
 }
 
-// TestStreamNonDefaultStrategy streams a greedy plan as whole slots.
-func TestStreamNonDefaultStrategy(t *testing.T) {
-	_, client := newTestServer(t, Config{})
-	const d, g = 4, 4
-	pi := pops.VectorReversal(d * g)
-	st, err := client.DoStream(context.Background(), &pops.ServiceRouteRequest{
-		D: d, G: g, Pi: pi, Strategy: pops.StrategyGreedy,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if st.Meta().Strategy != pops.StrategyGreedy {
-		t.Fatalf("meta.Strategy = %q", st.Meta().Strategy)
-	}
-	slots := collectServiceStream(t, st)
-	sched := &popsnet.Schedule{Net: popsnet.Network{D: d, G: g}, Slots: slots}
-	if _, err := popsnet.VerifyPermutationRouted(sched, pi); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestStreamVerifyOptionCachesAndReplays pins the -verify contract on the
 // streaming path: the drained plan is replayed on the simulator before the
 // done record, and memoized, so a second stream of the same permutation is
@@ -213,7 +192,8 @@ func TestStreamVerifyOptionCachesAndReplays(t *testing.T) {
 
 // TestStreamRequestValidation covers the request-level failure modes.
 func TestStreamRequestValidation(t *testing.T) {
-	_, client := newTestServer(t, Config{})
+	raw := newRawServer(t, New(Config{}))
+	client := pops.NewServiceClient(raw, nil)
 	ctx := context.Background()
 	if _, err := client.ExecuteStream(ctx, 0, 4, pops.Permutation([]int{0})); err == nil {
 		t.Fatal("invalid shape accepted")
@@ -221,11 +201,13 @@ func TestStreamRequestValidation(t *testing.T) {
 	if _, err := client.ExecuteStream(ctx, 2, 2, pops.Permutation([]int{0, 0, 1, 2})); err == nil {
 		t.Fatal("non-permutation accepted")
 	}
-	if _, err := client.DoStream(ctx, &pops.ServiceRouteRequest{D: 2, G: 2, Pis: [][]int{{0, 1, 2, 3}}}); err == nil {
-		t.Fatal("batch stream accepted")
+	resp, err := http.Post(raw+"/route/stream", "application/json", strings.NewReader(`{"d":2,"g":2,"pis":[[0,1,2,3]]}`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := client.DoStream(ctx, &pops.ServiceRouteRequest{D: 2, G: 2, Pi: []int{0, 1, 2, 3}, Strategy: "nope"}); err == nil {
-		t.Fatal("unknown strategy accepted")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("batch stream answered %d, want 400", resp.StatusCode)
 	}
 }
 

@@ -128,11 +128,11 @@ type RouteRequest struct {
 	// its permutation in Pi). Nil or empty means no faults: the plan is then
 	// byte-identical to the plain permutation plan.
 	Faults *FaultSet `json:"faults,omitempty"`
-	// Strategy selects the routing strategy for permutation workloads
-	// ("theorem2", "greedy", "direct-optimal", "singleslot", "auto"). Empty
-	// means "theorem2", the only strategy served through the micro-batching
-	// + plan-cache path; other strategies are planned per request.
-	// Non-permutation workloads reject a non-default strategy.
+	// Strategy is validated input: the service plans Theorem 2 only, so it
+	// accepts "" and "theorem2" and answers any other value with 400 —
+	// never silently with a Theorem 2 plan. The baselines (greedy,
+	// direct-optimal, singleslot, auto) run in-process through
+	// pops.NewRouter.
 	Strategy string `json:"strategy,omitempty"`
 	// IncludeSchedule asks for the full slot schedule in each plan, so the
 	// caller can replay it on a simulator. Off by default: schedules are
