@@ -79,17 +79,23 @@ overload-smoke:
 	$(call smoke,TestBreakerTripsAndRecovers|TestBreakerLatencyTrip|TestProxyAllSheddingRelays429,./internal/cluster)
 	$(call smoke,TestOverloadShedsDontCollapse|TestTenantWeightedFairness,./internal/chaos)
 
-# Observability smoke over real HTTP. In ./internal/service: a caller's
-# X-Request-Id is echoed in the response header and body, and a generated
-# 16-hex ID is echoed when none is sent; GET /metrics serves Prometheus text
-# with the request counters and the (d, g, strategy)-labeled plan-time
-# series; GET /debug/slow lists traced requests slowest-first with their
-# phases, honours ?n= and answers 400 to a bad one. In ./internal/cluster:
-# the proxy's /metrics carries its fleet and per-backend series, and its
-# /debug/slow entries name the backend that answered and a forward phase.
+# Observability smoke over in-process HTTP handlers. In ./internal/service:
+# a caller's X-Request-Id is echoed in the response header and body, and a
+# generated 16-hex ID is echoed when none is sent; GET /metrics serves
+# Prometheus text with the request counters and the (d, g, strategy)-labeled
+# plan-time series; GET /debug/slow lists traced requests slowest-first with
+# their phases, honours ?n= and answers 400 to a bad one; after a fixed
+# request script, /metrics and /stats match their goldens. In
+# ./internal/cluster: the proxy's /metrics carries its fleet and per-backend
+# series and matches its schema golden, its /debug/slow entries name the
+# backend that answered and a forward phase, and its /stats fleet merge of
+# two canned backends sums, weights, merges and sorts every field. In
+# ./internal/obs/debugmux: the -debug-addr handler answers /debug/pprof/ and
+# GET /metrics.
 obs-smoke:
-	$(call smoke,TestMetricsEndpoint|TestDebugSlowEndpoint|TestRequestIDEchoedAndGenerated,./internal/service)
-	$(call smoke,TestProxyMetricsEndpoint|TestProxyDebugSlowAttributesBackend,./internal/cluster)
+	$(call smoke,TestMetricsEndpoint|TestDebugSlowEndpoint|TestRequestIDEchoedAndGenerated|TestMetricsGolden|TestStatsGolden,./internal/service)
+	$(call smoke,TestProxyMetricsEndpoint|TestProxyDebugSlowAttributesBackend|TestProxyMetricsGolden|TestProxyStatsMergesEveryField,./internal/cluster)
+	$(call smoke,TestHandlerServesPprofAndMetrics,./internal/obs/debugmux)
 
 # Record a BENCH_<date>.json with the benchmark set the baselines use.
 # Override the output or note: make bench BENCH_OUT=BENCH_x.json BENCH_NOTE="..."

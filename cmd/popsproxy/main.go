@@ -30,7 +30,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -38,21 +37,8 @@ import (
 	"time"
 
 	"pops/internal/cluster"
+	"pops/internal/obs/debugmux"
 )
-
-// debugHandler builds the optional -debug-addr surface: net/http/pprof under
-// /debug/pprof/ plus a mirror of /metrics, kept off the serving listener so
-// profiling traffic cannot contend with proxied traffic.
-func debugHandler(metrics http.Handler) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("GET /metrics", metrics)
-	return mux
-}
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -134,7 +120,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- net.
 		}
 		defer dln.Close()
 		fmt.Fprintf(stdout, "popsproxy: debug listener (pprof, /metrics) on %s\n", dln.Addr())
-		go func() { _ = http.Serve(dln, debugHandler(proxy.Metrics())) }()
+		go func() { _ = http.Serve(dln, debugmux.Handler(proxy.Metrics())) }()
 	}
 	fmt.Fprintf(stdout, "popsproxy: listening on %s, %d backend(s) on the ring (replicas=%d fail-after=%d retries=%d)\n",
 		ln.Addr(), len(urls), *replicas, *failAfter, *retries)

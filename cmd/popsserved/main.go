@@ -35,7 +35,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strconv"
@@ -44,23 +43,9 @@ import (
 	"time"
 
 	"pops"
+	"pops/internal/obs/debugmux"
 	"pops/internal/service"
 )
-
-// debugHandler builds the optional -debug-addr surface: net/http/pprof under
-// /debug/pprof/ plus a mirror of /metrics, kept off the serving listener so
-// profiling traffic cannot contend with routing traffic (and so operators
-// can firewall it separately).
-func debugHandler(metrics http.Handler) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("GET /metrics", metrics)
-	return mux
-}
 
 // parseTenantWeights decodes the -tenant-weights "name=weight,..." flag into
 // the service's TenantMix map. Empty input means no weighting (nil map).
@@ -175,7 +160,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- net.
 		}
 		defer dln.Close()
 		fmt.Fprintf(stdout, "popsserved: debug listener (pprof, /metrics) on %s\n", dln.Addr())
-		go func() { _ = http.Serve(dln, debugHandler(svc.Metrics())) }()
+		go func() { _ = http.Serve(dln, debugmux.Handler(svc.Metrics())) }()
 	}
 	fmt.Fprintf(stdout, "popsserved: listening on %s (batch=%d delay=%s cache=%d shards≤%d)\n",
 		ln.Addr(), *batch, *batchDelay, *cache, *maxShards)

@@ -196,10 +196,9 @@ type Proxy struct {
 
 	// tracer owns proxy-side request spans (forward and encode phases,
 	// backend attribution) and the /debug/slow ring; latency is the proxy's
-	// own end-to-end /route histogram; metrics the /metrics registry.
+	// own end-to-end /route histogram.
 	tracer  *obs.Tracer
 	latency obs.Histogram
-	metrics *obs.Registry
 }
 
 // Proxy answers for the fleet exactly as ServiceClient answers for one node.
@@ -233,8 +232,6 @@ func New(cfg Config) (*Proxy, error) {
 	}
 	p.ring = newRing(ids, cfg.Replicas)
 	p.tracer = obs.NewTracer(cfg.SlowRequests)
-	p.metrics = obs.NewRegistry()
-	p.metrics.Register(p.collectMetrics)
 	go p.healthLoop()
 	return p, nil
 }
@@ -242,10 +239,6 @@ func New(cfg Config) (*Proxy, error) {
 // Tracer exposes the proxy's tracer, so the binary can mirror /debug/slow on
 // a separate debug listener.
 func (p *Proxy) Tracer() *obs.Tracer { return p.tracer }
-
-// Metrics exposes the /metrics registry, so the binary can mirror it on a
-// separate debug listener.
-func (p *Proxy) Metrics() *obs.Registry { return p.metrics }
 
 // Close stops the health checker, stops admitting HTTP requests, and waits
 // for in-flight proxied requests and streams to finish — the drain half of
@@ -475,7 +468,8 @@ func (p *Proxy) Healthz(ctx context.Context) error {
 }
 
 // Backends snapshots the proxy-side view of every node: identity, health
-// verdict, and placement counters (no network round-trips).
+// verdict, placement counters, in-flight forwards and the breaker's state
+// and latency EWMA (no network round-trips).
 func (p *Proxy) Backends() []wire.BackendStats {
 	out := make([]wire.BackendStats, len(p.backends))
 	for i, b := range p.backends {
@@ -488,8 +482,11 @@ func (p *Proxy) Backends() []wire.BackendStats {
 			Errors:       b.errors.Load(),
 			Ejections:    b.ejections.Load(),
 			Sheds:        b.sheds.Load(),
+			Inflight:     b.inflight.Load(),
 			BreakerState: breakerStateName(b.brState.Load()),
 			BreakerOpens: b.brOpens.Load(),
+
+			LatencyEWMAMicros: float64(b.latencyEWMA()) / float64(time.Microsecond),
 		}
 	}
 	return out

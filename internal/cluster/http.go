@@ -45,7 +45,7 @@ func (p *Proxy) Handler() http.Handler {
 	mux.HandleFunc("POST /route/stream", p.handleRouteStream)
 	mux.HandleFunc("GET /slots", p.handleSlots)
 	mux.HandleFunc("GET /stats", p.handleStats)
-	mux.Handle("GET /metrics", p.metrics)
+	mux.Handle("GET /metrics", p.Metrics())
 	mux.HandleFunc("GET /debug/slow", p.handleSlow)
 	mux.HandleFunc("GET /healthz", p.handleHealthz)
 	return mux

@@ -2,105 +2,32 @@ package cluster
 
 import (
 	"pops/internal/obs"
+	"pops/internal/wire"
 )
 
-// collectMetrics renders the proxy's own counters in Prometheus text
-// exposition format: per-backend placement series labeled by backend
-// identity — so failovers and ejections are attributable to the node that
-// caused them — plus fleet-level aggregates and the proxy's end-to-end
-// /route latency histogram. It runs on every GET /metrics scrape against
-// the live counters; backend-reported metrics are not re-exported here
-// (scrape the backends, or read the fleet-merged GET /stats).
-func (p *Proxy) collectMetrics(mw *obs.MetricWriter) {
-	var healthy, requests, streams, failovers, errors, ejections, sheds, opens uint64
-	for _, b := range p.backends {
-		if b.healthy.Load() {
-			healthy++
-		}
-		requests += b.requests.Load()
-		streams += b.streams.Load()
-		failovers += b.failovers.Load()
-		errors += b.errors.Load()
-		ejections += b.ejections.Load()
-		sheds += b.sheds.Load()
-		opens += b.brOpens.Load()
-	}
+// proxyMetrics is the snapshot the proxy's GET /metrics renders: one row
+// per backend, labeled by ring identity so failovers and ejections are
+// attributable to the node that caused them, with the fleet-wide sums the
+// rows' total tags declare, plus the proxy's own end-to-end /route latency.
+// Backend-reported metrics are not re-exported here (scrape the backends,
+// or read the fleet-merged GET /stats).
+type proxyMetrics struct {
+	Backends         int `metric:"pops_fleet_backends,gauge" help:"Backends configured on the ring."`
+	Nodes            []wire.BackendStats
+	Latency          []wire.LatencyBucket `metric:"pops_proxy_request_latency_seconds,histogram" sum:"LatencySumMicros" help:"Proxy end-to-end /route latency (forward plus relay)."`
+	LatencySumMicros float64
+}
 
-	mw.Gauge("pops_fleet_backends", "Backends configured on the ring.")
-	mw.Value("", float64(len(p.backends)))
-	mw.Gauge("pops_fleet_healthy_backends", "Backends currently admitted to placement.")
-	mw.Value("", float64(healthy))
-	mw.Counter("pops_fleet_requests_total", "Requests the proxy placed, summed across backends.")
-	mw.Value("", float64(requests))
-	mw.Counter("pops_fleet_streams_total", "Slot streams the proxy placed, summed across backends.")
-	mw.Value("", float64(streams))
-	mw.Counter("pops_fleet_failovers_total", "Placements that left their ring owner for a successor.")
-	mw.Value("", float64(failovers))
-	mw.Counter("pops_fleet_errors_total", "Connection errors observed across backends.")
-	mw.Value("", float64(errors))
-	mw.Counter("pops_fleet_ejections_total", "Healthy-to-ejected backend transitions.")
-	mw.Value("", float64(ejections))
-	mw.Counter("pops_fleet_sheds_total", "Overload verdicts observed across backends (429s plus proxy-cap skips).")
-	mw.Value("", float64(sheds))
-	mw.Counter("pops_fleet_breaker_opens_total", "Circuit-breaker open transitions across backends.")
-	mw.Value("", float64(opens))
-
-	mw.Gauge("pops_proxy_backend_healthy", "Whether the backend is admitted to placement (1) or ejected (0).")
-	for _, b := range p.backends {
-		v := 0.0
-		if b.healthy.Load() {
-			v = 1
+// Metrics returns the GET /metrics handler: each scrape renders the live
+// per-backend counters (Backends) and the proxy's latency histogram. The
+// binary mirrors it on its debug listener.
+func (p *Proxy) Metrics() obs.Registry {
+	return func() any {
+		return proxyMetrics{
+			Backends:         len(p.backends),
+			Nodes:            p.Backends(),
+			Latency:          p.latency.Snapshot(),
+			LatencySumMicros: p.latency.SumMicros(),
 		}
-		mw.Value(obs.Labels("backend", b.id), v)
 	}
-	mw.Counter("pops_proxy_backend_requests_total", "Requests placed on the backend.")
-	for _, b := range p.backends {
-		mw.Value(obs.Labels("backend", b.id), float64(b.requests.Load()))
-	}
-	mw.Counter("pops_proxy_backend_streams_total", "Slot streams placed on the backend.")
-	for _, b := range p.backends {
-		mw.Value(obs.Labels("backend", b.id), float64(b.streams.Load()))
-	}
-	mw.Counter("pops_proxy_backend_failovers_total", "Requests that left the backend for the next ring owner.")
-	for _, b := range p.backends {
-		mw.Value(obs.Labels("backend", b.id), float64(b.failovers.Load()))
-	}
-	mw.Counter("pops_proxy_backend_errors_total", "Connection errors observed on the backend.")
-	for _, b := range p.backends {
-		mw.Value(obs.Labels("backend", b.id), float64(b.errors.Load()))
-	}
-	mw.Counter("pops_proxy_backend_ejections_total", "Healthy-to-ejected transitions of the backend.")
-	for _, b := range p.backends {
-		mw.Value(obs.Labels("backend", b.id), float64(b.ejections.Load()))
-	}
-	mw.Counter("pops_proxy_backend_sheds_total", "Overload verdicts observed on the backend (429s plus proxy-cap skips).")
-	for _, b := range p.backends {
-		mw.Value(obs.Labels("backend", b.id), float64(b.sheds.Load()))
-	}
-	mw.Gauge("pops_proxy_backend_inflight", "Proxied forwards currently in flight on the backend.")
-	for _, b := range p.backends {
-		mw.Value(obs.Labels("backend", b.id), float64(b.inflight.Load()))
-	}
-	mw.Gauge("pops_proxy_backend_breaker_state", "Circuit-breaker state: 0 closed, 1 half-open, 2 open.")
-	for _, b := range p.backends {
-		v := 0.0
-		switch b.brState.Load() {
-		case brHalfOpen:
-			v = 1
-		case brOpen:
-			v = 2
-		}
-		mw.Value(obs.Labels("backend", b.id), v)
-	}
-	mw.Counter("pops_proxy_backend_breaker_opens_total", "Circuit-breaker open transitions of the backend.")
-	for _, b := range p.backends {
-		mw.Value(obs.Labels("backend", b.id), float64(b.brOpens.Load()))
-	}
-	mw.Gauge("pops_proxy_backend_latency_ewma_seconds", "Forward-latency EWMA of the backend (alpha 0.2).")
-	for _, b := range p.backends {
-		mw.Value(obs.Labels("backend", b.id), b.latencyEWMA().Seconds())
-	}
-
-	mw.HistogramFamily("pops_proxy_request_latency_seconds", "Proxy end-to-end /route latency (forward plus relay).")
-	mw.Histogram("", p.latency.Snapshot(), p.latency.Sum())
 }

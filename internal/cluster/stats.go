@@ -2,16 +2,16 @@ package cluster
 
 import (
 	"context"
-	"sort"
 	"sync"
 
+	"pops/internal/obs"
 	"pops/internal/wire"
 )
 
 // Stats aggregates GET /stats across the fleet: every backend is snapshot
-// concurrently, counters are summed, the latency and time-to-first-slot
-// histograms are merged bucket-wise (all nodes share the power-of-two
-// bucket schema), shard entries are concatenated, and each node appears
+// concurrently and folded in by the merge rules the wire schema declares
+// (obs.Merge) — counters summed, histograms merged bucket-wise, plan-time
+// EWMAs count-weighted, shard entries concatenated — and each node appears
 // under Backends with the proxy's placement counters, its health verdict,
 // and its full self-reported snapshot (nil if it was unreachable). The
 // result is a wire.StatsResponse, so a ServiceClient pointed at the proxy
@@ -31,8 +31,7 @@ func (p *Proxy) Stats(ctx context.Context) (*wire.StatsResponse, error) {
 	wg.Wait()
 
 	agg := &wire.StatsResponse{Server: "popsproxy", Backends: p.Backends()}
-	for i := range p.backends {
-		s := snaps[i]
+	for i, s := range snaps {
 		if s == nil {
 			continue // unreachable: its Backends entry still records identity
 		}
@@ -41,148 +40,7 @@ func (p *Proxy) Stats(ctx context.Context) (*wire.StatsResponse, error) {
 		bs.CacheHits = s.CacheHits
 		bs.CacheMisses = s.CacheMisses
 		bs.Stats = s
-
-		agg.ShardCount += s.ShardCount
-		agg.MaxShards += s.MaxShards
-		agg.EvictedShards += s.EvictedShards
-		agg.Requests += s.Requests
-		agg.Streams += s.Streams
-		agg.StreamedSlots += s.StreamedSlots
-		agg.CacheHits += s.CacheHits
-		agg.CacheMisses += s.CacheMisses
-		agg.FaultPlans += s.FaultPlans
-		agg.Unroutable += s.Unroutable
-		agg.Sheds += s.Sheds
-		agg.DeadlineSheds += s.DeadlineSheds
-		agg.Tenants = mergeTenants(agg.Tenants, s.Tenants)
-		agg.WireCodecs = mergeWireCodecs(agg.WireCodecs, s.WireCodecs)
-		agg.Latency = mergeBuckets(agg.Latency, s.Latency)
-		agg.TimeToFirstSlot = mergeBuckets(agg.TimeToFirstSlot, s.TimeToFirstSlot)
-		agg.PlanTimes = mergePlanTimes(agg.PlanTimes, s.PlanTimes)
-		agg.Shards = append(agg.Shards, s.Shards...)
+		obs.Merge(agg, s)
 	}
-	sortPlanTimes(agg.PlanTimes)
-	sort.Slice(agg.Tenants, func(a, b int) bool { return agg.Tenants[a].Tenant < agg.Tenants[b].Tenant })
-	sort.Slice(agg.WireCodecs, func(a, b int) bool { return agg.WireCodecs[a].Codec < agg.WireCodecs[b].Codec })
 	return agg, nil
-}
-
-// mergeWireCodecs folds one node's per-codec wire ledger into the fleet
-// aggregate, keyed by codec name.
-func mergeWireCodecs(dst, src []wire.WireCodecStats) []wire.WireCodecStats {
-	for _, s := range src {
-		merged := false
-		for i := range dst {
-			if dst[i].Codec != s.Codec {
-				continue
-			}
-			dst[i].Requests += s.Requests
-			dst[i].Streams += s.Streams
-			dst[i].StreamedBytes += s.StreamedBytes
-			merged = true
-			break
-		}
-		if !merged {
-			dst = append(dst, s)
-		}
-	}
-	return dst
-}
-
-// mergeTenants folds one node's per-tenant fairness ledger into the fleet
-// aggregate, keyed by tenant name. Weights are configuration, identical
-// across a correctly-deployed fleet, so the first node to report one wins.
-func mergeTenants(dst, src []wire.TenantStats) []wire.TenantStats {
-	for _, s := range src {
-		merged := false
-		for i := range dst {
-			if dst[i].Tenant != s.Tenant {
-				continue
-			}
-			dst[i].Admitted += s.Admitted
-			dst[i].Shed += s.Shed
-			dst[i].DeadlineShed += s.DeadlineShed
-			if dst[i].Weight == 0 {
-				dst[i].Weight = s.Weight
-			}
-			merged = true
-			break
-		}
-		if !merged {
-			dst = append(dst, s)
-		}
-	}
-	return dst
-}
-
-// mergePlanTimes folds one node's per-(d, g, strategy) plan-time table into
-// the fleet aggregate: counts and sums add, histograms merge bucket-wise,
-// and the EWMA becomes the count-weighted mean of the nodes' EWMAs — not a
-// true fleet EWMA (observation order across nodes is gone), but an estimate
-// weighted toward the nodes doing the planning, which is what a cost model
-// reading the aggregate wants.
-func mergePlanTimes(dst, src []wire.PlanTimeStat) []wire.PlanTimeStat {
-	for _, s := range src {
-		merged := false
-		for i := range dst {
-			d := &dst[i]
-			if d.D != s.D || d.G != s.G || d.Strategy != s.Strategy {
-				continue
-			}
-			if d.Count+s.Count > 0 {
-				d.EWMAMicros = (d.EWMAMicros*float64(d.Count) + s.EWMAMicros*float64(s.Count)) / float64(d.Count+s.Count)
-			}
-			d.Count += s.Count
-			d.CacheHits += s.CacheHits
-			d.SumMicros += s.SumMicros
-			d.Buckets = mergeBuckets(d.Buckets, s.Buckets)
-			merged = true
-			break
-		}
-		if !merged {
-			cp := s
-			cp.Buckets = append([]wire.LatencyBucket(nil), s.Buckets...)
-			dst = append(dst, cp)
-		}
-	}
-	return dst
-}
-
-// sortPlanTimes restores the (d, g, strategy) order individual nodes emit,
-// so the fleet aggregate is stable regardless of which backends answered.
-func sortPlanTimes(pts []wire.PlanTimeStat) {
-	sort.Slice(pts, func(a, b int) bool {
-		if pts[a].D != pts[b].D {
-			return pts[a].D < pts[b].D
-		}
-		if pts[a].G != pts[b].G {
-			return pts[a].G < pts[b].G
-		}
-		return pts[a].Strategy < pts[b].Strategy
-	})
-}
-
-// mergeBuckets sums src into dst bucket-wise. Every node emits the same
-// power-of-two schema, so buckets align by index; a node speaking a
-// different schema (mid-upgrade) contributes its counts to the closest
-// bound instead of being dropped.
-func mergeBuckets(dst, src []wire.LatencyBucket) []wire.LatencyBucket {
-	if len(dst) == 0 {
-		return append(dst, src...)
-	}
-	for i, b := range src {
-		if i < len(dst) && dst[i].LEMicros == b.LEMicros {
-			dst[i].Count += b.Count
-			continue
-		}
-		j := len(dst) - 1 // the unbounded overflow bucket
-		for k, d := range dst {
-			if d.LEMicros >= b.LEMicros && b.LEMicros != 0 {
-				j = k
-				break
-			}
-		}
-		dst[j].Count += b.Count
-	}
-	return dst
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"pops/internal/obs"
 	"pops/internal/wire"
 )
 
@@ -17,6 +18,25 @@ func buckets(counts ...uint64) []wire.LatencyBucket {
 		out[i] = wire.LatencyBucket{LEMicros: le, Count: c}
 	}
 	return out
+}
+
+// mergeBuckets, mergePlanTimes and sortPlanTimes drive obs.Merge through
+// the wire schema's merge tags: the Latency field's bucket rule and the
+// PlanTimes field's keyed rule.
+func mergeBuckets(dst, src []wire.LatencyBucket) []wire.LatencyBucket {
+	agg := wire.StatsResponse{Latency: dst}
+	obs.Merge(&agg, &wire.StatsResponse{Latency: src})
+	return agg.Latency
+}
+
+func mergePlanTimes(dst, src []wire.PlanTimeStat) []wire.PlanTimeStat {
+	agg := wire.StatsResponse{PlanTimes: dst}
+	obs.Merge(&agg, &wire.StatsResponse{PlanTimes: src})
+	return agg.PlanTimes
+}
+
+func sortPlanTimes(pts []wire.PlanTimeStat) {
+	copy(pts, mergePlanTimes(nil, pts))
 }
 
 func counts(bs []wire.LatencyBucket) []uint64 {

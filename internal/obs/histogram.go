@@ -63,6 +63,10 @@ func (h *Histogram) Snapshot() []Bucket {
 // Sum returns the total observed time.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 
+// SumMicros returns the total observed time in microseconds, the unit the
+// /stats snapshots carry histogram sums in.
+func (h *Histogram) SumMicros() float64 { return float64(h.Sum()) / float64(time.Microsecond) }
+
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 {
 	var n uint64

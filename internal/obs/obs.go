@@ -1,9 +1,10 @@
 // Package obs is the observability substrate of the serving stack: a
 // zero-alloc-on-hot-path phase tracer, request-ID generation, a lock-free
 // slowest-requests ring buffer, per-(d, g, strategy) plan-time statistics,
-// and Prometheus text exposition — the measurement layer behind popsserved's
-// and popsproxy's GET /metrics, GET /debug/slow, and the plan-time EWMAs in
-// GET /stats that the learned Auto cost model consumes.
+// and the tag-declared metric schema (WriteMetrics renders a snapshot as
+// Prometheus text, Merge folds snapshots into a fleet aggregate) — the
+// measurement layer behind popsserved's and popsproxy's GET /metrics,
+// GET /debug/slow, and GET /stats.
 //
 // The unit of tracing is the Span: one request's identity (request ID,
 // shape, strategy, workload) plus a fixed-size table of per-phase durations.

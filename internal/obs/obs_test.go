@@ -402,21 +402,39 @@ func parsePromText(t *testing.T, text string) map[string]float64 {
 	return samples
 }
 
-func TestMetricWriterExposition(t *testing.T) {
-	var sb strings.Builder
-	mw := NewMetricWriter(&sb)
-	mw.Counter("pops_requests_total", "Total requests.")
-	mw.Value("", 42)
-	mw.Gauge("pops_shards", "Live shards.")
-	mw.Value(Labels("d", "4", "g", "8"), 3)
+// expositionSnapshot declares the families TestMetricWriterExposition
+// renders: an unlabeled counter, a table of labeled gauges, and a labeled
+// histogram row.
+type expositionSnapshot struct {
+	Requests uint64 `metric:"pops_requests_total,counter" help:"Total requests."`
+	Shards   []expositionShard
+	Latency  []expositionLatency
+}
 
+type expositionShard struct {
+	D      int `label:"d"`
+	G      int `label:"g"`
+	Shards int `metric:"pops_shards,gauge" help:"Live shards."`
+}
+
+type expositionLatency struct {
+	Strategy  string   `label:"strategy"`
+	Buckets   []Bucket `metric:"pops_latency_seconds,histogram" sum:"SumMicros" help:"Request latency."`
+	SumMicros float64
+}
+
+func TestMetricWriterExposition(t *testing.T) {
 	var h Histogram
 	h.Observe(time.Microsecond)
 	h.Observe(3 * time.Microsecond)
 	h.Observe(time.Hour)
-	mw.HistogramFamily("pops_latency_seconds", "Request latency.")
-	mw.Histogram(Labels("strategy", "pops"), h.Snapshot(), h.Sum())
-	if err := mw.Err(); err != nil {
+	snap := expositionSnapshot{
+		Requests: 42,
+		Shards:   []expositionShard{{D: 4, G: 8, Shards: 3}},
+		Latency:  []expositionLatency{{Strategy: "pops", Buckets: h.Snapshot(), SumMicros: h.SumMicros()}},
+	}
+	var sb strings.Builder
+	if err := WriteMetrics(&sb, &snap); err != nil {
 		t.Fatalf("writer error: %v", err)
 	}
 
@@ -461,18 +479,18 @@ func TestMetricWriterExposition(t *testing.T) {
 }
 
 func TestLabelsEscaping(t *testing.T) {
-	got := Labels("backend", `http://x:1/"quoted"\path`+"\n")
+	got := labelList("backend", `http://x:1/"quoted"\path`+"\n")
 	want := `backend="http://x:1/\"quoted\"\\path\n"`
 	if got != want {
-		t.Errorf("Labels = %s, want %s", got, want)
+		t.Errorf("labelList = %s, want %s", got, want)
 	}
 }
 
 func TestRegistryServeHTTP(t *testing.T) {
-	reg := NewRegistry()
-	reg.Register(func(mw *MetricWriter) {
-		mw.Counter("pops_test_total", "A test counter.")
-		mw.Value("", 1)
+	reg := Registry(func() any {
+		return struct {
+			N uint64 `metric:"pops_test_total,counter" help:"A test counter."`
+		}{1}
 	})
 	rec := httptest.NewRecorder()
 	reg.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))

@@ -10,7 +10,8 @@ import (
 
 // ewmaAlpha is the smoothing factor of the plan-time EWMA. 0.2 converges on
 // a level shift in ~10 observations while riding out single-plan jitter —
-// responsive enough for the online Auto cost model to track hardware drift.
+// responsive enough for the service's Retry-After hint, which scales the
+// EWMA by the queued batches, to follow a shape's current cost.
 const ewmaAlpha = 0.2
 
 type planKey struct {
@@ -25,9 +26,10 @@ type planStat struct {
 	hist  Histogram
 }
 
-// PlanTimes is the per-(d, g, strategy) table of measured planning time —
-// the data source the learned Auto cost model consumes (see ROADMAP). Each
-// key keeps an EWMA, a power-of-two histogram, and a cache-hit counter.
+// PlanTimes is the per-(d, g, strategy) table of measured planning time,
+// exported on /stats and /metrics; the service's Retry-After hint reads its
+// EWMA. Each key keeps an EWMA, a power-of-two histogram, and a cache-hit
+// counter.
 // Observe takes only an RLock and allocates nothing once a key exists; new
 // keys appear at most once per (shape, strategy) pair for the process
 // lifetime.
@@ -43,7 +45,7 @@ func NewPlanTimes() *PlanTimes {
 
 // Observe records one planning outcome for (d, g, strategy). Cache hits only
 // bump the hit counter — the EWMA and histogram measure actual planning
-// work, which is what a cost model must predict.
+// work, which is what a queued request waits for.
 func (pt *PlanTimes) Observe(d, g int, strategy string, cached bool, dur time.Duration) {
 	if pt == nil {
 		return
@@ -102,20 +104,21 @@ func (pt *PlanTimes) EWMA(d, g int, strategy string) time.Duration {
 }
 
 // PlanTimeStat is one key's snapshot, exposed in /stats (wire.PlanTimeStat
-// aliases this type) and rendered as labeled series on /metrics.
+// aliases this type) and rendered as labeled series on /metrics. Its tags
+// declare those series and the fleet merge (see WriteMetrics and Merge).
 type PlanTimeStat struct {
-	D        int    `json:"d"`
-	G        int    `json:"g"`
-	Strategy string `json:"strategy"`
+	D        int    `json:"d" label:"d"`
+	G        int    `json:"g" label:"g"`
+	Strategy string `json:"strategy" label:"strategy"`
 	// Count is the number of plans actually computed; CacheHits the number
 	// answered from the fingerprint plan cache instead.
-	Count     uint64 `json:"count"`
-	CacheHits uint64 `json:"cache_hits,omitempty"`
+	Count     uint64 `json:"count" merge:"sum"`
+	CacheHits uint64 `json:"cache_hits,omitempty" merge:"sum" metric:"pops_plan_cache_hits_total,counter" help:"Plan-cache hits by shape and strategy."`
 	// EWMAMicros is the smoothed plan time in microseconds; SumMicros the
 	// total plan time across Count plans (the histogram's _sum on /metrics).
-	EWMAMicros float64  `json:"ewma_us"`
-	SumMicros  float64  `json:"sum_us,omitempty"`
-	Buckets    []Bucket `json:"buckets"`
+	EWMAMicros float64  `json:"ewma_us" merge:"ewma=Count" metric:"pops_plan_time_ewma_seconds,gauge" unit:"us" help:"EWMA of planning time by shape and strategy (alpha 0.2)."`
+	SumMicros  float64  `json:"sum_us,omitempty" merge:"sum"`
+	Buckets    []Bucket `json:"buckets" merge:"buckets" metric:"pops_plan_time_seconds,histogram" sum:"SumMicros" help:"Planning time by shape and strategy (cache hits excluded)."`
 }
 
 // Snapshot renders every key, sorted by (d, g, strategy) for stable output.
@@ -157,7 +160,7 @@ func (pt *PlanTimes) Snapshot() []PlanTimeStat {
 			Count:      st.count.Load(),
 			CacheHits:  st.hits.Load(),
 			EWMAMicros: ewmaUS,
-			SumMicros:  float64(st.hist.Sum()) / float64(time.Microsecond),
+			SumMicros:  st.hist.SumMicros(),
 			Buckets:    st.hist.Snapshot(),
 		})
 	}

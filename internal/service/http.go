@@ -47,7 +47,7 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("POST /route/stream", s.handleRouteStream)
 	mux.HandleFunc("GET /slots", s.handleSlots)
 	mux.HandleFunc("GET /stats", s.handleStats)
-	mux.Handle("GET /metrics", s.metrics)
+	mux.Handle("GET /metrics", s.Metrics())
 	mux.HandleFunc("GET /debug/slow", s.handleSlow)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return mux

@@ -159,11 +159,11 @@ type Service struct {
 	// /stats totals survive shard churn.
 	retiredHits   atomic.Uint64
 	retiredMisses atomic.Uint64
-	// sheds counts overload rejections (429); deadlineSheds the queued
-	// entries dropped because their propagated deadline expired before a
-	// planner worker touched them. retiredSheds/retiredDeadlineSheds
-	// preserve evicted shards' counts, mirroring the cache counters.
-	sheds                atomic.Uint64
+	// deadlineSheds counts the queued entries dropped because their
+	// propagated deadline expired before a planner worker touched them.
+	// Overload rejections (429) are counted per shard; retiredSheds and
+	// retiredDeadlineSheds preserve evicted shards' counts, mirroring the
+	// cache counters.
 	deadlineSheds        atomic.Uint64
 	retiredSheds         atomic.Uint64
 	retiredDeadlineSheds atomic.Uint64
@@ -189,10 +189,8 @@ type Service struct {
 	streamsWG     sync.WaitGroup
 
 	// tracer owns request spans, the slowest-requests ring (/debug/slow)
-	// and the per-(d, g, strategy) plan-time table; metrics is the /metrics
-	// registry.
-	tracer  *obs.Tracer
-	metrics *obs.Registry
+	// and the per-(d, g, strategy) plan-time table.
+	tracer *obs.Tracer
 }
 
 // wireCodecCounters is one response codec's live wire-path ledger.
@@ -246,8 +244,6 @@ func New(cfg Config) *Service {
 		tenants: make(map[string]*tenantCounters),
 		tracer:  obs.NewTracer(cfg.SlowRequests),
 	}
-	s.metrics = obs.NewRegistry()
-	s.metrics.Register(s.collectMetrics)
 	return s
 }
 
@@ -255,9 +251,10 @@ func New(cfg Config) *Service {
 // /debug/slow on a separate debug listener.
 func (s *Service) Tracer() *obs.Tracer { return s.tracer }
 
-// Metrics exposes the /metrics registry, so the binary can mirror it on a
-// separate debug listener.
-func (s *Service) Metrics() *obs.Registry { return s.metrics }
+// Metrics returns the GET /metrics handler: each scrape renders Stats()
+// through the metric tags of the wire schema. The binary mirrors it on its
+// debug listener.
+func (s *Service) Metrics() obs.Registry { return func() any { return s.Stats() } }
 
 // observeLatency records one request into the latency histogram — unless
 // ctx carries a trace span, in which case the HTTP layer observes the span's
@@ -485,11 +482,14 @@ func (s *Service) Stats() wire.StatsResponse {
 		CacheMisses:     s.retiredMisses.Load(),
 		FaultPlans:      s.faultPlans.Load(),
 		Unroutable:      s.unroutable.Load(),
-		Sheds:           s.sheds.Load() + s.retiredSheds.Load(),
+		Sheds:           s.retiredSheds.Load(),
 		DeadlineSheds:   s.deadlineSheds.Load() + s.retiredDeadlineSheds.Load(),
 		Latency:         s.latency.Snapshot(),
 		TimeToFirstSlot: s.ttfs.Snapshot(),
 		PlanTimes:       s.tracer.Plan.Snapshot(),
+
+		LatencySumMicros:         s.latency.SumMicros(),
+		TimeToFirstSlotSumMicros: s.ttfs.SumMicros(),
 	}
 	for _, sh := range shards {
 		st := sh.stats()

@@ -210,8 +210,8 @@ type StreamMeta struct {
 // StreamSlot is one streamed fragment of the schedule: the sends and recvs
 // that one relay color class contributes to slot Slot, starting Offset
 // entries into the slot. Fragments of one slot tile it exactly; Final
-// marks its last fragment. Color is -1 for whole-slot fragments (cache
-// hits and non-relay strategies). Fragments of different slots may
+// marks its last fragment. Color is -1 for whole-slot fragments (cache-hit
+// replays and the single slot of a d = 1 plan). Fragments of different slots may
 // interleave, and fragments within a slot may arrive out of Offset order;
 // reassemble by (Slot, Offset) to recover the batch-identical schedule.
 type StreamSlot struct {
@@ -242,15 +242,15 @@ type CacheStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
+	Entries   int    `json:"entries" metric:"pops_shard_cache_entries,gauge" help:"Fingerprint plan-cache entries per live shard."`
 	Capacity  int    `json:"capacity"`
 }
 
 // ShardStats describes one live planner shard.
 type ShardStats struct {
-	D        int    `json:"d"`
-	G        int    `json:"g"`
-	Requests uint64 `json:"requests"`
+	D        int    `json:"d" label:"d"`
+	G        int    `json:"g" label:"g"`
+	Requests uint64 `json:"requests" metric:"pops_shard_requests_total,counter" help:"Requests admitted per live shard."`
 	// Streams counts /route/stream requests admitted by this shard. They
 	// bypass the micro-batching queue: each stream owns a worker planner
 	// and delivers slot fragments while the queue keeps admitting.
@@ -263,12 +263,12 @@ type ShardStats struct {
 	MaxBatch        uint64 `json:"max_batch"`
 	// QueueLen/QueueCap snapshot the bounded admission queue: entries
 	// waiting for a micro-batch flush against the configured depth.
-	QueueLen int `json:"queue_len,omitempty"`
+	QueueLen int `json:"queue_len,omitempty" metric:"pops_shard_queue_len,gauge" help:"Admission-queue occupancy per live shard."`
 	QueueCap int `json:"queue_cap,omitempty"`
 	// Sheds counts admissions this shard rejected with an overload verdict
 	// (queue full, tenant quota, stream cap); DeadlineSheds the queued
 	// entries dropped at flush because their deadline had already passed.
-	Sheds         uint64 `json:"sheds,omitempty"`
+	Sheds         uint64 `json:"sheds,omitempty" metric:"pops_shard_sheds_total,counter" help:"Overload rejections per live shard."`
 	DeadlineSheds uint64 `json:"deadline_sheds,omitempty"`
 	// ActiveStreams is the number of open slot streams held against the
 	// shard's concurrent-stream cap.
@@ -280,17 +280,20 @@ type ShardStats struct {
 // weight and how many of its requests were admitted or shed.
 type TenantStats struct {
 	// Tenant is the tenant name; "" reports the default (untagged) tenant.
-	Tenant string `json:"tenant"`
+	// On /metrics it scrapes as tenant="default".
+	Tenant string `json:"tenant" label:"tenant,empty=default"`
 	// Weight is the tenant's configured admission weight (1 when unset).
-	Weight float64 `json:"weight,omitempty"`
+	// Weights are configuration, identical across a correctly deployed
+	// fleet, so the fleet merge keeps the first node's.
+	Weight float64 `json:"weight,omitempty" merge:"first" metric:"pops_tenant_weight,gauge" help:"Configured admission weight per tenant."`
 	// Admitted counts requests accepted into a shard queue, stream slot, or
 	// direct-execution slot under this tenant.
-	Admitted uint64 `json:"admitted"`
+	Admitted uint64 `json:"admitted" merge:"sum" metric:"pops_tenant_admitted_total,counter" help:"Requests admitted per tenant (TenantMix fairness ledger)."`
 	// Shed counts requests rejected with an overload verdict (429).
-	Shed uint64 `json:"shed"`
+	Shed uint64 `json:"shed" merge:"sum" metric:"pops_tenant_shed_total,counter" help:"Requests shed per tenant with an overload verdict."`
 	// DeadlineShed counts queued requests dropped because their propagated
 	// deadline expired before a planner worker picked them up.
-	DeadlineShed uint64 `json:"deadline_shed,omitempty"`
+	DeadlineShed uint64 `json:"deadline_shed,omitempty" merge:"sum" metric:"pops_tenant_deadline_shed_total,counter" help:"Queued requests dropped per tenant on an expired deadline."`
 }
 
 // Codec names used in WireCodecStats.Codec and the wire_codec metric label.
@@ -306,10 +309,10 @@ const (
 // JSON), "ndjson" (NDJSON stream records, the default/debug surface), and
 // "binary" (the length-prefixed application/x-pops-bin framing).
 type WireCodecStats struct {
-	Codec         string `json:"codec"`
-	Requests      uint64 `json:"requests,omitempty"`
-	Streams       uint64 `json:"streams,omitempty"`
-	StreamedBytes uint64 `json:"streamed_bytes,omitempty"`
+	Codec         string `json:"codec" label:"wire_codec"`
+	Requests      uint64 `json:"requests,omitempty" merge:"sum" metric:"pops_wire_requests_total,counter" help:"Unary /route responses by negotiated wire codec."`
+	Streams       uint64 `json:"streams,omitempty" merge:"sum" metric:"pops_wire_streams_total,counter" help:"/route/stream responses by negotiated wire codec."`
+	StreamedBytes uint64 `json:"streamed_bytes,omitempty" merge:"sum" metric:"pops_wire_streamed_bytes_total,counter" help:"Bytes flushed over /route/stream by negotiated wire codec."`
 }
 
 // LatencyBucket is one bucket of the request-latency histogram: Count
@@ -348,77 +351,89 @@ type StatsResponse struct {
 	// Server identifies the answering node (its -name flag or listen
 	// address); a proxy reports "popsproxy".
 	Server        string `json:"server,omitempty"`
-	ShardCount    int    `json:"shard_count"`
-	MaxShards     int    `json:"max_shards"`
-	EvictedShards uint64 `json:"evicted_shards"`
-	Requests      uint64 `json:"requests"`
-	Streams       uint64 `json:"streams"`
-	StreamedSlots uint64 `json:"streamed_slots"`
-	CacheHits     uint64 `json:"cache_hits"`
-	CacheMisses   uint64 `json:"cache_misses"`
+	ShardCount    int    `json:"shard_count" merge:"sum" metric:"pops_shards,gauge" help:"Live planner shards (distinct POPS shapes)."`
+	MaxShards     int    `json:"max_shards" merge:"sum"`
+	EvictedShards uint64 `json:"evicted_shards" merge:"sum" metric:"pops_evicted_shards_total,counter" help:"Planner shards evicted by the shard LRU."`
+	Requests      uint64 `json:"requests" merge:"sum" metric:"pops_requests_total,counter" help:"Routing requests admitted (batch entries counted individually)."`
+	Streams       uint64 `json:"streams" merge:"sum" metric:"pops_streams_total,counter" help:"Streaming plan requests admitted."`
+	StreamedSlots uint64 `json:"streamed_slots" merge:"sum" metric:"pops_streamed_slots_total,counter" help:"Slot records flushed over /route/stream."`
+	CacheHits     uint64 `json:"cache_hits" merge:"sum" metric:"pops_cache_hits_total,counter" help:"Fingerprint plan-cache hits, including evicted shards."`
+	CacheMisses   uint64 `json:"cache_misses" merge:"sum" metric:"pops_cache_misses_total,counter" help:"Fingerprint plan-cache misses, including evicted shards."`
 	// FaultPlans counts faulty-permutation workloads served; Unroutable
 	// counts the subset rejected with a typed unroutable verdict.
-	FaultPlans uint64 `json:"fault_plans,omitempty"`
-	Unroutable uint64 `json:"unroutable,omitempty"`
+	FaultPlans uint64 `json:"fault_plans,omitempty" merge:"sum" metric:"pops_fault_plans_total,counter" help:"Faulty-permutation workloads served."`
+	Unroutable uint64 `json:"unroutable,omitempty" merge:"sum" metric:"pops_unroutable_total,counter" help:"Fault workloads rejected as unroutable."`
 	// Sheds counts requests rejected with an overload verdict (429);
 	// DeadlineSheds the queued entries dropped because their propagated
 	// deadline expired before planning started. Both are included in
 	// neither Requests' successes nor the latency histogram.
-	Sheds         uint64 `json:"sheds,omitempty"`
-	DeadlineSheds uint64 `json:"deadline_sheds,omitempty"`
+	Sheds         uint64 `json:"sheds,omitempty" merge:"sum" metric:"pops_sheds_total,counter" help:"Requests shed with an overload verdict (HTTP 429)."`
+	DeadlineSheds uint64 `json:"deadline_sheds,omitempty" merge:"sum" metric:"pops_deadline_sheds_total,counter" help:"Queued requests dropped because their propagated deadline expired."`
 	// Tenants is the per-tenant fairness ledger, sorted by tenant name.
-	Tenants []TenantStats `json:"tenants,omitempty"`
+	Tenants []TenantStats `json:"tenants,omitempty" merge:"keyed"`
 	// WireCodecs breaks the wire path down by negotiated response codec
-	// ("json", "ndjson", "binary"), sorted by codec name. A proxy answers
-	// with the fleet merge (counters summed by codec).
-	WireCodecs []WireCodecStats `json:"wire_codecs,omitempty"`
-	Latency    []LatencyBucket  `json:"latency"`
+	// ("json", "ndjson", "binary"); a single node lists them in that order,
+	// a proxy's fleet merge sorts them by codec name.
+	WireCodecs []WireCodecStats `json:"wire_codecs,omitempty" merge:"keyed"`
+	// Latency is the request-latency histogram; LatencySumMicros the total
+	// latency it observed.
+	Latency          []LatencyBucket `json:"latency" merge:"buckets" metric:"pops_request_latency_seconds,histogram" sum:"LatencySumMicros" help:"End-to-end request latency (traced requests observe their span total)."`
+	LatencySumMicros float64         `json:"latency_sum_us,omitempty" merge:"sum"`
 	// TimeToFirstSlot is the streaming analogue of Latency: time from
 	// stream admission until the first slot fragment was ready to flush.
-	// It is the measured signal for the per-shape cost model (see ROADMAP).
-	TimeToFirstSlot []LatencyBucket `json:"time_to_first_slot"`
+	TimeToFirstSlot          []LatencyBucket `json:"time_to_first_slot" merge:"buckets" metric:"pops_time_to_first_slot_seconds,histogram" sum:"TimeToFirstSlotSumMicros" help:"Admission to first streamed slot record."`
+	TimeToFirstSlotSumMicros float64         `json:"time_to_first_slot_sum_us,omitempty" merge:"sum"`
 	// PlanTimes is the per-(d, g, strategy) measured plan-time table: EWMAs
-	// and histograms of actual planning work (cache hits counted separately).
-	// This is the data source for the learned Auto cost model. A proxy
-	// answers with the fleet merge: counts summed, EWMAs count-weighted,
-	// buckets merged bucket-wise.
-	PlanTimes []PlanTimeStat `json:"plan_times,omitempty"`
-	Shards    []ShardStats   `json:"shards"`
+	// and histograms of actual planning work (cache hits counted
+	// separately), sorted by key. The service itself reads the live EWMA
+	// for its Retry-After hint on overload verdicts. A proxy answers with
+	// the fleet merge: counts summed, EWMAs count-weighted, buckets merged
+	// bucket-wise.
+	PlanTimes []PlanTimeStat `json:"plan_times,omitempty" merge:"keyed"`
+	Shards    []ShardStats   `json:"shards" merge:"concat"`
 	// Backends is the per-node breakdown of a fleet aggregate: one entry
-	// per configured backend, present only when a proxy answered.
-	Backends []BackendStats `json:"backends,omitempty"`
+	// per configured backend, present only when a proxy answered. The
+	// proxy's /metrics renders these rows itself.
+	Backends []BackendStats `json:"backends,omitempty" metric:"-"`
 }
 
 // BackendStats describes one popsserved node behind a popsproxy front door:
 // the proxy's own per-backend counters plus the node's self-reported /stats
-// snapshot (nil when the node was unreachable at snapshot time).
+// snapshot (nil when the node was unreachable at snapshot time). The
+// proxy's /metrics renders one row per backend, and the total tags declare
+// the fleet-wide sums over those rows.
 type BackendStats struct {
 	// ID is the backend's base URL on the proxy's ring.
-	ID string `json:"id"`
+	ID string `json:"id" label:"backend"`
 	// Server echoes the node's self-reported identity (StatsResponse.Server).
 	Server string `json:"server,omitempty"`
 	// Healthy reports the proxy's current health verdict for the node.
-	Healthy bool `json:"healthy"`
+	Healthy bool `json:"healthy" metric:"pops_proxy_backend_healthy,gauge" help:"Whether the backend is admitted to placement (1) or ejected (0)." total:"pops_fleet_healthy_backends" totalhelp:"Backends currently admitted to placement."`
 	// Requests and Streams count what the proxy placed on this node.
-	Requests uint64 `json:"requests"`
-	Streams  uint64 `json:"streams"`
+	Requests uint64 `json:"requests" metric:"pops_proxy_backend_requests_total,counter" help:"Requests placed on the backend." total:"pops_fleet_requests_total" totalhelp:"Requests the proxy placed, summed across backends."`
+	Streams  uint64 `json:"streams" metric:"pops_proxy_backend_streams_total,counter" help:"Slot streams placed on the backend." total:"pops_fleet_streams_total" totalhelp:"Slot streams the proxy placed, summed across backends."`
 	// Failovers counts requests that left this node for the next ring owner
 	// after a connection error; Errors counts connection errors observed.
-	Failovers uint64 `json:"failovers"`
-	Errors    uint64 `json:"errors"`
+	Failovers uint64 `json:"failovers" metric:"pops_proxy_backend_failovers_total,counter" help:"Requests that left the backend for the next ring owner." total:"pops_fleet_failovers_total" totalhelp:"Placements that left their ring owner for a successor."`
+	Errors    uint64 `json:"errors" metric:"pops_proxy_backend_errors_total,counter" help:"Connection errors observed on the backend." total:"pops_fleet_errors_total" totalhelp:"Connection errors observed across backends."`
 	// Ejections counts healthy→unhealthy transitions: how often the proxy
 	// ejected this node from the ring (health-probe failures or consecutive
 	// request errors crossing the threshold).
-	Ejections uint64 `json:"ejections,omitempty"`
+	Ejections uint64 `json:"ejections,omitempty" metric:"pops_proxy_backend_ejections_total,counter" help:"Healthy-to-ejected transitions of the backend." total:"pops_fleet_ejections_total" totalhelp:"Healthy-to-ejected backend transitions."`
 	// Sheds counts overload verdicts (429) the proxy observed from this
 	// node or imposed on its behalf (the per-backend concurrency limit).
-	Sheds uint64 `json:"sheds,omitempty"`
+	Sheds uint64 `json:"sheds,omitempty" metric:"pops_proxy_backend_sheds_total,counter" help:"Overload verdicts observed on the backend (429s plus proxy-cap skips)." total:"pops_fleet_sheds_total" totalhelp:"Overload verdicts observed across backends (429s plus proxy-cap skips)."`
+	// Inflight is the number of proxied forwards currently on the node.
+	Inflight int64 `json:"inflight,omitempty" metric:"pops_proxy_backend_inflight,gauge" help:"Proxied forwards currently in flight on the backend."`
 	// BreakerState is the proxy's circuit-breaker verdict for the node:
 	// "closed" (serving), "open" (tripped, excluded from placement until
 	// the cooldown), or "half-open" (probing with one trial request).
-	BreakerState string `json:"breaker_state,omitempty"`
+	BreakerState string `json:"breaker_state,omitempty" metric:"pops_proxy_backend_breaker_state,gauge" enum:"closed|half-open|open" help:"Circuit-breaker state: 0 closed, 1 half-open, 2 open."`
 	// BreakerOpens counts closed→open breaker transitions.
-	BreakerOpens uint64 `json:"breaker_opens,omitempty"`
+	BreakerOpens uint64 `json:"breaker_opens,omitempty" metric:"pops_proxy_backend_breaker_opens_total,counter" help:"Circuit-breaker open transitions of the backend." total:"pops_fleet_breaker_opens_total" totalhelp:"Circuit-breaker open transitions across backends."`
+	// LatencyEWMAMicros is the proxy's forward-latency EWMA for the node,
+	// the input of the breaker's latency trip.
+	LatencyEWMAMicros float64 `json:"latency_ewma_us,omitempty" metric:"pops_proxy_backend_latency_ewma_seconds,gauge" unit:"us" help:"Forward-latency EWMA of the backend (alpha 0.2)."`
 	// CacheHits/CacheMisses echo the node's own totals, so per-node cache
 	// affinity is visible without fetching every node's /stats.
 	CacheHits   uint64 `json:"cache_hits"`
