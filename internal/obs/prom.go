@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // PromContentType is the Prometheus text exposition content type both
@@ -102,8 +101,8 @@ func (mw *metricWriter) family(f reflect.StructField, i int, name, kind string, 
 	for r, row := range rows {
 		v := row.Field(i)
 		if kind == "histogram" {
-			sum := row.FieldByName(f.Tag.Get("sum")).Float()
-			mw.histogram(labels[r], v.Interface().([]Bucket), time.Duration(sum*float64(time.Microsecond)))
+			sum := row.FieldByName(f.Tag.Get("sum")).Float() / 1e6
+			mw.histogram(labels[r], v.Interface().([]Bucket), sum)
 			continue
 		}
 		x := number(v, f.Tag)
@@ -134,8 +133,8 @@ func (mw *metricWriter) value(labels string, v float64) {
 // histogram emits one histogram sample of the open family from a bucket
 // snapshot: cumulative `_bucket` series with `le` in seconds (the power-of-
 // two microsecond bounds converted, the unbounded bucket as +Inf), then
-// `_sum` and `_count`.
-func (mw *metricWriter) histogram(labels string, buckets []Bucket, sum time.Duration) {
+// `_sum` (seconds) and `_count`.
+func (mw *metricWriter) histogram(labels string, buckets []Bucket, sum float64) {
 	var cum uint64
 	sep := ""
 	if labels != "" {
@@ -150,10 +149,10 @@ func (mw *metricWriter) histogram(labels string, buckets []Bucket, sum time.Dura
 		mw.printf("%s_bucket{%s%sle=\"%s\"} %d\n", mw.name, labels, sep, le, cum)
 	}
 	if labels == "" {
-		mw.printf("%s_sum %s\n%s_count %d\n", mw.name, formatFloat(sum.Seconds()), mw.name, cum)
+		mw.printf("%s_sum %s\n%s_count %d\n", mw.name, formatFloat(sum), mw.name, cum)
 		return
 	}
-	mw.printf("%s_sum{%s} %s\n%s_count{%s} %d\n", mw.name, labels, formatFloat(sum.Seconds()), mw.name, labels, cum)
+	mw.printf("%s_sum{%s} %s\n%s_count{%s} %d\n", mw.name, labels, formatFloat(sum), mw.name, labels, cum)
 }
 
 // number reads a numeric, bool or enum field as a sample value.
