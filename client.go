@@ -420,6 +420,73 @@ func workloadRouteRequest(d, g int, w Workload) (*ServiceRouteRequest, error) {
 	}
 }
 
+// ErrBatchRequest is WorkloadFromRequest's answer to a well-formed batch
+// request: its Pis are several permutation workloads, not one, so the caller
+// plans them itself (ServiceClient.RouteBatch is the encoding side).
+var ErrBatchRequest = errors.New("pops: a batch request (pis) carries several permutations, not one workload")
+
+// WorkloadFromRequest decodes the tagged wire schema back into its Workload,
+// the exact inverse of the encoding ServiceClient sends: the routing service
+// plans what it returns, and the cluster proxy places by its
+// WorkloadFingerprint. A payload that does not fit the request's kind is an
+// error, never silently dropped; a batch of permutations answers
+// ErrBatchRequest. The shape, the strategy and the payload's values are not
+// checked here — planning validates those.
+func WorkloadFromRequest(req *ServiceRouteRequest) (Workload, error) {
+	// A fault set on any other kind would be silently ignored — reject it so
+	// the caller never believes a plan routed around faults it never saw.
+	if req.Faults != nil && req.Workload != WorkloadFaultyPermutation {
+		return nil, errors.New("pops: faults apply to the faulty-permutation workload only")
+	}
+	switch req.Workload {
+	case "", WorkloadPermutation:
+		if (len(req.Pi) > 0) == (len(req.Pis) > 0) {
+			return nil, errors.New("pops: exactly one of pi and pis must be set")
+		}
+		if len(req.Pis) > 0 {
+			return nil, ErrBatchRequest
+		}
+		return Permutation(req.Pi), nil
+	case WorkloadHRelation:
+		if len(req.Pi) > 0 || len(req.Pis) > 0 {
+			return nil, errors.New("pops: hrelation workload takes requests, not pi/pis")
+		}
+		reqs := make([]Request, len(req.Requests))
+		for i, r := range req.Requests {
+			reqs[i] = Request{Src: r.Src, Dst: r.Dst}
+		}
+		return HRelation(reqs), nil
+	case WorkloadAllToAll:
+		if len(req.Pi) > 0 || len(req.Pis) > 0 || len(req.Requests) > 0 {
+			return nil, errors.New("pops: all-to-all workload takes no payload")
+		}
+		return AllToAll(), nil
+	case WorkloadOneToAll:
+		if len(req.Pi) > 0 || len(req.Pis) > 0 || len(req.Requests) > 0 {
+			return nil, errors.New("pops: one-to-all workload takes a speaker, not pi/requests")
+		}
+		return OneToAll(req.Speaker), nil
+	case WorkloadFaultyPermutation:
+		if len(req.Pis) > 0 || len(req.Requests) > 0 {
+			return nil, errors.New("pops: faulty-permutation workload takes pi and faults, not pis/requests")
+		}
+		if len(req.Pi) == 0 {
+			return nil, errors.New("pops: faulty-permutation workload takes a permutation (pi)")
+		}
+		var fs FaultSet
+		if req.Faults != nil {
+			fs.Couplers = make([]Coupler, len(req.Faults.Couplers))
+			for i, c := range req.Faults.Couplers {
+				fs.Couplers[i] = Coupler{B: c.B, A: c.A}
+			}
+			fs.Groups = req.Faults.Groups
+		}
+		return FaultyPermutation(req.Pi, fs), nil
+	default:
+		return nil, fmt.Errorf("pops: unknown workload %q", req.Workload)
+	}
+}
+
 // RouteBatch plans a batch of permutations on POPS(d, g) with Theorem 2,
 // returning one ServicePlan per permutation in input order.
 // Per-permutation failures stay in the corresponding ServicePlan.Error,

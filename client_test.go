@@ -3,7 +3,9 @@ package pops
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -224,5 +226,99 @@ func TestServiceClientErrorRecordMidStream(t *testing.T) {
 	_, err = st.Next()
 	if err == nil || !strings.Contains(err.Error(), "planning exploded") {
 		t.Fatalf("error record surfaced as %v", err)
+	}
+}
+
+// TestWorkloadFromRequestRoundTrip is the property that makes the wire form
+// single: for random shapes and every workload kind, decoding the client's
+// encoding — directly and after a JSON hop — gives back a workload of the
+// same kind and WorkloadFingerprint, so the service plans, and the proxy
+// places, exactly what the client sent. Every malformed kind/payload
+// combination decodes to an error.
+func TestWorkloadFromRequestRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for trial := 0; trial < 200; trial++ {
+		d, g := 1+rng.Intn(5), 1+rng.Intn(5)
+		n := d * g
+		reqs := make([]Request, 1+rng.Intn(2*n))
+		for i := range reqs {
+			reqs[i] = Request{Src: rng.Intn(n), Dst: rng.Intn(n)}
+		}
+		var fs FaultSet
+		for i := rng.Intn(4); i > 0; i-- {
+			fs.Couplers = append(fs.Couplers, Coupler{B: rng.Intn(g), A: rng.Intn(g)})
+		}
+		for i := rng.Intn(3); i > 0; i-- {
+			fs.Groups = append(fs.Groups, rng.Intn(g))
+		}
+		for _, w := range []Workload{
+			Permutation(RandomPermutation(n, rng)),
+			HRelation(reqs),
+			AllToAll(),
+			OneToAll(rng.Intn(n)),
+			FaultyPermutation(RandomPermutation(n, rng), fs),
+		} {
+			req, err := workloadRouteRequest(d, g, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var hop ServiceRouteRequest
+			if err := json.Unmarshal(blob, &hop); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []*ServiceRouteRequest{req, &hop} {
+				got, err := WorkloadFromRequest(r)
+				if err != nil {
+					t.Fatalf("POPS(%d,%d) %s: decoding %s: %v", d, g, w.Kind(), blob, err)
+				}
+				if got.Kind() != w.Kind() || WorkloadFingerprint(got) != WorkloadFingerprint(w) {
+					t.Fatalf("POPS(%d,%d) %s: decoded %s with fingerprint %#x, want %s %#x",
+						d, g, w.Kind(), got.Kind(), WorkloadFingerprint(got), w.Kind(), WorkloadFingerprint(w))
+				}
+			}
+		}
+	}
+
+	pi := []int{1, 0, 3, 2}
+	faults := &wire.FaultSet{Couplers: []wire.Coupler{{B: 1, A: 0}}}
+	reqs := []wire.Request{{Src: 0, Dst: 1}}
+	for i, req := range []ServiceRouteRequest{
+		{},
+		{Pi: pi, Pis: [][]int{pi}},
+		{Pi: pi, Faults: faults},
+		{Pis: [][]int{pi}, Faults: faults},
+		{Workload: WorkloadPermutation, Pi: pi, Faults: faults},
+		{Workload: WorkloadHRelation, Requests: reqs, Pi: pi},
+		{Workload: WorkloadHRelation, Requests: reqs, Pis: [][]int{pi}},
+		{Workload: WorkloadHRelation, Requests: reqs, Faults: faults},
+		{Workload: WorkloadAllToAll, Pi: pi},
+		{Workload: WorkloadAllToAll, Pis: [][]int{pi}},
+		{Workload: WorkloadAllToAll, Requests: reqs},
+		{Workload: WorkloadAllToAll, Faults: faults},
+		{Workload: WorkloadOneToAll, Pi: pi},
+		{Workload: WorkloadOneToAll, Pis: [][]int{pi}},
+		{Workload: WorkloadOneToAll, Requests: reqs},
+		{Workload: WorkloadOneToAll, Faults: faults},
+		{Workload: WorkloadFaultyPermutation},
+		{Workload: WorkloadFaultyPermutation, Faults: faults},
+		{Workload: WorkloadFaultyPermutation, Pi: pi, Pis: [][]int{pi}},
+		{Workload: WorkloadFaultyPermutation, Pi: pi, Requests: reqs},
+		{Workload: "gossip"},
+		{Workload: "gossip", Pi: pi},
+	} {
+		req.D, req.G = 2, 2
+		if w, err := WorkloadFromRequest(&req); err == nil || errors.Is(err, ErrBatchRequest) {
+			t.Errorf("malformed request %d (%+v) decoded to %v, %v; want a malformed-request error", i, req, w, err)
+		}
+	}
+	for _, kind := range []string{"", WorkloadPermutation} {
+		batch := ServiceRouteRequest{D: 2, G: 2, Workload: kind, Pis: [][]int{pi, pi}}
+		if _, err := WorkloadFromRequest(&batch); !errors.Is(err, ErrBatchRequest) {
+			t.Errorf("batch of kind %q decoded to %v, want ErrBatchRequest", kind, err)
+		}
 	}
 }

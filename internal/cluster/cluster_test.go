@@ -531,24 +531,54 @@ func TestFailoverBackoffJitter(t *testing.T) {
 	}
 }
 
-// TestRequestKeyFaultyPlacement pins proxy/backend cache agreement for the
-// fault-aware workload: the HTTP placement key must equal the fingerprint key
-// of the equivalent pops.FaultyPermutation (including fault-set
-// canonicalization), and must differ from the plain permutation's key so the
-// two cannot collide on one backend's cache entry.
-func TestRequestKeyFaultyPlacement(t *testing.T) {
+// TestRequestKeyPlacement pins proxy/backend cache agreement: for a request
+// of every workload kind, as the client spells it, the placement key must be
+// placementKey(d, g, WorkloadFingerprint(w)) of the client-side workload —
+// the key the owning backend's plan cache files the plan under. Fault sets
+// are keyed canonically, so any spelling of the same faults lands on one
+// node. A batch is keyed by the fold of its members' fingerprints, and a
+// kind the proxy does not know by the shape alone.
+func TestRequestKeyPlacement(t *testing.T) {
+	const d, g = 2, 2
 	pi := []int{1, 0, 3, 2}
-	req := &wire.RouteRequest{
-		D: 2, G: 2, Workload: wire.WorkloadFaultyPermutation, Pi: pi,
-		// Deliberately non-canonical spelling: duplicate coupler, unsorted.
-		Faults: &wire.FaultSet{Couplers: []wire.Coupler{{B: 1, A: 0}, {B: 1, A: 0}}, Groups: []int{1}},
+	fs := pops.FaultSet{Couplers: []pops.Coupler{{B: 1, A: 0}}, Groups: []int{1}}
+	key := func(w pops.Workload) uint64 { return placementKey(d, g, pops.WorkloadFingerprint(w)) }
+	reqs := []pops.Request{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 3, Dst: 0}}
+	wireReqs := []wire.Request{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 3, Dst: 0}}
+	batch := [][]int{pi, {0, 1, 2, 3}}
+	var fold uint64
+	for _, b := range batch {
+		fold = mix64(fold ^ pops.PermutationFingerprint(b))
 	}
-	w := pops.FaultyPermutation(pi, pops.FaultSet{Couplers: []pops.Coupler{{B: 1, A: 0}}, Groups: []int{1}})
-	if got, want := requestKey(req), placementKey(2, 2, pops.WorkloadFingerprint(w)); got != want {
-		t.Fatalf("requestKey = %#x, want the workload fingerprint key %#x", got, want)
+	cases := []struct {
+		name string
+		req  wire.RouteRequest
+		want uint64
+	}{
+		{"permutation", wire.RouteRequest{D: d, G: g, Pi: pi}, key(pops.Permutation(pi))},
+		{"permutation tagged", wire.RouteRequest{D: d, G: g, Workload: wire.WorkloadPermutation, Pi: pi}, key(pops.Permutation(pi))},
+		{"batch", wire.RouteRequest{D: d, G: g, Pis: batch}, placementKey(d, g, fold)},
+		{"hrelation", wire.RouteRequest{D: d, G: g, Workload: wire.WorkloadHRelation, Requests: wireReqs}, key(pops.HRelation(reqs))},
+		{"all-to-all", wire.RouteRequest{D: d, G: g, Workload: wire.WorkloadAllToAll}, key(pops.AllToAll())},
+		{"one-to-all", wire.RouteRequest{D: d, G: g, Workload: wire.WorkloadOneToAll, Speaker: 3}, key(pops.OneToAll(3))},
+		{"faulty canonical", wire.RouteRequest{D: d, G: g, Workload: wire.WorkloadFaultyPermutation, Pi: pi,
+			Faults: &wire.FaultSet{Couplers: []wire.Coupler{{B: 1, A: 0}}, Groups: []int{1}}}, key(pops.FaultyPermutation(pi, fs))},
+		{"faulty duplicate coupler", wire.RouteRequest{D: d, G: g, Workload: wire.WorkloadFaultyPermutation, Pi: pi,
+			Faults: &wire.FaultSet{Couplers: []wire.Coupler{{B: 1, A: 0}, {B: 1, A: 0}}, Groups: []int{1}}}, key(pops.FaultyPermutation(pi, fs))},
+		{"faulty unsorted duplicate groups", wire.RouteRequest{D: d, G: g, Workload: wire.WorkloadFaultyPermutation, Pi: pi,
+			Faults: &wire.FaultSet{Couplers: []wire.Coupler{{B: 1, A: 0}}, Groups: []int{1, 0, 1}}},
+			key(pops.FaultyPermutation(pi, pops.FaultSet{Couplers: fs.Couplers, Groups: []int{0, 1}}))},
+		{"faulty without faults", wire.RouteRequest{D: d, G: g, Workload: wire.WorkloadFaultyPermutation, Pi: pi}, key(pops.FaultyPermutation(pi, pops.FaultSet{}))},
+		{"unknown kind", wire.RouteRequest{D: d, G: g, Workload: "gossip", Pi: pi}, placementKey(d, g, 0)},
 	}
-	plain := &wire.RouteRequest{D: 2, G: 2, Pi: pi}
-	if requestKey(req) == requestKey(plain) {
+	for _, c := range cases {
+		if got := requestKey(&c.req); got != c.want {
+			t.Errorf("%s: requestKey = %#x, want %#x", c.name, got, c.want)
+		}
+	}
+	plain := wire.RouteRequest{D: d, G: g, Pi: pi}
+	faulty := wire.RouteRequest{D: d, G: g, Workload: wire.WorkloadFaultyPermutation, Pi: pi}
+	if requestKey(&faulty) == requestKey(&plain) {
 		t.Fatal("faulty-permutation request keyed identically to the plain permutation")
 	}
 }

@@ -230,3 +230,91 @@ func TestStatsGolden(t *testing.T) {
 	h := goldenService(t)
 	checkGolden(t, statsGoldenPath, statsGoldenLines(t, getBody(t, h, "/stats")), false)
 }
+
+// responsesGoldenPath pins the exact bytes every answer of the response
+// script carries.
+const responsesGoldenPath = "testdata/responses_golden.txt"
+
+// responseScript is one request of each workload kind — a permutation and
+// its cache-hit replay, a batch, an h-relation, all-to-all, one-to-all and a
+// faulty permutation — plus malformed kind/payload combinations, whose
+// status (not their error text) is pinned.
+func responseScript() []wire.RouteRequest {
+	const d, g = 2, 4
+	pi := pops.VectorReversal(d * g)
+	var hrel []wire.Request
+	for i := 0; i < d*g; i++ {
+		hrel = append(hrel, wire.Request{Src: i, Dst: (i + 1) % (d * g)}, wire.Request{Src: i, Dst: (i + 3) % (d * g)})
+	}
+	faults := &wire.FaultSet{Couplers: []wire.Coupler{{B: 1, A: 2}, {B: 1, A: 2}}}
+	return []wire.RouteRequest{
+		{D: d, G: g, Pi: pi, IncludeSchedule: true},
+		{D: d, G: g, Pi: pi, IncludeSchedule: true},
+		{D: d, G: g, Pis: [][]int{pops.IdentityPermutation(d * g), pi}, IncludeSchedule: true},
+		{D: d, G: g, Workload: wire.WorkloadHRelation, Requests: hrel, IncludeSchedule: true},
+		{D: d, G: g, Workload: wire.WorkloadAllToAll, IncludeSchedule: true},
+		{D: d, G: g, Workload: wire.WorkloadOneToAll, Speaker: 5, IncludeSchedule: true},
+		{D: 4, G: 4, Workload: wire.WorkloadFaultyPermutation, Pi: pops.VectorReversal(16), Faults: faults, IncludeSchedule: true},
+		// Malformed: each is a 400 on both endpoints.
+		{D: d, G: g},
+		{D: d, G: g, Pi: pi, Pis: [][]int{pi}},
+		{D: d, G: g, Pi: pi, Faults: faults},
+		{D: d, G: g, Pis: [][]int{pi}, Faults: faults},
+		{D: d, G: g, Workload: wire.WorkloadHRelation, Requests: hrel, Pi: pi},
+		{D: d, G: g, Workload: wire.WorkloadAllToAll, Pi: pi},
+		{D: d, G: g, Workload: wire.WorkloadAllToAll, Requests: hrel},
+		{D: d, G: g, Workload: wire.WorkloadOneToAll, Pis: [][]int{pi}},
+		{D: d, G: g, Workload: wire.WorkloadFaultyPermutation},
+		{D: d, G: g, Workload: wire.WorkloadFaultyPermutation, Pi: pi, Requests: hrel},
+		{D: d, G: g, Workload: "gossip"},
+		{D: d, G: g, Pi: pi, Strategy: "greedy"},
+		{D: d, G: g, Workload: wire.WorkloadHRelation, Requests: hrel, Strategy: "auto"},
+	}
+}
+
+// TestRouteResponsesGolden pins every /route and /route/stream answer of
+// the response script, in JSON/NDJSON and in the binary codec, byte for
+// byte: each (endpoint, codec) pair runs the script against a fresh service
+// under a fixed X-Request-Id, so the permutation replay is the one cache hit
+// and every recorded body is deterministic. Binary bodies are recorded as
+// hex. Regenerate with REGEN_GOLDEN=1.
+func TestRouteResponsesGolden(t *testing.T) {
+	var got []string
+	for _, path := range []string{"/route", "/route/stream"} {
+		for _, accept := range []string{"", wirebin.ContentType} {
+			svc := New(Config{Name: "golden-node"})
+			h := svc.Handler()
+			for i, step := range responseScript() {
+				blob, err := json.Marshal(step)
+				if err != nil {
+					t.Fatal(err)
+				}
+				req := httptest.NewRequest("POST", path, bytes.NewReader(blob))
+				req.Header.Set("Content-Type", "application/json")
+				req.Header.Set("X-Request-Id", fmt.Sprintf("golden-%d", i))
+				if accept != "" {
+					req.Header.Set("Accept", accept)
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				got = append(got, fmt.Sprintf("== POST %s accept=%q %s", path, accept, blob))
+				got = append(got, fmt.Sprintf("%d %s", rec.Code, rec.Header().Get("Content-Type")))
+				if rec.Code != http.StatusOK {
+					continue // error text is not part of the pinned contract
+				}
+				body := rec.Body.String()
+				if wirebin.IsContentType(rec.Header().Get("Content-Type")) {
+					body = fmt.Sprintf("%x", rec.Body.Bytes())
+				}
+				got = append(got, strings.Split(strings.TrimSuffix(body, "\n"), "\n")...)
+			}
+			svc.Close()
+		}
+	}
+	checkGolden(t, responsesGoldenPath, got, true)
+	// checkGolden compares line sets; record order and the repeated replay
+	// lines are part of this contract, so the sequence must match too.
+	if raw, err := os.ReadFile(responsesGoldenPath); err == nil && !t.Failed() && string(raw) != strings.Join(got, "\n")+"\n" {
+		t.Errorf("%s: same lines, different order or multiplicity", responsesGoldenPath)
+	}
+}
