@@ -117,22 +117,6 @@ func BenchmarkPlannerReuse(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("planner-nocopy/d=%d/g=%d", s.d, s.g), func(b *testing.B) {
-			p, err := NewPlanner(s.d, s.g, WithPlanNoCopy())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := p.Execute(ctx, w); err != nil { // warm the buffer free list
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Execute(ctx, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

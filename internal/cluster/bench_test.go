@@ -62,12 +62,13 @@ func BenchmarkClusterScaling(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer proxy.Close()
+			_, client := serveFront(b, proxy)
 
 			ctx := context.Background()
 			// Warm: one pass over the hot head so steady-state cache
 			// behaviour, not cold misses, is what b.N measures.
 			for i := 0; i < perms/4; i++ {
-				if _, err := proxy.Execute(ctx, d, g, pops.Permutation(pis[trace[i]])); err != nil {
+				if _, err := client.Execute(ctx, d, g, pops.Permutation(pis[trace[i]])); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -76,7 +77,7 @@ func BenchmarkClusterScaling(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				pi := pis[trace[i%traceSteps]]
-				if _, err := proxy.Execute(ctx, d, g, pops.Permutation(pi)); err != nil {
+				if _, err := client.Execute(ctx, d, g, pops.Permutation(pi)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -60,9 +60,10 @@ func TestProxyOverloadSpillsOnce(t *testing.T) {
 	}
 	t.Cleanup(p.Close)
 	p.jitter = func(d time.Duration) time.Duration {
-		t.Fatalf("overload spill paused %v; 429 failover must not back off", d)
+		t.Errorf("overload spill paused %v; 429 failover must not back off", d)
 		return 0
 	}
+	_, client := serveFront(t, p)
 
 	// Drive enough distinct workloads that some are owned by the shedder.
 	// Ring placement hashes the backends' ephemeral URLs, so a handful of
@@ -71,7 +72,7 @@ func TestProxyOverloadSpillsOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 64; i++ {
 		pi := pops.RandomPermutation(8, rng)
-		if _, err := p.Execute(context.Background(), 2, 4, pops.Permutation(pi)); err != nil {
+		if _, err := client.Execute(context.Background(), 2, 4, pops.Permutation(pi)); err != nil {
 			t.Fatalf("Execute %d: %v (want spill to the healthy sibling)", i, err)
 		}
 	}
@@ -118,8 +119,9 @@ func TestProxyAllSheddingRelays429(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Close)
+	front, client := serveFront(t, p)
 
-	_, err = p.Execute(context.Background(), 2, 4, pops.Permutation(pops.IdentityPermutation(8)))
+	_, err = client.Execute(context.Background(), 2, 4, pops.Permutation(pops.IdentityPermutation(8)))
 	var oe *pops.OverloadError
 	if !errors.As(err, &oe) {
 		t.Fatalf("Execute error %v, want *pops.OverloadError", err)
@@ -128,9 +130,7 @@ func TestProxyAllSheddingRelays429(t *testing.T) {
 		t.Fatalf("RetryAfter = %v, want the backend's 20ms hint", oe.RetryAfter)
 	}
 
-	// The HTTP surface relays the verdict with headers intact.
-	front := httptest.NewServer(p.Handler())
-	t.Cleanup(front.Close)
+	// On the raw HTTP surface the verdict is a 429 with its headers intact.
 	resp, err := http.Post(front.URL+"/route", "application/json",
 		jsonBody(t, &wire.RouteRequest{D: 2, G: 4, Pi: pops.IdentityPermutation(8)}))
 	if err != nil {
@@ -160,18 +160,21 @@ func TestProxyConcurrencyCapSheds(t *testing.T) {
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
-	t.Cleanup(func() { close(release) })
 
 	p, err := New(Config{Backends: []string{srv.URL}, MaxPerBackend: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Close)
+	_, client := serveFront(t, p)
+	// Registered last so it runs first: the front and the proxy drain the
+	// held request only once the backend lets it go.
+	t.Cleanup(func() { close(release) })
 
-	go p.Execute(context.Background(), 2, 4, pops.Permutation(pops.IdentityPermutation(8)))
+	go client.Execute(context.Background(), 2, 4, pops.Permutation(pops.IdentityPermutation(8)))
 	<-entered // the slow request holds the backend's one slot
 
-	_, err = p.Execute(context.Background(), 2, 4, pops.Permutation(pops.IdentityPermutation(8)))
+	_, err = client.Execute(context.Background(), 2, 4, pops.Permutation(pops.IdentityPermutation(8)))
 	var oe *pops.OverloadError
 	if !errors.As(err, &oe) {
 		t.Fatalf("second Execute error %v, want *pops.OverloadError", err)
@@ -223,10 +226,11 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Close)
+	_, client := serveFront(t, p)
 	b := p.backends[0]
 
 	for i := 0; i < 2; i++ {
-		if _, err := p.Execute(context.Background(), 2, 4, pops.Permutation(pops.IdentityPermutation(8))); err == nil {
+		if _, err := client.Execute(context.Background(), 2, 4, pops.Permutation(pops.IdentityPermutation(8))); err == nil {
 			t.Fatalf("Execute %d succeeded against a connection-dropping backend", i)
 		}
 		// The health loop re-admits the flapping node between failures; wait
@@ -243,7 +247,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 
 	// While open, the node is excluded and the proxy sheds: a request must
 	// come back as an overload verdict without touching the backend.
-	_, err = p.Execute(context.Background(), 2, 4, pops.Permutation(pops.IdentityPermutation(8)))
+	_, err = client.Execute(context.Background(), 2, 4, pops.Permutation(pops.IdentityPermutation(8)))
 	var oe *pops.OverloadError
 	if !errors.As(err, &oe) {
 		t.Fatalf("Execute with the breaker open: %v, want *pops.OverloadError", err)
@@ -254,7 +258,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	// it.
 	broken.Store(false)
 	waitFor(t, func() bool { return b.brState.Load() == brHalfOpen })
-	if _, err := p.Execute(context.Background(), 2, 4, pops.Permutation(pops.IdentityPermutation(8))); err != nil {
+	if _, err := client.Execute(context.Background(), 2, 4, pops.Permutation(pops.IdentityPermutation(8))); err != nil {
 		t.Fatalf("probe request after recovery: %v", err)
 	}
 	if got := b.brState.Load(); got != brClosed {
@@ -286,10 +290,11 @@ func TestBreakerLatencyTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Close)
+	_, client := serveFront(t, p)
 	b := p.backends[0]
 
 	for i := 0; i < brMinSamples+1 && b.brState.Load() == brClosed; i++ {
-		p.Execute(context.Background(), 2, 4, pops.Permutation(pops.IdentityPermutation(8)))
+		client.Execute(context.Background(), 2, 4, pops.Permutation(pops.IdentityPermutation(8)))
 	}
 	if got := b.brState.Load(); got != brOpen {
 		t.Fatalf("breaker state %s after sustained slow answers, want open", breakerStateName(got))

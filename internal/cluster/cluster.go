@@ -16,12 +16,12 @@
 // backoff — but only for idempotent work: a slot stream that has already
 // delivered records surfaces the error instead of replaying.
 //
-// The Proxy implements pops.Backend, the same contract pops.ServiceClient
-// satisfies against a single node — a caller cannot tell one machine from a
-// fleet — and Handler exposes the identical HTTP surface (POST /route,
-// POST /route/stream re-framed chunk by chunk without buffering whole
-// plans, GET /slots, GET /stats aggregated across the fleet, GET /healthz),
-// so pops.ServiceClient pointed at a popsproxy works unchanged.
+// Handler exposes the HTTP surface of a single node (POST /route, POST
+// /route/stream re-framed chunk by chunk without buffering whole plans,
+// GET /slots, GET /stats aggregated across the fleet, GET /healthz), so
+// pops.ServiceClient pointed at a popsproxy works unchanged and a caller
+// cannot tell one machine from a fleet. It is the proxy's one front: every
+// request is placed and forwarded by the same handlers.
 package cluster
 
 import (
@@ -176,9 +176,8 @@ func (b *backend) eject() {
 }
 
 // Proxy is the cluster front door. Create one with New, mount Handler on an
-// HTTP server (or call the pops.Backend methods directly for an in-process
-// fleet client), and Close it on shutdown. All methods are safe for
-// concurrent use.
+// HTTP server — clients reach the fleet with the unchanged pops.ServiceClient
+// — and Close it on shutdown. All methods are safe for concurrent use.
 type Proxy struct {
 	cfg      Config
 	backends []*backend
@@ -200,9 +199,6 @@ type Proxy struct {
 	tracer  *obs.Tracer
 	latency obs.Histogram
 }
-
-// Proxy answers for the fleet exactly as ServiceClient answers for one node.
-var _ pops.Backend = (*Proxy)(nil)
 
 // New builds a Proxy over cfg.Backends and starts its background health
 // checker. Backends start admitted; the first probe round (run immediately)
@@ -412,36 +408,6 @@ func tryOwners[T any](p *Proxy, ctx context.Context, key uint64, fn func(*backen
 		return zero, lastOverload
 	}
 	return zero, &pops.OverloadError{Queue: "backend", RetryAfter: 50 * time.Millisecond}
-}
-
-// Execute plans one workload on POPS(d, g) on the workload's ring owner,
-// failing over on connection errors (planning is pure, so a retry is
-// idempotent). It is the fleet form of pops.ServiceClient.Execute.
-func (p *Proxy) Execute(ctx context.Context, d, g int, w pops.Workload) (*pops.ServicePlan, error) {
-	if w == nil {
-		return nil, pops.ErrNilWorkload
-	}
-	key := placementKey(d, g, pops.WorkloadFingerprint(w))
-	return tryOwners(p, ctx, key, func(b *backend) (*pops.ServicePlan, error) {
-		b.requests.Add(1)
-		return b.client.Execute(ctx, d, g, w)
-	})
-}
-
-// ExecuteStream opens a slot stream on the workload's ring owner. Failover
-// covers stream admission only — a connection error while opening moves to
-// the next owner, but once records are flowing a failure surfaces through
-// the stream (delivered fragments cannot be replayed on another node).
-func (p *Proxy) ExecuteStream(ctx context.Context, d, g int, w pops.Workload) (*pops.ServiceStream, error) {
-	if w == nil {
-		return nil, pops.ErrNilWorkload
-	}
-	key := placementKey(d, g, pops.WorkloadFingerprint(w))
-	return tryOwners(p, ctx, key, func(b *backend) (*pops.ServiceStream, error) {
-		b.streams.Add(1)
-		b.requests.Add(1)
-		return b.client.ExecuteStream(ctx, d, g, w)
-	})
 }
 
 // Slots returns the Theorem 2 slot count for POPS(d, g). The answer is a

@@ -51,12 +51,23 @@ func fleet(t testing.TB, n int, svcCfg service.Config, proxyCfg Config) (*Proxy,
 	return p, servers, services
 }
 
+// serveFront serves p's HTTP front on loopback and returns it with the
+// unchanged single-node client pointed at it: the one path production
+// traffic takes through popsproxy.
+func serveFront(t testing.TB, p *Proxy) (*httptest.Server, *pops.ServiceClient) {
+	t.Helper()
+	front := httptest.NewServer(p.Handler())
+	t.Cleanup(front.Close)
+	return front, pops.NewServiceClient(front.URL, front.Client())
+}
+
 // TestProxyPlacementAffinity is the cache-affinity core of the design: a
 // replayed workload must land on the node that planned it, so the replay is
 // a fingerprint-cache hit — across every workload kind — while distinct
 // workloads spread over more than one backend.
 func TestProxyPlacementAffinity(t *testing.T) {
 	p, _, _ := fleet(t, 3, service.Config{BatchDelay: 200 * time.Microsecond}, Config{})
+	_, client := serveFront(t, p)
 	ctx := context.Background()
 	const d, g = 4, 8
 	n := d * g
@@ -77,14 +88,14 @@ func TestProxyPlacementAffinity(t *testing.T) {
 	workloads = append(workloads, pops.HRelation(reqs), pops.AllToAll())
 
 	for _, w := range workloads {
-		first, err := p.Execute(ctx, d, g, w)
+		first, err := client.Execute(ctx, d, g, w)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Kind(), err)
 		}
 		if first.Cached {
 			t.Fatalf("%s: first execution reported a cache hit", w.Kind())
 		}
-		second, err := p.Execute(ctx, d, g, w)
+		second, err := client.Execute(ctx, d, g, w)
 		if err != nil {
 			t.Fatalf("%s replay: %v", w.Kind(), err)
 		}
@@ -109,6 +120,7 @@ func TestProxyPlacementAffinity(t *testing.T) {
 // immediately and fail over to the next ring owner.
 func TestProxyFailoverOnBackendDeath(t *testing.T) {
 	p, servers, _ := fleet(t, 3, service.Config{BatchDelay: 200 * time.Microsecond}, Config{})
+	_, client := serveFront(t, p)
 	ctx := context.Background()
 	const d, g = 4, 8
 	n := d * g
@@ -121,7 +133,7 @@ func TestProxyFailoverOnBackendDeath(t *testing.T) {
 		for j := range pi {
 			pi[j] = (j + i + 1) % n
 		}
-		if _, err := p.Execute(ctx, d, g, pops.Permutation(pi)); err != nil {
+		if _, err := client.Execute(ctx, d, g, pops.Permutation(pi)); err != nil {
 			t.Fatalf("request %d failed after backend death: %v", i, err)
 		}
 	}
@@ -195,9 +207,7 @@ func TestProxyHealthEjectionAndReadmission(t *testing.T) {
 // streamed replay must be a cache hit on the owning node.
 func TestProxyHTTPRouteAndStream(t *testing.T) {
 	p, _, _ := fleet(t, 3, service.Config{BatchDelay: 200 * time.Microsecond}, Config{})
-	front := httptest.NewServer(p.Handler())
-	t.Cleanup(front.Close)
-	client := pops.NewServiceClient(front.URL, nil)
+	_, client := serveFront(t, p)
 	ctx := context.Background()
 	const d, g = 4, 8
 	n := d * g
@@ -299,10 +309,7 @@ func TestProxyStreamBackendDeathSurfacesError(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Close)
-	front := httptest.NewServer(p.Handler())
-	t.Cleanup(front.Close)
-
-	client := pops.NewServiceClient(front.URL, nil)
+	_, client := serveFront(t, p)
 	st, err := client.ExecuteStream(context.Background(), 4, 8, pops.Permutation(pops.VectorReversal(32)))
 	if err != nil {
 		t.Fatal(err)
@@ -327,8 +334,7 @@ func TestProxyStreamBackendDeathSurfacesError(t *testing.T) {
 // buffer the backend's plan and forward it whole.
 func TestProxyStreamIsReframedChunkByChunk(t *testing.T) {
 	p, _, _ := fleet(t, 2, service.Config{BatchDelay: 200 * time.Microsecond}, Config{})
-	front := httptest.NewServer(p.Handler())
-	t.Cleanup(front.Close)
+	front, _ := serveFront(t, p)
 
 	const d, g = 4, 8
 	body, err := json.Marshal(wire.RouteRequest{D: d, G: g, Pi: pops.VectorReversal(d * g)})
@@ -397,9 +403,7 @@ func TestProxyStreamIsReframedChunkByChunk(t *testing.T) {
 // cache counters attributed, histograms merged.
 func TestProxyStatsAggregation(t *testing.T) {
 	p, _, _ := fleet(t, 3, service.Config{BatchDelay: 200 * time.Microsecond}, Config{})
-	front := httptest.NewServer(p.Handler())
-	t.Cleanup(front.Close)
-	client := pops.NewServiceClient(front.URL, nil)
+	_, client := serveFront(t, p)
 	ctx := context.Background()
 	const d, g = 4, 8
 	n := d * g
@@ -441,6 +445,13 @@ func TestProxyStatsAggregation(t *testing.T) {
 		}
 		viaBackends += bs.Stats.Requests
 	}
+	// Each node names its own shard rows, so the fleet's concatenation of
+	// same-shape rows stays attributable.
+	for _, sh := range stats.Shards {
+		if !strings.HasPrefix(sh.Server, "node-") {
+			t.Fatalf("merged shard row %+v does not name its node", sh)
+		}
+	}
 	if viaBackends != trace {
 		t.Fatalf("backends report %d requests total, want %d", viaBackends, trace)
 	}
@@ -456,8 +467,7 @@ func TestProxyStatsAggregation(t *testing.T) {
 // /route and Healthz errors, mirroring popsserved's drain.
 func TestProxyDrain(t *testing.T) {
 	p, _, _ := fleet(t, 1, service.Config{}, Config{})
-	front := httptest.NewServer(p.Handler())
-	t.Cleanup(front.Close)
+	front, _ := serveFront(t, p)
 	p.Close()
 	resp, err := http.Post(front.URL+"/route", "application/json", strings.NewReader(`{"d":4,"g":8,"pi":[0]}`))
 	if err != nil {
@@ -513,12 +523,13 @@ func TestFailoverBackoffJitter(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Close)
+	_, client := serveFront(t, p)
 	var seen []time.Duration
 	p.jitter = func(d time.Duration) time.Duration {
 		seen = append(seen, d)
 		return 0
 	}
-	if _, err := p.Execute(context.Background(), 2, 4, pops.Permutation(pops.IdentityPermutation(8))); err == nil {
+	if _, err := client.Execute(context.Background(), 2, 4, pops.Permutation(pops.IdentityPermutation(8))); err == nil {
 		t.Fatal("Execute succeeded against a fleet of dead backends")
 	}
 	if want := p.cfg.Retries; len(seen) != want {

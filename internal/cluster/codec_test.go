@@ -24,8 +24,7 @@ import (
 // and the fleet-merged GET /stats carries the backends' per-codec ledger.
 func TestProxyBinaryStreamEndToEnd(t *testing.T) {
 	p, _, _ := fleet(t, 2, service.Config{BatchDelay: 200 * time.Microsecond}, Config{})
-	front := httptest.NewServer(p.Handler())
-	t.Cleanup(front.Close)
+	front, _ := serveFront(t, p)
 	ctx := context.Background()
 	const d, g = 4, 8
 
@@ -169,10 +168,7 @@ func TestProxyBinaryStreamReassemblesSplitFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Close)
-	front := httptest.NewServer(p.Handler())
-	t.Cleanup(front.Close)
-
-	client := pops.NewServiceClient(front.URL, nil)
+	_, client := serveFront(t, p)
 	st, err := client.ExecuteStream(context.Background(), 4, 8, pops.Permutation(pops.VectorReversal(32)))
 	if err != nil {
 		t.Fatal(err)

@@ -43,8 +43,9 @@ func proxyMetricsSchema(text string) []string {
 
 func TestProxyMetricsGolden(t *testing.T) {
 	p, _, _ := fleet(t, 2, service.Config{BatchDelay: 200 * time.Microsecond}, Config{})
+	_, client := serveFront(t, p)
 	const d, g = 4, 8
-	if _, err := p.Execute(t.Context(), d, g, pops.Permutation(pops.VectorReversal(d*g))); err != nil {
+	if _, err := client.Execute(t.Context(), d, g, pops.Permutation(pops.VectorReversal(d*g))); err != nil {
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()

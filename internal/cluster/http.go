@@ -71,44 +71,25 @@ func (p *Proxy) enter() bool {
 	return true
 }
 
-// requestKey reads just enough of a route request to place it: the shape
-// plus the workload fingerprint, computed exactly as the backends compute it
-// so proxy placement and backend caches agree. A batch is keyed by the fold
-// of its members' fingerprints — a replayed batch lands on the node that
-// planned it. Unknown workload kinds (a newer client behind an older proxy)
-// are keyed by shape alone and forwarded; the owning backend produces the
+// requestKey places a route request: its shape plus the fingerprint of the
+// workload pops.WorkloadFromRequest decodes — the key the backends' plan
+// caches file it under, so proxy placement and backend caches agree by
+// construction. A batch is keyed by the fold of its members' fingerprints,
+// so a replayed batch lands on the node that planned it. A request that does
+// not decode (an unknown kind from a newer client, a malformed payload) is
+// keyed by shape alone and forwarded; the owning backend produces the
 // authoritative error or answer.
 func requestKey(req *wire.RouteRequest) uint64 {
-	switch req.Workload {
-	case "", wire.WorkloadPermutation:
-		if len(req.Pis) > 0 {
-			var fp uint64
-			for _, pi := range req.Pis {
-				fp = mix64(fp ^ pops.PermutationFingerprint(pi))
-			}
-			return placementKey(req.D, req.G, fp)
+	w, err := pops.WorkloadFromRequest(req)
+	switch {
+	case err == nil:
+		return placementKey(req.D, req.G, pops.WorkloadFingerprint(w))
+	case errors.Is(err, pops.ErrBatchRequest):
+		var fp uint64
+		for _, pi := range req.Pis {
+			fp = mix64(fp ^ pops.PermutationFingerprint(pi))
 		}
-		return placementKey(req.D, req.G, pops.PermutationFingerprint(req.Pi))
-	case wire.WorkloadHRelation:
-		reqs := make([]pops.Request, len(req.Requests))
-		for i, r := range req.Requests {
-			reqs[i] = pops.Request{Src: r.Src, Dst: r.Dst}
-		}
-		return placementKey(req.D, req.G, pops.WorkloadFingerprint(pops.HRelation(reqs)))
-	case wire.WorkloadAllToAll:
-		return placementKey(req.D, req.G, pops.WorkloadFingerprint(pops.AllToAll()))
-	case wire.WorkloadOneToAll:
-		return placementKey(req.D, req.G, pops.WorkloadFingerprint(pops.OneToAll(req.Speaker)))
-	case wire.WorkloadFaultyPermutation:
-		var fs pops.FaultSet
-		if req.Faults != nil {
-			fs.Couplers = make([]pops.Coupler, len(req.Faults.Couplers))
-			for i, c := range req.Faults.Couplers {
-				fs.Couplers[i] = pops.Coupler{B: c.B, A: c.A}
-			}
-			fs.Groups = req.Faults.Groups
-		}
-		return placementKey(req.D, req.G, pops.WorkloadFingerprint(pops.FaultyPermutation(req.Pi, fs)))
+		return placementKey(req.D, req.G, fp)
 	default:
 		return placementKey(req.D, req.G, 0)
 	}

@@ -91,6 +91,9 @@ func cannedStats(server string, tenants, codecs []string, plans []wire.PlanTimeS
 		s.PlanTimes = append(s.PlanTimes, wire.PlanTimeStat{D: p.D, G: p.G, Strategy: p.Strategy, Buckets: schemaBuckets()})
 	}
 	s.Shards = make([]wire.ShardStats, shards)
+	for i := range s.Shards {
+		s.Shards[i].Server = server
+	}
 	fillNumbers(reflect.ValueOf(&s).Elem(), next)
 	// Restore what fillNumbers overwrote but is identity, not a counter: the
 	// plan-time keys and the shared bucket schema.
@@ -145,8 +148,7 @@ func TestProxyStatsMergesEveryField(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Close)
-	front := httptest.NewServer(p.Handler())
-	t.Cleanup(front.Close)
+	front, _ := serveFront(t, p)
 	resp, err := front.Client().Get(front.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -248,6 +250,14 @@ func TestProxyStatsMergesEveryField(t *testing.T) {
 	wantShards := append(append([]wire.ShardStats(nil), a.Shards...), b.Shards...)
 	if !reflect.DeepEqual(got.Shards, wantShards) {
 		t.Errorf("shards = %+v, want the concatenation %+v", got.Shards, wantShards)
+	}
+	// Two nodes can each hold a shard of the same shape, so every
+	// concatenated row must keep the name of the node it came from.
+	for i, want := range []string{"node-a", "node-a", "node-b"} {
+		if i >= len(got.Shards) || got.Shards[i].Server != want {
+			t.Errorf("merged shard row %d lost its node name, want %q: %+v", i, want, got.Shards)
+			break
+		}
 	}
 
 	if len(got.Backends) != 2 {

@@ -6,7 +6,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -32,8 +31,7 @@ func proxyRouteBody(t *testing.T, d, g int, pi []int) *bytes.Reader {
 // hardcoded content type, dropping the request-ID echo entirely.
 func TestProxyRelaysRequestIDAndHeaders(t *testing.T) {
 	p, _, _ := fleet(t, 2, service.Config{BatchDelay: 200 * time.Microsecond}, Config{})
-	front := httptest.NewServer(p.Handler())
-	t.Cleanup(front.Close)
+	front, _ := serveFront(t, p)
 	const d, g = 4, 8
 	pi := pops.VectorReversal(d * g)
 
@@ -87,8 +85,7 @@ func TestProxyRelaysRequestIDAndHeaders(t *testing.T) {
 
 func TestProxyMetricsEndpoint(t *testing.T) {
 	p, _, _ := fleet(t, 2, service.Config{BatchDelay: 200 * time.Microsecond}, Config{})
-	front := httptest.NewServer(p.Handler())
-	t.Cleanup(front.Close)
+	front, _ := serveFront(t, p)
 	const d, g = 4, 8
 	pi := pops.VectorReversal(d * g)
 
@@ -137,8 +134,7 @@ func TestProxyMetricsEndpoint(t *testing.T) {
 
 func TestProxyDebugSlowAttributesBackend(t *testing.T) {
 	p, _, _ := fleet(t, 2, service.Config{BatchDelay: 200 * time.Microsecond}, Config{})
-	front := httptest.NewServer(p.Handler())
-	t.Cleanup(front.Close)
+	front, _ := serveFront(t, p)
 	const d, g = 4, 8
 	pi := pops.VectorReversal(d * g)
 
@@ -182,6 +178,7 @@ func TestProxyDebugSlowAttributesBackend(t *testing.T) {
 
 func TestProxyStatsAggregatesPlanTimes(t *testing.T) {
 	p, _, _ := fleet(t, 3, service.Config{BatchDelay: 200 * time.Microsecond}, Config{})
+	_, client := serveFront(t, p)
 	ctx := context.Background()
 	const d, g = 4, 8
 	n := d * g
@@ -190,7 +187,7 @@ func TestProxyStatsAggregatesPlanTimes(t *testing.T) {
 		for j := range pi {
 			pi[j] = (j + i + 1) % n
 		}
-		if _, err := p.Execute(ctx, d, g, pops.Permutation(pi)); err != nil {
+		if _, err := client.Execute(ctx, d, g, pops.Permutation(pi)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,6 +216,7 @@ func TestProxyStatsAggregatesPlanTimes(t *testing.T) {
 
 func TestProxyEjectionCounter(t *testing.T) {
 	p, servers, _ := fleet(t, 2, service.Config{BatchDelay: 200 * time.Microsecond}, Config{FailAfter: 1})
+	_, client := serveFront(t, p)
 	ctx := context.Background()
 	const d, g = 4, 8
 
@@ -228,7 +226,7 @@ func TestProxyEjectionCounter(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		pi := pops.VectorReversal(d * g)
-		_, _ = p.Execute(ctx, d, g, pops.Permutation(pi))
+		_, _ = client.Execute(ctx, d, g, pops.Permutation(pi))
 		var ejections uint64
 		for _, bs := range p.Backends() {
 			ejections += bs.Ejections

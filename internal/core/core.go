@@ -64,12 +64,6 @@ type Options struct {
 	// core planners and RouteBatch's fan-out. Zero or negative means "pick a
 	// default" (GOMAXPROCS); a single planner call ignores it.
 	Parallelism int
-	// PlanNoCopy makes Theorem 2 Plans alias the caller's permutation slice
-	// instead of snapshotting it. Ownership contract: the caller must not
-	// mutate or reuse the slice for as long as the Plan (or its Verify) is
-	// in use. Batch services that keep their permutations immutable set
-	// this to drop one O(n) copy per plan.
-	PlanNoCopy bool
 	// PlanCache bounds the fingerprint-keyed plan memoization of the public
 	// Planner to this many entries (LRU). Zero or negative disables caching.
 	// The cache lives in the public layer; core planners always plan.
@@ -79,16 +73,6 @@ type Options struct {
 	// cache, observation happens in the public layer; core planners never
 	// call it themselves.
 	Observer PlanObserver
-}
-
-// snapshotPerm resolves Plan permutation ownership: by default the
-// permutation is copied so Plans never alias mutable caller memory; under
-// PlanNoCopy the caller's slice is adopted as-is.
-func (o Options) snapshotPerm(pi []int) []int {
-	if o.PlanNoCopy {
-		return pi
-	}
-	return copyPerm(pi)
 }
 
 // Workers resolves the Parallelism option to a concrete worker count: the

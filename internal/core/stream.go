@@ -93,7 +93,7 @@ func (pl *Planner) StartPlanCtx(ctx context.Context, pi []int) (*PlanStream, err
 	if err := perms.ValidateInto(pi, pl.seen); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	ps := &PlanStream{pl: pl, ctx: ctx, span: obs.SpanFromContext(ctx), pi: pl.opts.snapshotPerm(pi)}
+	ps := &PlanStream{pl: pl, ctx: ctx, span: obs.SpanFromContext(ctx), pi: copyPerm(pi)}
 	// Stream setup (demand build, schedule preallocation, coloring kickoff)
 	// and each peeled factor count as factorize time on the trace span. An
 	// untraced plan skips the clock reads altogether.

@@ -23,19 +23,21 @@ const maxRequestBody = 64 << 20
 
 // Handler returns the service's HTTP surface:
 //
-//	POST /route         plan one permutation ("pi") or a batch ("pis")
-//	POST /route/stream  stream one permutation's slots as NDJSON chunks
+//	POST /route         plan one workload, or a batch of permutations ("pis")
+//	POST /route/stream  stream one workload's slots as NDJSON or binary chunks
 //	GET  /slots         Theorem 2 slot count for ?d=&g=
 //	GET  /stats         shard, cache, batching, latency and TTFS counters
 //	GET  /metrics       Prometheus text exposition of the same counters
 //	GET  /debug/slow    the slowest traced requests with phase breakdowns
 //	GET  /healthz       liveness ("ok" until Close starts)
 //
-// Requests and responses use the JSON schema of internal/wire. Malformed
-// requests (bad JSON, invalid shape, a strategy other than "theorem2") get
-// 400; requests admitted after Close starts get 503; per-permutation
-// planning failures travel as the error field of their PlanResult under a
-// 200 (or as an "error" stream record once a stream has opened).
+// Requests and responses use the JSON schema of internal/wire, decoded into
+// a workload by pops.WorkloadFromRequest. Malformed requests (bad JSON, a
+// payload that does not fit its kind, invalid shape, a strategy other than
+// "theorem2") get 400; requests admitted after Close starts get 503;
+// per-workload planning failures travel as the error field of their
+// PlanResult under a 200 (or as an "error" stream record once a stream has
+// opened).
 //
 // Every request is assigned a request ID — the client's X-Request-Id header
 // when present, a generated one otherwise — echoed in the X-Request-Id
@@ -193,62 +195,16 @@ func (s *Service) requestContext(w http.ResponseWriter, r *http.Request, req *wi
 	return ctx, cancel, true
 }
 
-// workloadFromRequest resolves a tagged route request to its pops.Workload.
-// It returns (nil, nil) for the permutation kinds, which the handlers serve
-// through the micro-batching queue instead, and an error for a request the
-// service does not plan: a strategy other than Theorem 2, or a malformed
-// combination (wrong payload for the kind). It is the one strategy check of
-// /route and /route/stream, and runs before any shard is created or counted.
+// workloadFromRequest resolves a route request to its pops.Workload: the
+// service's strategy policy first, then the one decoder of the wire form,
+// pops.WorkloadFromRequest. A batch answers pops.ErrBatchRequest, which
+// /route plans itself and /route/stream refuses. It runs before any shard
+// is created or counted.
 func workloadFromRequest(req *wire.RouteRequest) (pops.Workload, error) {
 	if err := checkStrategy(req.Strategy); err != nil {
 		return nil, err
 	}
-	// A fault set on any other kind would be silently ignored — reject it so
-	// the caller never believes a plan routed around faults it never saw.
-	if req.Faults != nil && req.Workload != wire.WorkloadFaultyPermutation {
-		return nil, fmt.Errorf("service: faults apply to the faulty-permutation workload only")
-	}
-	switch req.Workload {
-	case "", wire.WorkloadPermutation:
-		return nil, nil
-	case wire.WorkloadHRelation:
-		if len(req.Pi) > 0 || len(req.Pis) > 0 {
-			return nil, fmt.Errorf("service: hrelation workload takes requests, not pi/pis")
-		}
-		reqs := make([]pops.Request, len(req.Requests))
-		for i, r := range req.Requests {
-			reqs[i] = pops.Request{Src: r.Src, Dst: r.Dst}
-		}
-		return pops.HRelation(reqs), nil
-	case wire.WorkloadAllToAll:
-		if len(req.Pi) > 0 || len(req.Pis) > 0 || len(req.Requests) > 0 {
-			return nil, fmt.Errorf("service: all-to-all workload takes no payload")
-		}
-		return pops.AllToAll(), nil
-	case wire.WorkloadOneToAll:
-		if len(req.Pi) > 0 || len(req.Pis) > 0 || len(req.Requests) > 0 {
-			return nil, fmt.Errorf("service: one-to-all workload takes a speaker, not pi/requests")
-		}
-		return pops.OneToAll(req.Speaker), nil
-	case wire.WorkloadFaultyPermutation:
-		if len(req.Pis) > 0 || len(req.Requests) > 0 {
-			return nil, fmt.Errorf("service: faulty-permutation workload takes pi and faults, not pis/requests")
-		}
-		if len(req.Pi) == 0 {
-			return nil, fmt.Errorf("service: faulty-permutation workload takes a permutation (pi)")
-		}
-		var fs pops.FaultSet
-		if req.Faults != nil {
-			fs.Couplers = make([]pops.Coupler, len(req.Faults.Couplers))
-			for i, c := range req.Faults.Couplers {
-				fs.Couplers[i] = pops.Coupler{B: c.B, A: c.A}
-			}
-			fs.Groups = req.Faults.Groups
-		}
-		return pops.FaultyPermutation(req.Pi, fs), nil
-	default:
-		return nil, fmt.Errorf("service: unknown workload %q", req.Workload)
-	}
+	return pops.WorkloadFromRequest(req)
 }
 
 func (s *Service) handleRoute(w http.ResponseWriter, r *http.Request) {
@@ -257,7 +213,8 @@ func (s *Service) handleRoute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	wl, err := workloadFromRequest(&req)
-	if err != nil {
+	batch := errors.Is(err, pops.ErrBatchRequest)
+	if err != nil && !batch {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -269,68 +226,49 @@ func (s *Service) handleRoute(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 	resp := wire.RouteResponse{D: req.D, G: req.G, RequestID: id}
-	if wl != nil {
-		sp := s.tracer.Start(id, req.D, req.G)
-		sp.Workload = wl.Kind()
-		res, err := s.Execute(obs.ContextWithSpan(ctx, sp), req.D, req.G, wl)
+	if batch {
+		// Batch requests share one response but plan as independent queue
+		// entries; a single span would double-charge the concurrent waits, so
+		// batches go untraced and observe the latency histogram in RouteMany.
+		results, err := s.RouteMany(ctx, req.D, req.G, req.Pis)
 		if err != nil {
 			writeError(w, err)
-			s.tracer.Abandon(sp)
 			return
 		}
-		if res.Plan != nil {
-			sp.Strategy = res.Plan.Strategy
+		resp.Plans = make([]wire.PlanResult, len(results))
+		for i, res := range results {
+			resp.Plans[i] = workloadResult(pops.Permutation(req.Pis[i]), res, req.IncludeSchedule)
 		}
-		sp.Cached = res.Cached
-		resp.Plans = []wire.PlanResult{workloadResult(wl, res, req.IncludeSchedule)}
-		sp.Begin(obs.PhaseEncode)
 		s.respondRoute(w, r, &resp)
-		// The span total — not a separate clock — is the latency histogram
-		// observation, so the phase breakdown and the histogram describe the
-		// same measured interval (pinned by the service tests).
-		s.latency.Observe(s.tracer.Finish(sp))
 		return
 	}
-
-	single := len(req.Pi) > 0
-	batch := len(req.Pis) > 0
-	if single == batch {
-		http.Error(w, "service: exactly one of pi and pis must be set", http.StatusBadRequest)
-		return
+	sp := s.tracer.Start(id, req.D, req.G)
+	sp.Workload = wireKind(wl)
+	ctx = obs.ContextWithSpan(ctx, sp)
+	var res Result
+	if wl.Kind() == pops.WorkloadPermutation {
+		res, err = s.Route(ctx, req.D, req.G, req.Pi, "") // the micro-batching queue
+	} else {
+		res, err = s.Execute(ctx, req.D, req.G, wl)
 	}
-	if single {
-		sp := s.tracer.Start(id, req.D, req.G)
-		res, err := s.Route(obs.ContextWithSpan(ctx, sp), req.D, req.G, req.Pi, "")
-		if err != nil {
-			writeError(w, err)
-			// The micro-batch entry may still be in flight and recording
-			// onto the span — never recycle it from here.
-			s.tracer.Abandon(sp)
-			return
-		}
-		if res.Plan != nil {
-			sp.Strategy = res.Plan.Strategy
-		}
-		sp.Cached = res.Cached
-		resp.Plans = []wire.PlanResult{planResult(req.Pi, res, req.IncludeSchedule)}
-		sp.Begin(obs.PhaseEncode)
-		s.respondRoute(w, r, &resp)
-		s.latency.Observe(s.tracer.Finish(sp))
-		return
-	}
-	// Batch requests share one response but plan as independent queue
-	// entries; a single span would double-charge the concurrent waits, so
-	// batches go untraced and observe the latency histogram in RouteMany.
-	results, err := s.RouteMany(ctx, req.D, req.G, req.Pis)
 	if err != nil {
 		writeError(w, err)
+		// A micro-batch entry may still be in flight and recording onto the
+		// span — never recycle it from here.
+		s.tracer.Abandon(sp)
 		return
 	}
-	resp.Plans = make([]wire.PlanResult, len(results))
-	for i, res := range results {
-		resp.Plans[i] = planResult(req.Pis[i], res, req.IncludeSchedule)
+	if res.Plan != nil {
+		sp.Strategy = res.Plan.Strategy
 	}
+	sp.Cached = res.Cached
+	resp.Plans = []wire.PlanResult{workloadResult(wl, res, req.IncludeSchedule)}
+	sp.Begin(obs.PhaseEncode)
 	s.respondRoute(w, r, &resp)
+	// The span total — not a separate clock — is the latency histogram
+	// observation, so the phase breakdown and the histogram describe the
+	// same measured interval (pinned by the service tests).
+	s.latency.Observe(s.tracer.Finish(sp))
 }
 
 // handleSlow serves GET /debug/slow: the slowest traced requests, worst
@@ -387,15 +325,7 @@ func (s *Service) handleRouteStream(w http.ResponseWriter, r *http.Request) {
 	// total feeds only the slow ring here, never the histogram.
 	defer s.tracer.Finish(sp)
 	ctx := obs.ContextWithSpan(reqCtx, sp)
-	if wl != nil {
-		sp.Workload = wl.Kind()
-	} else {
-		if len(req.Pis) > 0 || len(req.Pi) == 0 {
-			http.Error(w, "service: /route/stream takes exactly one permutation (pi)", http.StatusBadRequest)
-			return
-		}
-		wl = pops.Permutation(req.Pi)
-	}
+	sp.Workload = wireKind(wl)
 	st, err := s.ExecuteStream(ctx, req.D, req.G, wl)
 	if err != nil {
 		writeError(w, err)
@@ -497,29 +427,20 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// planResult converts one permutation planning outcome to its wire form.
-func planResult(pi []int, res Result, includeSchedule bool) wire.PlanResult {
-	if res.Err != nil {
-		return wire.PlanResult{Error: res.Err.Error()}
+// wireKind is a workload's kind tag on the wire: permutations travel
+// untagged (""), the original schema, and every other kind under its Kind.
+func wireKind(w pops.Workload) string {
+	if k := w.Kind(); k != pops.WorkloadPermutation {
+		return k
 	}
-	pr := wire.PlanResult{
-		Strategy:    res.Plan.Strategy,
-		Slots:       res.Plan.SlotCount(),
-		Rounds:      res.Plan.Rounds,
-		Fingerprint: fmt.Sprintf("%016x", pops.PermutationFingerprint(pi)),
-		Cached:      res.Cached,
-	}
-	if includeSchedule {
-		pr.Schedule = res.Plan.Schedule()
-	}
-	return pr
+	return ""
 }
 
-// workloadResult converts one non-permutation workload outcome to its wire
-// form, tagging the workload kind and the relation degree.
+// workloadResult converts one planning outcome to its wire form, tagging
+// the workload kind and the relation degree.
 func workloadResult(w pops.Workload, res Result, includeSchedule bool) wire.PlanResult {
 	if res.Err != nil {
-		pr := wire.PlanResult{Workload: w.Kind(), Error: res.Err.Error()}
+		pr := wire.PlanResult{Workload: wireKind(w), Error: res.Err.Error()}
 		var ue *pops.UnroutableError
 		if errors.As(res.Err, &ue) {
 			pr.Unroutable = &wire.UnroutableInfo{
@@ -534,7 +455,7 @@ func workloadResult(w pops.Workload, res Result, includeSchedule bool) wire.Plan
 	}
 	pr := wire.PlanResult{
 		Strategy:    res.Plan.Strategy,
-		Workload:    w.Kind(),
+		Workload:    wireKind(w),
 		Slots:       res.Plan.SlotCount(),
 		Rounds:      res.Plan.Rounds,
 		H:           res.Plan.H,

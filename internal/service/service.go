@@ -326,6 +326,36 @@ func checkStrategy(strategy string) error {
 	return nil
 }
 
+// onShard runs admit on the live shard for POPS(d, g), resolving the shard
+// again when it was evicted between lookup and admission.
+func onShard[T any](s *Service, d, g int, admit func(*shard) (T, error)) (T, error) {
+	for {
+		sh, err := s.shardFor(d, g)
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		v, err := admit(sh)
+		if err != errShardRetired {
+			return v, err
+		}
+	}
+}
+
+// countFaulty records one served faulty-permutation workload in the fault
+// ledger, and in the unroutable count when err is the typed unroutable
+// verdict. Other kinds are not counted.
+func (s *Service) countFaulty(w pops.Workload, err error) {
+	if w.Kind() != pops.WorkloadFaultyPermutation {
+		return
+	}
+	s.faultPlans.Add(1)
+	var ue *pops.UnroutableError
+	if errors.As(err, &ue) {
+		s.unroutable.Add(1)
+	}
+}
+
 // Route plans one permutation on POPS(d, g) through the shard's admission
 // queue. strategy must be "" or "theorem2"; any other value is a
 // request-level error (HTTP 400) returned before a shard is touched. ctx
@@ -340,53 +370,26 @@ func (s *Service) Route(ctx context.Context, d, g int, pi []int, strategy string
 	}
 	defer s.observeLatency(ctx, time.Now())
 	s.requests.Add(1)
-	for {
-		sh, err := s.shardFor(d, g)
-		if err != nil {
-			return Result{}, err
-		}
-		res, err := sh.route(ctx, pi)
-		if err == errShardRetired {
-			continue // the shard was evicted between lookup and admission
-		}
-		if err != nil {
-			return Result{}, err
-		}
-		return res, nil
-	}
+	return onShard(s, d, g, func(sh *shard) (Result, error) { return sh.route(ctx, pi) })
 }
 
-// Execute plans one non-permutation workload on POPS(d, g), bypassing the
-// micro-batching queue (which amortizes only the Theorem 2 permutation
-// path): the workload is executed directly on the shard's planner, where it
-// shares the pooled worker arenas and the fingerprint plan cache. ctx
-// cancels planning between König factors. Request-level failures (invalid
-// shape, shutdown) are returned as the error; workload planning failures
-// come back in Result.Err, mirroring Route.
+// Execute plans one workload on POPS(d, g), bypassing the micro-batching
+// queue (which amortizes only the Theorem 2 permutation path; the HTTP
+// surface sends permutations through Route): the workload is executed
+// directly on the shard's planner, where it shares the pooled worker arenas
+// and the fingerprint plan cache. ctx cancels planning between König
+// factors. Request-level failures (invalid shape, shutdown) are returned as
+// the error; workload planning failures come back in Result.Err, mirroring
+// Route.
 func (s *Service) Execute(ctx context.Context, d, g int, w pops.Workload) (Result, error) {
 	defer s.observeLatency(ctx, time.Now())
 	s.requests.Add(1)
-	for {
-		sh, err := s.shardFor(d, g)
-		if err != nil {
-			return Result{}, err
-		}
-		res, err := sh.execute(ctx, w)
-		if err == errShardRetired {
-			continue // the shard was evicted between lookup and admission
-		}
-		if err != nil {
-			return Result{}, err
-		}
-		if w.Kind() == pops.WorkloadFaultyPermutation {
-			s.faultPlans.Add(1)
-			var ue *pops.UnroutableError
-			if errors.As(res.Err, &ue) {
-				s.unroutable.Add(1)
-			}
-		}
-		return res, nil
+	res, err := onShard(s, d, g, func(sh *shard) (Result, error) { return sh.execute(ctx, w) })
+	if err != nil {
+		return Result{}, err
 	}
+	s.countFaulty(w, res.Err)
+	return res, nil
 }
 
 // RouteMany plans a batch of permutations on POPS(d, g). All entries are
@@ -493,6 +496,7 @@ func (s *Service) Stats() wire.StatsResponse {
 	}
 	for _, sh := range shards {
 		st := sh.stats()
+		st.Server = s.cfg.Name
 		resp.CacheHits += st.Cache.Hits
 		resp.CacheMisses += st.Cache.Misses
 		resp.Sheds += st.Sheds

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -48,36 +47,11 @@ func (s *Service) ExecuteStream(ctx context.Context, d, g int, w pops.Workload) 
 	if w == nil {
 		return nil, pops.ErrNilWorkload
 	}
-	st, err := s.admitStreamRetrying(ctx, d, g, w)
-	if w.Kind() == pops.WorkloadFaultyPermutation {
-		// Fault streams are planned at admission, so an unroutable fault set
-		// surfaces here as the admission error — count it like Execute does.
-		s.faultPlans.Add(1)
-		var ue *pops.UnroutableError
-		if errors.As(err, &ue) {
-			s.unroutable.Add(1)
-		}
-	}
+	st, err := onShard(s, d, g, func(sh *shard) (*Stream, error) { return sh.admitStream(ctx, w) })
+	// Fault streams are planned at admission, so an unroutable fault set
+	// surfaces here as the admission error.
+	s.countFaulty(w, err)
 	return st, err
-}
-
-// admitStreamRetrying resolves the shard (retrying across evictions) and
-// admits the stream.
-func (s *Service) admitStreamRetrying(ctx context.Context, d, g int, w pops.Workload) (*Stream, error) {
-	for {
-		sh, err := s.shardFor(d, g)
-		if err != nil {
-			return nil, err
-		}
-		st, err := sh.admitStream(ctx, w)
-		if err == errShardRetired {
-			continue // the shard was evicted between lookup and admission
-		}
-		if err != nil {
-			return nil, err
-		}
-		return st, nil
-	}
 }
 
 // admitStream checks shutdown state and the shard's concurrent-stream cap,
@@ -117,11 +91,8 @@ func (sh *shard) admitStream(ctx context.Context, w pops.Workload) (*Stream, err
 		return nil, err
 	}
 	st.ps = ps
-	wireKind := w.Kind()
 	planStrategy := pops.StrategyTheoremTwo
-	switch wireKind {
-	case pops.WorkloadPermutation:
-		wireKind = "" // the original untagged schema
+	switch w.Kind() {
 	case pops.WorkloadHRelation, pops.WorkloadAllToAll:
 		planStrategy = pops.StrategyHRelation
 	case pops.WorkloadOneToAll:
@@ -132,7 +103,7 @@ func (sh *shard) admitStream(ctx context.Context, w pops.Workload) (*Stream, err
 		planStrategy = ps.Strategy()
 	}
 	st.meta = wire.StreamMeta{
-		D: sh.key.d, G: sh.key.g, Workload: wireKind,
+		D: sh.key.d, G: sh.key.g, Workload: wireKind(w),
 		Slots: ps.SlotCount(), Fragments: ps.FragmentCount(),
 		Strategy: planStrategy, Fingerprint: fmt.Sprintf("%016x", pops.WorkloadFingerprint(w)),
 		Cached: ps.Cached(),

@@ -248,6 +248,9 @@ type CacheStats struct {
 
 // ShardStats describes one live planner shard.
 type ShardStats struct {
+	// Server names the node the shard lives on (its StatsResponse.Server),
+	// so rows stay attributable after a proxy concatenates the fleet's.
+	Server   string `json:"server,omitempty"`
 	D        int    `json:"d" label:"d"`
 	G        int    `json:"g" label:"g"`
 	Requests uint64 `json:"requests" metric:"pops_shard_requests_total,counter" help:"Requests admitted per live shard."`
