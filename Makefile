@@ -1,9 +1,10 @@
-# Development entry points. CI runs the same commands (see
-# .github/workflows/ci.yml); BENCH files are recorded with `make bench`.
+# Development entry points. CI runs these targets and nothing else (see
+# .github/workflows/ci.yml), so each lane has one definition; BENCH files
+# are recorded with `make bench`.
 
 DATE := $(shell date +%F)
 
-.PHONY: build test vet race tier1 bench bench-smoke bench-vet examples alloc-guard serve-smoke cluster-smoke fault-smoke obs-smoke overload-smoke
+.PHONY: build test vet race tier1 bench bench-smoke bench-vet examples alloc-guard fuzz-smoke serve-smoke cluster-smoke fault-smoke obs-smoke overload-smoke
 
 build:
 	go build ./...
@@ -30,8 +31,21 @@ define smoke
 	go test -run '$(1)' -count=1 -v $(2)
 endef
 
+# The race lane: the public API, fault injection, observability, the wire
+# codec, the serving and cluster layers, the overload harness, and both
+# server binaries.
 race:
-	go test -race . ./internal/popsnet ./internal/wirebin ./internal/service/... ./internal/cluster/... ./internal/chaos ./cmd/popsserved ./cmd/popsproxy
+	go test -race . ./internal/popsnet ./internal/obs ./internal/wirebin ./internal/service/... ./internal/cluster/... ./internal/chaos ./cmd/popsserved ./cmd/popsproxy
+
+# Fuzz smoke: each fuzzer runs for FUZZTIME on top of its seed corpus —
+# binary frame decoding, NDJSON/binary stream equivalence, the streamed plan
+# against the batch reference, and balanced edge coloring.
+FUZZTIME ?= 30s
+fuzz-smoke:
+	go test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/wirebin
+	go test -run '^$$' -fuzz FuzzStreamCrossCodec -fuzztime $(FUZZTIME) ./internal/service
+	go test -run '^$$' -fuzz FuzzStreamMatchesReference -fuzztime $(FUZZTIME) ./internal/core
+	go test -run '^$$' -fuzz FuzzBalancedInto -fuzztime $(FUZZTIME) ./internal/edgecolor
 
 # End-to-end serving smoke: start popsserved on an ephemeral port, route a
 # permutation through pops.ServiceClient, and assert the second call is
@@ -137,9 +151,10 @@ examples:
 # a pooled slot-frame encode+decode cycle and a Reframer relay step are
 # 0 allocs/op in steady state (the measured codec delta is recorded in
 # BENCH_2026-08-08_wirebin.json).
+# Each line runs through the smoke guard, so a renamed guard test fails the
+# target instead of leaving it checking nothing.
 alloc-guard:
-	go test -run 'TestFactorizerAllocBudget|TestStreamAllocBudget|TestMatcherSteadyStateAllocFree|TestSplitterSteadyStateAllocFree' \
-		-count=1 ./internal/edgecolor ./internal/matching ./internal/graph
-	go test -run 'TestSpanAllocBudget|TestPlanTimesObserveAllocBudget' -count=1 ./internal/obs
-	go test -run 'TestWireEncodeAllocBudget|TestReframerAllocBudget' -count=1 ./internal/wirebin
-	go test -run 'TestExecuteStreamAllocBudget|TestHRelationPooledAllocBudget|TestCachedHitSpanAllocBudget' -count=1 .
+	$(call smoke,TestFactorizerAllocBudget|TestStreamAllocBudget|TestMatcherSteadyStateAllocFree|TestSplitterSteadyStateAllocFree,./internal/edgecolor ./internal/matching ./internal/graph)
+	$(call smoke,TestSpanAllocBudget|TestPlanTimesObserveAllocBudget,./internal/obs)
+	$(call smoke,TestWireEncodeAllocBudget|TestReframerAllocBudget,./internal/wirebin)
+	$(call smoke,TestExecuteStreamAllocBudget|TestHRelationPooledAllocBudget|TestCachedHitSpanAllocBudget,.)
