@@ -291,9 +291,9 @@ func (s *Service) handleSlow(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRouteStream serves POST /route/stream: the slot schedule of one
-// permutation as newline-delimited JSON (wire.StreamRecord), each record
-// flushed as its own chunk so early slots reach the caller while later
-// color classes are still being peeled. Admission errors are plain HTTP
+// workload as newline-delimited JSON (wire.StreamRecord) or binary frames,
+// each record flushed as its own chunk so early slots reach the caller while
+// later factors are still being peeled. Admission errors are plain HTTP
 // statuses; once the meta record has been written, failures travel as an
 // "error" record.
 func (s *Service) handleRouteStream(w http.ResponseWriter, r *http.Request) {

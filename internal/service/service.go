@@ -382,6 +382,9 @@ func (s *Service) Route(ctx context.Context, d, g int, pi []int, strategy string
 // the error; workload planning failures come back in Result.Err, mirroring
 // Route.
 func (s *Service) Execute(ctx context.Context, d, g int, w pops.Workload) (Result, error) {
+	if w == nil {
+		return Result{}, pops.ErrNilWorkload
+	}
 	defer s.observeLatency(ctx, time.Now())
 	s.requests.Add(1)
 	res, err := onShard(s, d, g, func(sh *shard) (Result, error) { return sh.execute(ctx, w) })

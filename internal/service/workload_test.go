@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 
 	"pops"
@@ -106,7 +107,7 @@ func TestWorkloadHRelationRoundTrip(t *testing.T) {
 // the wire: the complete exchange (cached on replay — it is fully
 // determined by the shape) and the broadcast.
 func TestWorkloadAllToAllAndOneToAll(t *testing.T) {
-	_, client := newTestServer(t, Config{})
+	svc, client := newTestServer(t, Config{})
 	const d, g = 2, 2
 	n := d * g
 	ctx := context.Background()
@@ -142,5 +143,12 @@ func TestWorkloadAllToAllAndOneToAll(t *testing.T) {
 		D: d, G: g, Workload: wire.WorkloadAllToAll, Strategy: pops.StrategyGreedy,
 	}); err == nil {
 		t.Fatal("strategy on a non-permutation workload accepted")
+	}
+	// A nil workload is a request-level error on both entry points.
+	if _, err := svc.Execute(ctx, d, g, nil); !errors.Is(err, pops.ErrNilWorkload) {
+		t.Fatalf("Execute(nil) = %v, want pops.ErrNilWorkload", err)
+	}
+	if _, err := svc.ExecuteStream(ctx, d, g, nil); !errors.Is(err, pops.ErrNilWorkload) {
+		t.Fatalf("ExecuteStream(nil) = %v, want pops.ErrNilWorkload", err)
 	}
 }

@@ -187,3 +187,29 @@ func TestFacadeAllToAll(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPlanOwnsPermutation pins the ownership contract of Plan.Pi: a plan
+// snapshots the caller's permutation — on the colored path and on the d = 1
+// direct schedule alike — so callers may reuse their pi buffers as soon as
+// Execute returns.
+func TestPlanOwnsPermutation(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, s := range []struct{ d, g int }{{8, 8}, {1, 16}} {
+		pi := RandomPermutation(s.d*s.g, rng)
+		plan, err := execute(s.d, s.g, Permutation(pi))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &plan.Pi[0] == &pi[0] {
+			t.Fatalf("POPS(%d,%d): Plan aliases the caller's permutation", s.d, s.g)
+		}
+		saved := plan.Pi[0]
+		pi[0], pi[1] = pi[1], pi[0]
+		if plan.Pi[0] != saved {
+			t.Fatalf("POPS(%d,%d): Plan changed when the caller's slice was mutated", s.d, s.g)
+		}
+		if _, err := plan.Verify(); err != nil {
+			t.Fatalf("POPS(%d,%d): plan fails verification after the caller's slice changed: %v", s.d, s.g, err)
+		}
+	}
+}
