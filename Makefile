@@ -38,11 +38,13 @@ race:
 	go test -race . ./internal/popsnet ./internal/obs ./internal/wirebin ./internal/service/... ./internal/cluster/... ./internal/chaos ./cmd/popsserved ./cmd/popsproxy
 
 # Fuzz smoke: each fuzzer runs for FUZZTIME on top of its seed corpus —
-# binary frame decoding, NDJSON/binary stream equivalence, the streamed plan
-# against the batch reference, and balanced edge coloring.
+# binary frame decoding, JSON/binary request-body equivalence, NDJSON/binary
+# stream equivalence, the streamed plan against the batch reference, and
+# balanced edge coloring.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/wirebin
+	go test -run '^$$' -fuzz FuzzRequestCrossCodec -fuzztime $(FUZZTIME) .
 	go test -run '^$$' -fuzz FuzzStreamCrossCodec -fuzztime $(FUZZTIME) ./internal/service
 	go test -run '^$$' -fuzz FuzzStreamMatchesReference -fuzztime $(FUZZTIME) ./internal/core
 	go test -run '^$$' -fuzz FuzzBalancedInto -fuzztime $(FUZZTIME) ./internal/edgecolor

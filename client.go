@@ -41,20 +41,20 @@ type (
 )
 
 // ServiceClient is the Go client of a popsserved routing service (see
-// cmd/popsserved and internal/service): plans are requested over HTTP/JSON
-// instead of computed in-process, so many processes can share one warm
-// planner fleet — its shards, micro-batches, and fingerprint plan cache.
-// The zero cost of coalescing happens server-side; the client is a thin,
-// concurrency-safe HTTP wrapper.
+// cmd/popsserved and internal/service): plans are requested over HTTP, in
+// binary frames or JSON (see ServiceCodec), instead of computed in-process,
+// so many processes can share one warm planner fleet — its shards,
+// micro-batches, and fingerprint plan cache. The zero cost of coalescing
+// happens server-side; the client is a thin, concurrency-safe HTTP wrapper.
 type ServiceClient struct {
 	base  string
 	hc    *http.Client
 	retry RetryPolicy
 	codec ServiceCodec
 
-	// binDown is the sticky binary-codec downgrade: set when a CodecAuto
-	// request came back 406, so every later request skips the binary Accept
-	// instead of renegotiating per call. It is shared (by pointer) across
+	// binDown is the sticky binary-codec downgrade, set when a CodecAuto
+	// request is refused with 406 or 415: later requests speak JSON both ways
+	// instead of renegotiating. It is shared (by pointer) across
 	// WithRetry/WithCodec copies, so one downgrade covers the whole client.
 	binDown *atomic.Bool
 
@@ -65,21 +65,21 @@ type ServiceClient struct {
 	jitter func(time.Duration) time.Duration
 }
 
-// ServiceCodec selects the response codec a ServiceClient negotiates for
-// /route and /route/stream. See WithCodec.
+// ServiceCodec selects the codec a ServiceClient speaks on /route and
+// /route/stream, for request bodies and responses alike. See WithCodec.
 type ServiceCodec int
 
 const (
-	// CodecAuto (the default) asks for the binary framing with a JSON/NDJSON
-	// fallback in the same Accept header, decodes whichever codec the server
-	// chose, and downgrades the client permanently on a 406 — old servers
-	// and new servers are both spoken to transparently.
+	// CodecAuto (the default) sends binary request frames, asks for binary
+	// with a JSON/NDJSON fallback in the same Accept header, decodes whichever
+	// codec the server chose, and downgrades to JSON for good on a 406 or 415
+	// — old servers and new servers are both spoken to transparently.
 	CodecAuto ServiceCodec = iota
-	// CodecJSON never asks for binary: requests are byte-identical to the
-	// pre-binary client, the debugging escape hatch.
+	// CodecJSON never speaks binary: requests are byte-identical to the
+	// pre-binary client (a JSON body, no Accept), the debugging escape hatch.
 	CodecJSON
-	// CodecBinary requires the binary framing: a server answering in any
-	// other codec is an error. Use it to pin the wire format in tests.
+	// CodecBinary requires the binary framing both ways: a server answering
+	// in any other codec is an error. Use it to pin the wire format in tests.
 	CodecBinary
 )
 
@@ -102,24 +102,26 @@ func (c *ServiceClient) WithCodec(codec ServiceCodec) *ServiceClient {
 	return &cp
 }
 
-// acceptHeader renders the Accept header for one call ("" sends none —
-// the legacy request shape). Streams name NDJSON as the fallback, unary
-// calls JSON.
-func (c *ServiceClient) acceptHeader(stream bool) string {
+// acceptHeader renders the Accept header of a binary call to path. Streams
+// name NDJSON as the fallback, unary calls JSON.
+func (c *ServiceClient) acceptHeader(path string) string {
 	switch {
-	case c.codec == CodecJSON, c.codec == CodecAuto && c.binDown.Load():
-		return ""
 	case c.codec == CodecBinary:
 		return wirebin.ContentType
-	case stream:
+	case path == "/route/stream":
 		return wirebin.ContentType + ", application/x-ndjson;q=0.9"
 	default:
 		return wirebin.ContentType + ", application/json;q=0.9"
 	}
 }
 
-// errNotAcceptable marks a 406 verdict so the auto codec can downgrade.
+// errNotAcceptable marks a codec refusal so the auto codec can downgrade.
 var errNotAcceptable = errors.New("server rejected the requested codec")
+
+// refusesCodec reports a codec refusal: 406 for the Accept, 415 for the body.
+func refusesCodec(status int) bool {
+	return status == http.StatusNotAcceptable || status == http.StatusUnsupportedMediaType
+}
 
 // RetryPolicy tunes the client's reaction to overload verdicts (HTTP 429,
 // or 503 carrying Retry-After): how many times to retry and how to pace.
@@ -261,16 +263,56 @@ func RequestIDFromContext(ctx context.Context) string {
 // full schedules (IncludeSchedule). The service plans Theorem 2 only, so a
 // Strategy other than "" or "theorem2" is answered 400.
 func (c *ServiceClient) Do(ctx context.Context, req *ServiceRouteRequest) (*ServiceRouteResponse, error) {
-	pb, err := marshalBody(req)
-	if err != nil {
-		return nil, err
-	}
-	defer pb.release()
 	var resp ServiceRouteResponse
-	if err := c.post(ctx, "/route", pb, &resp); err != nil {
+	if err := c.send(ctx, "/route", req, func(hreq *http.Request) error { return c.roundTrip(hreq, &resp) }); err != nil {
 		return nil, err
 	}
 	return &resp, nil
+}
+
+// send posts req to path under the retry policy, exchange running one
+// attempt on the built request. It is the one place the request codec is
+// chosen: a binary frame and Accept unless the client speaks JSON. A
+// CodecAuto client refused with 406 or 415 downgrades for good and replays
+// the attempt with a freshly encoded JSON body.
+func (c *ServiceClient) send(ctx context.Context, path string, req *ServiceRouteRequest, exchange func(*http.Request) error) error {
+	bin := c.codec == CodecBinary || c.codec == CodecAuto && !c.binDown.Load()
+	pb, err := encodeBody(req, bin)
+	if err != nil {
+		return err
+	}
+	defer func() { pb.release() }()
+	// The request is rebuilt per attempt — a body reader cannot be rewound
+	// once the transport has consumed it.
+	attempt := func() error {
+		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, nil)
+		if err != nil {
+			return err
+		}
+		pb.attach(hreq)
+		ct := "application/json"
+		if bin {
+			ct = wirebin.ContentType
+			hreq.Header.Set("Accept", c.acceptHeader(path))
+		}
+		hreq.Header.Set("Content-Type", ct)
+		c.setCallHeaders(ctx, hreq)
+		return exchange(hreq)
+	}
+	return c.withRetry(ctx, func() error {
+		err := attempt()
+		if !bin || c.codec != CodecAuto || !errors.Is(err, errNotAcceptable) {
+			return err
+		}
+		jb, jerr := encodeBody(req, false)
+		if jerr != nil {
+			return jerr
+		}
+		c.binDown.Store(true)
+		pb.release()
+		pb, bin = jb, false
+		return attempt()
+	})
 }
 
 // bodyPool recycles request marshal buffers: the hot client path re-sends
@@ -288,12 +330,16 @@ type pooledBody struct {
 	refs atomic.Int32
 }
 
-// marshalBody encodes v into a pooled buffer. The caller holds one reference
-// and must call release exactly once.
-func marshalBody(v any) (*pooledBody, error) {
+// encodeBody encodes req into a pooled buffer, as one FrameRequest or JSON.
+// The caller holds one reference and must call release exactly once.
+func encodeBody(req *ServiceRouteRequest, binary bool) (*pooledBody, error) {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	if binary {
+		enc := wirebin.GetEncoder()
+		buf.Write(enc.AppendRequest(req))
+		wirebin.PutEncoder(enc)
+	} else if err := json.NewEncoder(buf).Encode(req); err != nil {
 		bodyPool.Put(buf)
 		return nil, fmt.Errorf("pops: encoding route request: %w", err)
 	}
@@ -528,45 +574,25 @@ func (c *ServiceClient) ExecuteStream(ctx context.Context, d, g int, w Workload)
 	if err != nil {
 		return nil, err
 	}
-	pb, err := marshalBody(req)
-	if err != nil {
-		return nil, err
-	}
-	defer pb.release()
 	// A stream shed at admission (429 before the meta record) has delivered
 	// nothing, so retrying it is as safe as retrying /route. Once the stream
 	// is open it is never retried — the caller may have consumed slots.
 	var st *ServiceStream
-	err = c.withRetry(ctx, func() error {
-		var openErr error
-		st, openErr = c.openStream(ctx, pb, c.acceptHeader(true))
-		if errors.Is(openErr, errNotAcceptable) && c.codec == CodecAuto {
-			c.binDown.Store(true)
-			st, openErr = c.openStream(ctx, pb, "")
-		}
-		return openErr
+	err = c.send(ctx, "/route/stream", req, func(hreq *http.Request) (err error) {
+		st, err = c.openStream(hreq)
+		return err
 	})
 	return st, err
 }
 
-func (c *ServiceClient) openStream(ctx context.Context, pb *pooledBody, accept string) (*ServiceStream, error) {
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/route/stream", nil)
-	if err != nil {
-		return nil, err
-	}
-	pb.attach(httpReq)
-	httpReq.Header.Set("Content-Type", "application/json")
-	if accept != "" {
-		httpReq.Header.Set("Accept", accept)
-	}
-	c.setCallHeaders(ctx, httpReq)
+func (c *ServiceClient) openStream(httpReq *http.Request) (*ServiceStream, error) {
 	resp, err := c.hc.Do(httpReq)
 	if err != nil {
 		return nil, fmt.Errorf("pops: service request /route/stream: %w", err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		defer drainClose(resp.Body)
-		if resp.StatusCode == http.StatusNotAcceptable {
+		if refusesCodec(resp.StatusCode) {
 			return nil, fmt.Errorf("pops: service /route/stream: %w", errNotAcceptable)
 		}
 		if oe := OverloadFromResponse(resp); oe != nil {
@@ -577,7 +603,7 @@ func (c *ServiceClient) openStream(ctx context.Context, pb *pooledBody, accept s
 	if wirebin.IsContentType(resp.Header.Get("Content-Type")) {
 		return openBinaryStream(resp)
 	}
-	if accept == wirebin.ContentType {
+	if httpReq.Header.Get("Accept") == wirebin.ContentType {
 		drainClose(resp.Body)
 		return nil, fmt.Errorf("pops: service /route/stream answered %q, want %s",
 			resp.Header.Get("Content-Type"), wirebin.ContentType)
@@ -775,34 +801,6 @@ func (c *ServiceClient) Healthz(ctx context.Context) error {
 	return nil
 }
 
-func (c *ServiceClient) post(ctx context.Context, path string, pb *pooledBody, out any) error {
-	// The request is rebuilt per attempt — a body reader cannot be rewound
-	// once the transport has consumed it.
-	return c.withRetry(ctx, func() error {
-		attempt := func(accept string) error {
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, nil)
-			if err != nil {
-				return err
-			}
-			pb.attach(req)
-			req.Header.Set("Content-Type", "application/json")
-			if accept != "" {
-				req.Header.Set("Accept", accept)
-			}
-			c.setCallHeaders(ctx, req)
-			return c.roundTrip(req, out)
-		}
-		err := attempt(c.acceptHeader(false))
-		if errors.Is(err, errNotAcceptable) && c.codec == CodecAuto {
-			// The server refused the binary offer outright: downgrade this
-			// client permanently and replay the attempt as plain JSON.
-			c.binDown.Store(true)
-			return attempt("")
-		}
-		return err
-	})
-}
-
 // setCallHeaders attaches the per-call context headers: the caller's
 // correlation ID, the tenant tag for weighted-fair admission, and the
 // absolute deadline, so a server can shed a queued request the moment it
@@ -837,7 +835,7 @@ func (c *ServiceClient) roundTrip(req *http.Request, out any) error {
 	// paths — non-2xx answers, truncated JSON — would otherwise leak pooled
 	// connections exactly when a failover layer is retrying hardest.
 	defer drainClose(resp.Body)
-	if resp.StatusCode == http.StatusNotAcceptable {
+	if refusesCodec(resp.StatusCode) {
 		return fmt.Errorf("pops: service %s: %w", req.URL.Path, errNotAcceptable)
 	}
 	if resp.StatusCode != http.StatusOK {

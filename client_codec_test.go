@@ -1,16 +1,19 @@
 package pops
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	"pops/internal/popsnet"
 	"pops/internal/wire"
+	"pops/internal/wire/wiretest"
 	"pops/internal/wirebin"
 )
 
@@ -191,66 +194,181 @@ func TestServiceClientBinaryErrorFrame(t *testing.T) {
 	}
 }
 
-// TestServiceClientCodecFallbackOn406 pins the transparent downgrade: a
-// server that 406es the binary offer is retried as plain JSON within the
-// same call, and the downgrade is sticky — later calls never offer binary
-// again.
-func TestServiceClientCodecFallbackOn406(t *testing.T) {
-	var rejected, jsonCalls atomic.Int64
+// sentRequest is what a codecServer saw of one request.
+type sentRequest struct {
+	path, contentType, accept string
+	body                      []byte
+}
+
+// codecServer is a fake route server that records every request and
+// answers /route and /route/stream in the codec the request's Accept names:
+// binary frames when it names application/x-pops-bin, JSON/NDJSON
+// otherwise. A non-zero refuse makes it a JSON-only server: 406 refuses a
+// binary Accept, 415 a binary request body.
+func codecServer(t *testing.T, refuse int) (*httptest.Server, func() []sentRequest) {
+	t.Helper()
+	var mu sync.Mutex
+	var sent []sentRequest
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.Contains(r.Header.Get("Accept"), "x-pops-bin") {
-			rejected.Add(1)
-			http.Error(w, "binary not spoken here", http.StatusNotAcceptable)
+		body, _ := io.ReadAll(r.Body)
+		rec := sentRequest{r.URL.Path, r.Header.Get("Content-Type"), r.Header.Get("Accept"), body}
+		mu.Lock()
+		sent = append(sent, rec)
+		mu.Unlock()
+		binary := wirebin.Accepts(rec.accept)
+		if refuse == http.StatusNotAcceptable && binary ||
+			refuse == http.StatusUnsupportedMediaType && wirebin.IsContentType(rec.contentType) {
+			http.Error(w, "binary not spoken here", refuse)
 			return
 		}
-		jsonCalls.Add(1)
-		var req wire.RouteRequest
-		json.NewDecoder(r.Body).Decode(&req)
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(wire.RouteResponse{D: req.D, G: req.G, Plans: []wire.PlanResult{{Slots: 8}}})
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		req, ok := wiretest.DecodeRoute(t, w, r)
+		if !ok {
+			return
+		}
+		meta := wire.StreamMeta{D: req.D, G: req.G, Slots: 1}
+		done := wire.StreamDone{Slots: 1}
+		resp := wire.RouteResponse{D: req.D, G: req.G, Plans: []wire.PlanResult{{Slots: 8}}}
+		enc := wirebin.GetEncoder()
+		defer wirebin.PutEncoder(enc)
+		switch {
+		case r.URL.Path == "/route/stream" && binary:
+			w.Header().Set("Content-Type", wirebin.ContentType)
+			w.Write(enc.AppendMeta(&meta))
+			w.Write(enc.AppendDone(&done))
+		case r.URL.Path == "/route/stream":
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			json.NewEncoder(w).Encode(wire.StreamRecord{Type: "meta", Meta: &meta})
+			json.NewEncoder(w).Encode(wire.StreamRecord{Type: "done", Done: &done})
+		case binary:
+			w.Header().Set("Content-Type", wirebin.ContentType)
+			w.Write(enc.AppendResponse(&resp))
+		default:
+			w.Header().Set("Content-Type", "application/json")
+			json.NewEncoder(w).Encode(resp)
+		}
 	}))
 	t.Cleanup(srv.Close)
-	client := NewServiceClient(srv.URL, nil)
+	return srv, func() []sentRequest {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]sentRequest(nil), sent...)
+	}
+}
 
-	for i := 0; i < 3; i++ {
-		plan, err := client.Execute(context.Background(), 4, 8, Permutation(VectorReversal(32)))
-		if err != nil {
-			t.Fatalf("call %d: %v", i, err)
-		}
-		if plan.Slots != 8 {
-			t.Fatalf("call %d: plan %+v", i, plan)
+// codecTestRequest is the request every codec test sends, and its two body
+// encodings: the JSON one of the pre-binary client and one FrameRequest.
+var codecTestRequest = ServiceRouteRequest{D: 4, G: 8, Pi: VectorReversal(32)}
+
+func codecTestBodies(t *testing.T) (jsonBody, binBody []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(&codecTestRequest); err != nil {
+		t.Fatal(err)
+	}
+	enc := wirebin.GetEncoder()
+	defer wirebin.PutEncoder(enc)
+	return buf.Bytes(), append([]byte(nil), enc.AppendRequest(&codecTestRequest)...)
+}
+
+// routeAndStream drives one Execute, one drained ExecuteStream and one more
+// Execute of codecTestRequest through client.
+func routeAndStream(t *testing.T, client *ServiceClient) {
+	t.Helper()
+	ctx := context.Background()
+	w := Permutation(codecTestRequest.Pi)
+	execute := func() {
+		t.Helper()
+		plan, err := client.Execute(ctx, codecTestRequest.D, codecTestRequest.G, w)
+		if err != nil || plan.Slots != 8 {
+			t.Fatalf("Execute: plan %+v, %v", plan, err)
 		}
 	}
-	if got := rejected.Load(); got != 1 {
-		t.Fatalf("binary offered %d times, want exactly 1 (sticky downgrade)", got)
+	execute()
+	st, err := client.ExecuteStream(ctx, codecTestRequest.D, codecTestRequest.G, w)
+	if err != nil {
+		t.Fatalf("ExecuteStream: %v", err)
 	}
-	if got := jsonCalls.Load(); got != 3 {
-		t.Fatalf("JSON served %d calls, want 3", got)
+	if rec, err := st.Next(); rec != nil || err != nil || st.Done() == nil {
+		t.Fatalf("stream: record %+v, err %v, done %+v", rec, err, st.Done())
+	}
+	st.Close()
+	execute()
+}
+
+// checkCodecFallback pins the transparent downgrade against a server that
+// refuses the binary codec with status: the refused call is replayed within
+// the same call with a freshly encoded JSON body and no binary Accept, and
+// the downgrade is sticky — binary is offered exactly once, and every later
+// call, on /route and /route/stream alike, sends the pre-binary JSON bytes.
+func checkCodecFallback(t *testing.T, status int) {
+	srv, sent := codecServer(t, status)
+	routeAndStream(t, NewServiceClient(srv.URL, nil))
+	jsonBody, binBody := codecTestBodies(t)
+	reqs := sent()
+	if len(reqs) != 4 {
+		t.Fatalf("server saw %d requests, want 4 (one refused offer, three calls)", len(reqs))
+	}
+	if r := reqs[0]; !wirebin.IsContentType(r.contentType) || !wirebin.Accepts(r.accept) || !bytes.Equal(r.body, binBody) {
+		t.Fatalf("first request offered Content-Type %q, Accept %q, body %q; want the binary frame", r.contentType, r.accept, r.body)
+	}
+	for i, r := range reqs[1:] {
+		if r.contentType != "application/json" || r.accept != "" || !bytes.Equal(r.body, jsonBody) {
+			t.Errorf("request %d after the refusal (%s): Content-Type %q, Accept %q, body %q; want the JSON request",
+				i+1, r.path, r.contentType, r.accept, r.body)
+		}
+	}
+}
+
+// TestServiceClientCodecFallbackOn406 is checkCodecFallback against a server
+// that refuses the binary Accept.
+func TestServiceClientCodecFallbackOn406(t *testing.T) {
+	checkCodecFallback(t, http.StatusNotAcceptable)
+}
+
+// TestServiceClientCodecFallbackOn415 is checkCodecFallback against a server
+// that refuses the binary request body.
+func TestServiceClientCodecFallbackOn415(t *testing.T) {
+	checkCodecFallback(t, http.StatusUnsupportedMediaType)
+}
+
+// TestServiceClientSendsBinaryRequests pins the default request codec:
+// CodecAuto and CodecBinary clients send each call as one FrameRequest
+// under Content-Type application/x-pops-bin, with an Accept naming binary.
+func TestServiceClientSendsBinaryRequests(t *testing.T) {
+	_, binBody := codecTestBodies(t)
+	for _, codec := range []ServiceCodec{CodecAuto, CodecBinary} {
+		srv, sent := codecServer(t, 0)
+		routeAndStream(t, NewServiceClient(srv.URL, nil).WithCodec(codec))
+		for _, r := range sent() {
+			if !wirebin.IsContentType(r.contentType) || !wirebin.Accepts(r.accept) || !bytes.Equal(r.body, binBody) {
+				t.Errorf("codec %d %s: Content-Type %q, Accept %q, body %q; want the binary frame",
+					codec, r.path, r.contentType, r.accept, r.body)
+			}
+		}
 	}
 }
 
 // TestServiceClientCodecJSONSendsNoAccept pins the escape hatch: a CodecJSON
-// client's requests carry no Accept header at all — byte-identical to the
-// pre-binary client — and CodecBinary refuses a JSON answer.
+// client's requests are byte-identical to the pre-binary client —
+// Content-Type application/json, the json.Encoder bytes of the request, no
+// Accept header at all — and CodecBinary refuses a JSON answer.
 func TestServiceClientCodecJSONSendsNoAccept(t *testing.T) {
-	var sawAccept atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("Accept") != "" {
-			sawAccept.Add(1)
+	codecSrv, sent := codecServer(t, 0)
+	routeAndStream(t, NewServiceClient(codecSrv.URL, nil).WithCodec(CodecJSON))
+	jsonBody, _ := codecTestBodies(t)
+	for _, r := range sent() {
+		if r.contentType != "application/json" || r.accept != "" || !bytes.Equal(r.body, jsonBody) {
+			t.Errorf("CodecJSON %s: Content-Type %q, Accept %q, body %q; want the pre-binary request",
+				r.path, r.contentType, r.accept, r.body)
 		}
+	}
+
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(wire.RouteResponse{Plans: []wire.PlanResult{{Slots: 8}}})
 	}))
 	t.Cleanup(srv.Close)
-
-	jsonClient := NewServiceClient(srv.URL, nil).WithCodec(CodecJSON)
-	if _, err := jsonClient.Execute(context.Background(), 4, 8, Permutation(VectorReversal(32))); err != nil {
-		t.Fatal(err)
-	}
-	if sawAccept.Load() != 0 {
-		t.Fatal("CodecJSON sent an Accept header")
-	}
-
 	binClient := NewServiceClient(srv.URL, nil).WithCodec(CodecBinary)
 	_, err := binClient.Execute(context.Background(), 4, 8, Permutation(VectorReversal(32)))
 	if err == nil || !strings.Contains(err.Error(), "want "+wirebin.ContentType) {

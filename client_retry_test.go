@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"pops/internal/wire"
+	"pops/internal/wire/wiretest"
 )
 
 // shedThenServe answers the first n /route posts with a 429 overload
@@ -28,9 +29,8 @@ func shedThenServe(t *testing.T, n int, retryAfter time.Duration) (*httptest.Ser
 			http.Error(w, "pops: overloaded", http.StatusTooManyRequests)
 			return
 		}
-		var req wire.RouteRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		req, ok := wiretest.DecodeRoute(t, w, r)
+		if !ok {
 			return
 		}
 		resp := wire.RouteResponse{D: req.D, G: req.G, Plans: []wire.PlanResult{{Slots: 1}}}

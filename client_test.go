@@ -1,6 +1,7 @@
 package pops
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"pops/internal/wire"
+	"pops/internal/wirebin"
 )
 
 // countingServer wraps an httptest server and counts distinct TCP
@@ -321,4 +323,101 @@ func TestWorkloadFromRequestRoundTrip(t *testing.T) {
 			t.Errorf("batch of kind %q decoded to %v, want ErrBatchRequest", kind, err)
 		}
 	}
+}
+
+// FuzzRequestCrossCodec pins the two request codecs against each other: a
+// ServiceRouteRequest of a fuzzer-chosen shape, kind and payload mix —
+// well-formed or not, an unknown kind included — is encoded as JSON and as
+// one FrameRequest, and both bodies, read back through the servers' one
+// decoder (wirebin.DecodeRequestBody), carry the same shape and routing
+// fields and decode through WorkloadFromRequest to the same kind and
+// WorkloadFingerprint, or to the same error.
+func FuzzRequestCrossCodec(f *testing.F) {
+	for kind := uint8(0); kind < 7; kind++ {
+		f.Add(int64(kind), kind, uint8(2), uint8(4), uint8(0))
+		f.Add(int64(kind), kind, uint8(3), uint8(3), uint8(0xff))
+	}
+	kinds := []string{"", WorkloadPermutation, WorkloadHRelation, WorkloadAllToAll, WorkloadOneToAll, WorkloadFaultyPermutation, "gossip"}
+	f.Fuzz(func(t *testing.T, seed int64, kind, dSeed, gSeed, mix uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		d, g := int(dSeed)%6, int(gSeed)%6
+		n := d * g
+		val := func() int { return rng.Intn(n+4) - 2 } // out-of-range values too: planning rejects them, decoding must not
+		ints := func(k int) []int {
+			out := make([]int, k)
+			for i := range out {
+				out[i] = val()
+			}
+			return out
+		}
+		req := ServiceRouteRequest{D: d, G: g, Workload: kinds[int(kind)%len(kinds)], Speaker: val(),
+			IncludeSchedule: mix&1 != 0}
+		// Each payload field is present by its kind's rule, or by a fuzzer bit.
+		perm := req.Workload == "" || req.Workload == WorkloadPermutation || req.Workload == WorkloadFaultyPermutation
+		if perm && mix&2 == 0 || mix&4 != 0 {
+			req.Pi = RandomPermutation(n, rng)
+			if mix&8 != 0 {
+				req.Pi = ints(n)
+			}
+		}
+		if mix&16 != 0 {
+			req.Pis = [][]int{RandomPermutation(n, rng), ints(n)}
+		}
+		if req.Workload == WorkloadHRelation && mix&2 == 0 || mix&32 != 0 {
+			for i := rng.Intn(2*n + 1); i > 0; i-- {
+				req.Requests = append(req.Requests, wire.Request{Src: val(), Dst: val()})
+			}
+		}
+		if req.Workload == WorkloadFaultyPermutation && mix&2 == 0 || mix&64 != 0 {
+			req.Faults = &wire.FaultSet{Couplers: []wire.Coupler{{B: val(), A: val()}}, Groups: ints(rng.Intn(3))}
+		}
+		if mix&128 != 0 {
+			req.Tenant, req.Strategy = "gold", "theorem2"
+		}
+
+		var jsonBody bytes.Buffer
+		if err := json.NewEncoder(&jsonBody).Encode(&req); err != nil {
+			t.Fatal(err)
+		}
+		enc := wirebin.GetEncoder()
+		binBody := append([]byte(nil), enc.AppendRequest(&req)...)
+		wirebin.PutEncoder(enc)
+		var fromJSON, fromBin ServiceRouteRequest
+		if err := wirebin.DecodeRequestBody("application/json", &jsonBody, &fromJSON); err != nil {
+			t.Fatalf("JSON body of %+v: %v", req, err)
+		}
+		if err := wirebin.DecodeRequestBody(wirebin.ContentType, bytes.NewReader(binBody), &fromBin); err != nil {
+			t.Fatalf("binary body of %+v: %v", req, err)
+		}
+		if fromJSON.D != fromBin.D || fromJSON.G != fromBin.G || fromJSON.Workload != fromBin.Workload ||
+			fromJSON.Tenant != fromBin.Tenant || fromJSON.Strategy != fromBin.Strategy ||
+			fromJSON.IncludeSchedule != fromBin.IncludeSchedule || fromJSON.D != req.D || fromJSON.G != req.G {
+			t.Fatalf("codecs disagree on the request fields of %+v:\n json   %+v\n binary %+v", req, fromJSON, fromBin)
+		}
+		wJSON, errJSON := WorkloadFromRequest(&fromJSON)
+		wBin, errBin := WorkloadFromRequest(&fromBin)
+		switch {
+		case (errJSON == nil) != (errBin == nil):
+			t.Fatalf("request %+v: JSON decodes to %v, binary to %v", req, errJSON, errBin)
+		case errJSON != nil:
+			if errJSON.Error() != errBin.Error() || errors.Is(errJSON, ErrBatchRequest) != errors.Is(errBin, ErrBatchRequest) {
+				t.Fatalf("request %+v: JSON error %v, binary error %v", req, errJSON, errBin)
+			}
+			if errors.Is(errJSON, ErrBatchRequest) && batchFold(fromJSON.Pis) != batchFold(fromBin.Pis) {
+				t.Fatalf("batch %+v: JSON pis %v, binary pis %v", req, fromJSON.Pis, fromBin.Pis)
+			}
+		case wJSON.Kind() != wBin.Kind() || WorkloadFingerprint(wJSON) != WorkloadFingerprint(wBin):
+			t.Fatalf("request %+v: JSON decodes to %s %#x, binary to %s %#x",
+				req, wJSON.Kind(), WorkloadFingerprint(wJSON), wBin.Kind(), WorkloadFingerprint(wBin))
+		}
+	})
+}
+
+// batchFold folds a batch's member count and fingerprints into one value.
+func batchFold(pis [][]int) uint64 {
+	fp := uint64(len(pis))
+	for _, pi := range pis {
+		fp = fp*31 + PermutationFingerprint(pi)
+	}
+	return fp
 }

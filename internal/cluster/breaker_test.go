@@ -15,15 +15,18 @@ import (
 
 	"pops"
 	"pops/internal/wire"
+	"pops/internal/wire/wiretest"
 )
 
 // routeOK answers every /route with one trivial plan and /healthz with ok.
-func routeOK() http.Handler {
+func routeOK(t testing.TB) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("ok\n")) })
 	mux.HandleFunc("/route", func(w http.ResponseWriter, r *http.Request) {
-		var req wire.RouteRequest
-		json.NewDecoder(r.Body).Decode(&req)
+		req, ok := wiretest.DecodeRoute(t, w, r)
+		if !ok {
+			return
+		}
 		json.NewEncoder(w).Encode(wire.RouteResponse{D: req.D, G: req.G, Plans: []wire.PlanResult{{Slots: 1}}})
 	})
 	return mux
@@ -51,7 +54,7 @@ func TestProxyOverloadSpillsOnce(t *testing.T) {
 	var shedCount atomic.Int64
 	shedder := httptest.NewServer(shed429(&shedCount))
 	t.Cleanup(shedder.Close)
-	ok := httptest.NewServer(routeOK())
+	ok := httptest.NewServer(routeOK(t))
 	t.Cleanup(ok.Close)
 
 	p, err := New(Config{Backends: []string{shedder.URL, ok.URL}})
@@ -208,8 +211,10 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 			}
 			return
 		}
-		var req wire.RouteRequest
-		json.NewDecoder(r.Body).Decode(&req)
+		req, ok := wiretest.DecodeRoute(t, w, r)
+		if !ok {
+			return
+		}
 		json.NewEncoder(w).Encode(wire.RouteResponse{D: req.D, G: req.G, Plans: []wire.PlanResult{{Slots: 1}}})
 	})
 	srv := httptest.NewServer(mux)
@@ -276,8 +281,10 @@ func TestBreakerLatencyTrip(t *testing.T) {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
-		var req wire.RouteRequest
-		json.NewDecoder(r.Body).Decode(&req)
+		req, ok := wiretest.DecodeRoute(t, w, r)
+		if !ok {
+			return
+		}
 		json.NewEncoder(w).Encode(wire.RouteResponse{D: req.D, G: req.G, Plans: []wire.PlanResult{{Slots: 1}}})
 	}))
 	t.Cleanup(slow.Close)

@@ -583,13 +583,14 @@ func TestRequestKeyPlacement(t *testing.T) {
 		{"unknown kind", wire.RouteRequest{D: d, G: g, Workload: "gossip", Pi: pi}, placementKey(d, g, 0)},
 	}
 	for _, c := range cases {
-		if got := requestKey(&c.req); got != c.want {
+		if got, _ := requestKey(&c.req); got != c.want {
 			t.Errorf("%s: requestKey = %#x, want %#x", c.name, got, c.want)
 		}
 	}
 	plain := wire.RouteRequest{D: d, G: g, Pi: pi}
 	faulty := wire.RouteRequest{D: d, G: g, Workload: wire.WorkloadFaultyPermutation, Pi: pi}
-	if requestKey(&faulty) == requestKey(&plain) {
+	plainKey, _ := requestKey(&plain)
+	if faultyKey, _ := requestKey(&faulty); faultyKey == plainKey {
 		t.Fatal("faulty-permutation request keyed identically to the plain permutation")
 	}
 }

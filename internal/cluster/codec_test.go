@@ -194,3 +194,55 @@ func TestProxyBinaryStreamReassemblesSplitFrames(t *testing.T) {
 		t.Fatalf("mid-frame failure error = %v, want an in-band cluster error frame", err)
 	}
 }
+
+// TestRequestFramingRule pins the one request-framing rule both front doors
+// share (wirebin.DecodeRequestBody): a body is exactly one request — JSON
+// may trail whitespace and nothing else, a binary body is one FrameRequest
+// and nothing more — so a node and the proxy in front of it give every body
+// the same status, each 400 under its own error prefix.
+func TestRequestFramingRule(t *testing.T) {
+	p, servers, _ := fleet(t, 1, service.Config{}, Config{})
+	front, _ := serveFront(t, p)
+	req := wire.RouteRequest{D: 2, G: 2, Pi: []int{1, 0, 3, 2}}
+	js, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := wirebin.GetEncoder()
+	frame := append([]byte(nil), enc.AppendRequest(&req)...)
+	wirebin.PutEncoder(enc)
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	cases := []struct {
+		name, contentType string
+		body              []byte
+		want              int
+	}{
+		{"json", "application/json", js, http.StatusOK},
+		{"json trailing whitespace", "application/json", cat(js, []byte(" \r\n\t")), http.StatusOK},
+		{"json twice", "application/json", cat(js, js), http.StatusBadRequest},
+		{"json trailing garbage", "application/json", cat(js, []byte("x")), http.StatusBadRequest},
+		{"json trailing bracket", "application/json", cat(js, []byte("]")), http.StatusBadRequest},
+		{"frame", wirebin.ContentType, frame, http.StatusOK},
+		{"frame twice", wirebin.ContentType, cat(frame, frame), http.StatusBadRequest},
+		{"frame trailing byte", wirebin.ContentType, cat(frame, []byte{0}), http.StatusBadRequest},
+		{"frame truncated", wirebin.ContentType, frame[:len(frame)-1], http.StatusBadRequest},
+	}
+	doors := []struct{ url, prefix string }{{servers[0].URL, "service: decoding request: "}, {front.URL, "cluster: decoding request: "}}
+	for _, c := range cases {
+		for _, door := range doors {
+			for _, path := range []string{"/route", "/route/stream"} {
+				resp, err := front.Client().Post(door.url+path, c.contentType, bytes.NewReader(c.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != c.want {
+					t.Errorf("%s to %s%s: status %d (%s), want %d", c.name, door.url, path, resp.StatusCode, body, c.want)
+				} else if c.want != http.StatusOK && !strings.HasPrefix(string(body), door.prefix) {
+					t.Errorf("%s to %s%s: 400 body %q lacks the %q prefix", c.name, door.url, path, body, door.prefix)
+				}
+			}
+		}
+	}
+}

@@ -78,20 +78,22 @@ func (p *Proxy) enter() bool {
 // so a replayed batch lands on the node that planned it. A request that does
 // not decode (an unknown kind from a newer client, a malformed payload) is
 // keyed by shape alone and forwarded; the owning backend produces the
-// authoritative error or answer.
-func requestKey(req *wire.RouteRequest) uint64 {
+// authoritative error or answer. kind is the request's span tag, the node's
+// wire.KindTag of the decoded workload (a batch is permutations, and an
+// undecodable request is wire.KindUndecoded).
+func requestKey(req *wire.RouteRequest) (key uint64, kind string) {
 	w, err := pops.WorkloadFromRequest(req)
 	switch {
 	case err == nil:
-		return placementKey(req.D, req.G, pops.WorkloadFingerprint(w))
+		return placementKey(req.D, req.G, pops.WorkloadFingerprint(w)), wire.KindTag(w.Kind())
 	case errors.Is(err, pops.ErrBatchRequest):
 		var fp uint64
 		for _, pi := range req.Pis {
 			fp = mix64(fp ^ pops.PermutationFingerprint(pi))
 		}
-		return placementKey(req.D, req.G, fp)
+		return placementKey(req.D, req.G, fp), ""
 	default:
-		return placementKey(req.D, req.G, 0)
+		return placementKey(req.D, req.G, 0), wire.KindUndecoded
 	}
 }
 
@@ -187,26 +189,6 @@ func writeOverload(w http.ResponseWriter, oe *pops.OverloadError) {
 	http.Error(w, oe.Error(), http.StatusTooManyRequests)
 }
 
-// decodeProxyRequest reads a route request body in whichever codec the
-// caller framed it — a binary FrameRequest when the Content-Type says so,
-// JSON otherwise — so placement sees the same fields either way. The raw
-// body bytes are forwarded to the backend unchanged regardless of codec.
-func decodeProxyRequest(contentType string, body []byte, req *wire.RouteRequest) error {
-	if !wirebin.IsContentType(contentType) {
-		return json.Unmarshal(body, req)
-	}
-	dec := wirebin.GetDecoder(bytes.NewReader(body))
-	defer wirebin.PutDecoder(dec)
-	typ, payload, err := dec.ReadFrame()
-	if err != nil {
-		return err
-	}
-	if typ != wirebin.FrameRequest {
-		return fmt.Errorf("frame type %d, want request", typ)
-	}
-	return wirebin.DecodeRequest(payload, req)
-}
-
 func (p *Proxy) handleRoute(w http.ResponseWriter, r *http.Request) {
 	if !p.enter() {
 		http.Error(w, ErrClosed.Error(), http.StatusServiceUnavailable)
@@ -218,18 +200,21 @@ func (p *Proxy) handleRoute(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "cluster: reading request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
+	// Placement reads the decoded request; the raw body bytes are forwarded
+	// unchanged, in whichever codec the caller framed them.
 	var req wire.RouteRequest
-	if err := decodeProxyRequest(r.Header.Get("Content-Type"), body, &req); err != nil {
+	if err := wirebin.DecodeRequestBody(r.Header.Get("Content-Type"), bytes.NewReader(body), &req); err != nil {
 		http.Error(w, "cluster: decoding request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	ctx := r.Context()
 	id := requestID(r)
 	w.Header().Set("X-Request-Id", id)
+	key, kind := requestKey(&req)
 	sp := p.tracer.Start(id, req.D, req.G)
-	sp.Workload = req.Workload
+	sp.Workload = kind
 	sp.Begin(obs.PhaseForward)
-	resp, err := p.forward(ctx, requestKey(&req), "/route", body, false, id, r.Header, sp)
+	resp, err := p.forward(ctx, key, "/route", body, false, id, r.Header, sp)
 	sp.End()
 	if err != nil {
 		forwardError(w, ctx, err)
@@ -273,20 +258,21 @@ func (p *Proxy) handleRouteStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req wire.RouteRequest
-	if err := decodeProxyRequest(r.Header.Get("Content-Type"), body, &req); err != nil {
+	if err := wirebin.DecodeRequestBody(r.Header.Get("Content-Type"), bytes.NewReader(body), &req); err != nil {
 		http.Error(w, "cluster: decoding request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	ctx := r.Context()
 	id := requestID(r)
 	w.Header().Set("X-Request-Id", id)
+	key, kind := requestKey(&req)
 	sp := p.tracer.Start(id, req.D, req.G)
-	sp.Workload = req.Workload
+	sp.Workload = kind
 	// Stream spans feed the slow ring only, not the latency histogram: a
 	// stream's wall clock is dominated by how fast the caller reads.
 	defer p.tracer.Finish(sp)
 	sp.Begin(obs.PhaseForward)
-	resp, err := p.forward(ctx, requestKey(&req), "/route/stream", body, true, id, r.Header, sp)
+	resp, err := p.forward(ctx, key, "/route/stream", body, true, id, r.Header, sp)
 	sp.End()
 	if err != nil {
 		forwardError(w, ctx, err)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -248,5 +249,81 @@ func TestProxyEjectionCounter(t *testing.T) {
 	}
 	if ejections > 2 {
 		t.Errorf("ejections = %d after one backend death; repeated probe failures must not re-count", ejections)
+	}
+}
+
+// TestProxySpanWorkloadTags pins one kind taxonomy across tiers: a proxied
+// request's span is tagged from the workload placement decodes, with the
+// node's wire.KindTag — so both spellings of a permutation read "" at the
+// proxy exactly as at the node — and an undecodable request gets the fixed
+// wire.KindUndecoded tag, never the client's kind string.
+func TestProxySpanWorkloadTags(t *testing.T) {
+	p, servers, _ := fleet(t, 1, service.Config{BatchDelay: 200 * time.Microsecond}, Config{})
+	front, _ := serveFront(t, p)
+	const d, g = 2, 2
+	pi := []int{1, 0, 3, 2}
+	cases := []struct {
+		name   string
+		req    wire.RouteRequest
+		want   string
+		traced bool // the node traces it too (it plans batches untraced and refuses unknown kinds)
+	}{
+		{"permutation", wire.RouteRequest{D: d, G: g, Pi: pi}, "", true},
+		{"permutation-tagged", wire.RouteRequest{D: d, G: g, Workload: wire.WorkloadPermutation, Pi: pi}, "", true},
+		{"hrelation", wire.RouteRequest{D: d, G: g, Workload: wire.WorkloadHRelation, Requests: []wire.Request{{Src: 0, Dst: 3}, {Src: 1, Dst: 2}}}, wire.WorkloadHRelation, true},
+		{"all-to-all", wire.RouteRequest{D: d, G: g, Workload: wire.WorkloadAllToAll}, wire.WorkloadAllToAll, true},
+		{"one-to-all", wire.RouteRequest{D: d, G: g, Workload: wire.WorkloadOneToAll, Speaker: 1}, wire.WorkloadOneToAll, true},
+		{"faulty-permutation", wire.RouteRequest{D: d, G: g, Workload: wire.WorkloadFaultyPermutation, Pi: pi,
+			Faults: &wire.FaultSet{Couplers: []wire.Coupler{{B: 1, A: 0}}}}, wire.WorkloadFaultyPermutation, true},
+		{"batch", wire.RouteRequest{D: d, G: g, Pis: [][]int{pi, {0, 1, 2, 3}}}, "", false},
+		{"unknown", wire.RouteRequest{D: d, G: g, Workload: "gossip", Pi: pi}, wire.KindUndecoded, false},
+	}
+	slowTags := func(url string) map[string]string {
+		t.Helper()
+		resp, err := front.Client().Get(url + "/debug/slow")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var slow wire.SlowResponse
+		if err := json.NewDecoder(resp.Body).Decode(&slow); err != nil {
+			t.Fatal(err)
+		}
+		tags := make(map[string]string, len(slow.Requests))
+		for _, r := range slow.Requests {
+			tags[r.ID] = r.Workload
+		}
+		return tags
+	}
+	for _, c := range cases {
+		for _, path := range []string{"/route", "/route/stream"} {
+			blob, err := json.Marshal(c.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req, _ := http.NewRequest("POST", front.URL+path, bytes.NewReader(blob))
+			req.Header.Set("X-Request-Id", c.name+path)
+			resp, err := front.Client().Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}
+	proxyTags, nodeTags := slowTags(front.URL), slowTags(servers[0].URL)
+	for _, c := range cases {
+		for _, path := range []string{"/route", "/route/stream"} {
+			id := c.name + path
+			got, ok := proxyTags[id]
+			if !ok || got != c.want {
+				t.Errorf("%s: proxy span workload = %q (retained %v), want %q", id, got, ok, c.want)
+			}
+			if node, ok := nodeTags[id]; ok && node != got {
+				t.Errorf("%s: node span workload %q, proxy %q", id, node, got)
+			} else if !ok && c.traced {
+				t.Errorf("%s: node retained no span", id)
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -144,6 +145,53 @@ func TestRouteBinaryRequestBody(t *testing.T) {
 	bad := postRoute(t, srv, "/route", frame[:len(frame)-2], wirebin.ContentType, "")
 	if bad.StatusCode != http.StatusBadRequest {
 		t.Fatalf("corrupt body status %d, want 400", bad.StatusCode)
+	}
+}
+
+// TestRouteRequestCodecsAgree pins the request codecs against each other at
+// the handler: the response script — every workload kind, a cache-hit
+// replay, a batch and the malformed combinations — sent as JSON bodies and
+// as FrameRequest bodies, each run on a fresh service under the same
+// X-Request-Id per step, gets byte-identical statuses, content types and
+// bodies (error texts included) on both endpoints in both response codecs.
+func TestRouteRequestCodecsAgree(t *testing.T) {
+	run := func(path, accept string, binary bool) []string {
+		svc := New(Config{Name: "codec-node"})
+		defer svc.Close()
+		h := svc.Handler()
+		enc := wirebin.GetEncoder()
+		defer wirebin.PutEncoder(enc)
+		var out []string
+		for i, step := range responseScript() {
+			body, err := json.Marshal(step)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ct := "application/json"
+			if binary {
+				body, ct = append([]byte(nil), enc.AppendRequest(&step)...), wirebin.ContentType
+			}
+			req := httptest.NewRequest("POST", path, bytes.NewReader(body))
+			req.Header.Set("Content-Type", ct)
+			req.Header.Set("X-Request-Id", fmt.Sprintf("codec-%d", i))
+			if accept != "" {
+				req.Header.Set("Accept", accept)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			out = append(out, fmt.Sprintf("step %d: %d %s %q", i, rec.Code, rec.Header().Get("Content-Type"), rec.Body.Bytes()))
+		}
+		return out
+	}
+	for _, path := range []string{"/route", "/route/stream"} {
+		for _, accept := range []string{"", wirebin.ContentType} {
+			fromJSON, fromBin := run(path, accept, false), run(path, accept, true)
+			for i := range fromJSON {
+				if fromJSON[i] != fromBin[i] {
+					t.Errorf("%s accept=%q:\n json body   %s\n binary body %s", path, accept, fromJSON[i], fromBin[i])
+				}
+			}
+		}
 	}
 }
 

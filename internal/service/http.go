@@ -31,7 +31,8 @@ const maxRequestBody = 64 << 20
 //	GET  /debug/slow    the slowest traced requests with phase breakdowns
 //	GET  /healthz       liveness ("ok" until Close starts)
 //
-// Requests and responses use the JSON schema of internal/wire, decoded into
+// Requests and responses use the JSON schema of internal/wire or its binary
+// framing (internal/wirebin, named by Content-Type and Accept), decoded into
 // a workload by pops.WorkloadFromRequest. Malformed requests (bad JSON, a
 // payload that does not fit its kind, invalid shape, a strategy other than
 // "theorem2") get 400; requests admitted after Close starts get 503;
@@ -72,28 +73,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // decodeRouteRequest reads a /route or /route/stream body in whichever
-// request codec the caller sent: a binary FrameRequest when Content-Type is
-// application/x-pops-bin, JSON otherwise. It writes the 400 itself on
-// malformed input.
+// request codec the caller sent. It writes the 400 itself on malformed input.
 func decodeRouteRequest(w http.ResponseWriter, r *http.Request, req *wire.RouteRequest) bool {
 	body := http.MaxBytesReader(w, r.Body, maxRequestBody)
-	if wirebin.IsContentType(r.Header.Get("Content-Type")) {
-		dec := wirebin.GetDecoder(body)
-		defer wirebin.PutDecoder(dec)
-		typ, payload, err := dec.ReadFrame()
-		if err == nil && typ != wirebin.FrameRequest {
-			err = fmt.Errorf("frame type %d, want request", typ)
-		}
-		if err == nil {
-			err = wirebin.DecodeRequest(payload, req)
-		}
-		if err != nil {
-			http.Error(w, "service: decoding request: "+err.Error(), http.StatusBadRequest)
-			return false
-		}
-		return true
-	}
-	if err := json.NewDecoder(body).Decode(req); err != nil {
+	if err := wirebin.DecodeRequestBody(r.Header.Get("Content-Type"), body, req); err != nil {
 		http.Error(w, "service: decoding request: "+err.Error(), http.StatusBadRequest)
 		return false
 	}
@@ -243,7 +226,7 @@ func (s *Service) handleRoute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sp := s.tracer.Start(id, req.D, req.G)
-	sp.Workload = wireKind(wl)
+	sp.Workload = wire.KindTag(wl.Kind())
 	ctx = obs.ContextWithSpan(ctx, sp)
 	var res Result
 	if wl.Kind() == pops.WorkloadPermutation {
@@ -325,7 +308,7 @@ func (s *Service) handleRouteStream(w http.ResponseWriter, r *http.Request) {
 	// total feeds only the slow ring here, never the histogram.
 	defer s.tracer.Finish(sp)
 	ctx := obs.ContextWithSpan(reqCtx, sp)
-	sp.Workload = wireKind(wl)
+	sp.Workload = wire.KindTag(wl.Kind())
 	st, err := s.ExecuteStream(ctx, req.D, req.G, wl)
 	if err != nil {
 		writeError(w, err)
@@ -427,20 +410,11 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// wireKind is a workload's kind tag on the wire: permutations travel
-// untagged (""), the original schema, and every other kind under its Kind.
-func wireKind(w pops.Workload) string {
-	if k := w.Kind(); k != pops.WorkloadPermutation {
-		return k
-	}
-	return ""
-}
-
 // workloadResult converts one planning outcome to its wire form, tagging
 // the workload kind and the relation degree.
 func workloadResult(w pops.Workload, res Result, includeSchedule bool) wire.PlanResult {
 	if res.Err != nil {
-		pr := wire.PlanResult{Workload: wireKind(w), Error: res.Err.Error()}
+		pr := wire.PlanResult{Workload: wire.KindTag(w.Kind()), Error: res.Err.Error()}
 		var ue *pops.UnroutableError
 		if errors.As(res.Err, &ue) {
 			pr.Unroutable = &wire.UnroutableInfo{
@@ -455,7 +429,7 @@ func workloadResult(w pops.Workload, res Result, includeSchedule bool) wire.Plan
 	}
 	pr := wire.PlanResult{
 		Strategy:    res.Plan.Strategy,
-		Workload:    wireKind(w),
+		Workload:    wire.KindTag(w.Kind()),
 		Slots:       res.Plan.SlotCount(),
 		Rounds:      res.Plan.Rounds,
 		H:           res.Plan.H,

@@ -103,7 +103,7 @@ func (sh *shard) admitStream(ctx context.Context, w pops.Workload) (*Stream, err
 		planStrategy = ps.Strategy()
 	}
 	st.meta = wire.StreamMeta{
-		D: sh.key.d, G: sh.key.g, Workload: wireKind(w),
+		D: sh.key.d, G: sh.key.g, Workload: wire.KindTag(w.Kind()),
 		Slots: ps.SlotCount(), Fragments: ps.FragmentCount(),
 		Strategy: planStrategy, Fingerprint: fmt.Sprintf("%016x", pops.WorkloadFingerprint(w)),
 		Cached: ps.Cached(),

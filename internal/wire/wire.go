@@ -65,6 +65,20 @@ const (
 	WorkloadFaultyPermutation = "faulty-permutation"
 )
 
+// KindTag is a workload kind's tag on the wire and in trace spans:
+// permutations travel untagged (""), the original schema, and every other
+// kind under its own name.
+func KindTag(kind string) string {
+	if kind == WorkloadPermutation {
+		return ""
+	}
+	return kind
+}
+
+// KindUndecoded tags the trace span of a proxied request whose workload did
+// not decode, so a client's unknown kind string never lands in a slow ring.
+const KindUndecoded = "undecoded"
+
 // Coupler names one coupler c(b, a) of a fault set: destination group B,
 // source group A.
 type Coupler struct {

@@ -1,6 +1,11 @@
 package wirebin
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+
 	"pops/internal/popsnet"
 	"pops/internal/wire"
 )
@@ -223,6 +228,39 @@ func DecodeRequest(payload []byte, req *wire.RouteRequest) error {
 		req.Faults = fs
 	}
 	return r.done()
+}
+
+// DecodeRequestBody reads a /route or /route/stream body in the request
+// codec its Content-Type names: one FrameRequest for ContentType, the JSON
+// schema otherwise. The body must hold exactly one request — anything after
+// it but JSON whitespace is an error — so a node and a proxy in front of it
+// accept the same bodies.
+func DecodeRequestBody(contentType string, body io.Reader, req *wire.RouteRequest) error {
+	if !IsContentType(contentType) {
+		dec := json.NewDecoder(body)
+		if err := dec.Decode(req); err != nil {
+			return err
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			return errors.New("data after the request object")
+		}
+		return nil
+	}
+	dec := GetDecoder(body)
+	defer PutDecoder(dec)
+	typ, payload, err := dec.ReadFrame()
+	if err == nil && typ != FrameRequest {
+		err = fmt.Errorf("frame type %d, want request", typ)
+	}
+	if err == nil {
+		err = DecodeRequest(payload, req)
+	}
+	if err == nil {
+		if _, perr := dec.br.Peek(1); perr != io.EOF {
+			err = fmt.Errorf("%w: data after the request frame", ErrCorruptFrame)
+		}
+	}
+	return err
 }
 
 // AppendResponse encodes a unary route response body.

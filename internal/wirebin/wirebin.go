@@ -44,8 +44,10 @@
 // The codec is negotiated end to end via standard content negotiation:
 // a client that wants binary responses sends Accept: application/x-pops-bin
 // (ContentType); a server that speaks it answers with that Content-Type,
-// and one that does not keeps answering JSON/NDJSON — which remains the
-// default and the debug surface. Accepts implements the server-side check.
+// and one that does not keeps answering JSON/NDJSON — the curl and debug
+// surface. Accepts implements the server-side check. Request bodies name
+// their codec in Content-Type the same way, and DecodeRequestBody is the one
+// reader of both framings.
 package wirebin
 
 import (
