@@ -1,10 +1,7 @@
 # Development entry points. CI runs these targets and nothing else (see
-# .github/workflows/ci.yml), so each lane has one definition; BENCH files
-# are recorded with `make bench`.
+# .github/workflows/ci.yml), so each lane has one definition.
 
-DATE := $(shell date +%F)
-
-.PHONY: build test vet race tier1 bench bench-smoke bench-vet examples alloc-guard fuzz-smoke serve-smoke cluster-smoke fault-smoke obs-smoke overload-smoke
+.PHONY: build test vet race tier1 bench-smoke bench-vet examples alloc-guard fuzz-smoke serve-smoke cluster-smoke fault-smoke obs-smoke overload-smoke
 
 build:
 	go build ./...
@@ -112,13 +109,6 @@ obs-smoke:
 	$(call smoke,TestMetricsEndpoint|TestDebugSlowEndpoint|TestRequestIDEchoedAndGenerated|TestMetricsGolden|TestStatsGolden,./internal/service)
 	$(call smoke,TestProxyMetricsEndpoint|TestProxyDebugSlowAttributesBackend|TestProxyMetricsGolden|TestProxyStatsMergesEveryField,./internal/cluster)
 	$(call smoke,TestHandlerServesPprofAndMetrics,./internal/obs/debugmux)
-
-# Record a BENCH_<date>.json with the benchmark set the baselines use.
-# Override the output or note: make bench BENCH_OUT=BENCH_x.json BENCH_NOTE="..."
-BENCH_OUT  ?= BENCH_$(DATE).json
-BENCH_NOTE ?= recorded with make bench
-bench:
-	go run ./cmd/benchrecord -out $(BENCH_OUT) -note "$(BENCH_NOTE)"
 
 # One-iteration benchmark pass: compile-and-run smoke, no timing value.
 bench-smoke:

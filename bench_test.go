@@ -1,7 +1,9 @@
 package pops
 
-// Benchmark harness: one benchmark per experiment of DESIGN.md's index.
-// Run with: go test -bench=. -benchmem
+// Benchmark harness: the timing side of the reproduction experiments, whose
+// tables `popsexp -e all` prints (E1–E16 and EF; see the README), plus
+// planner reuse, batch, streaming, h-relation, broadcast and fault rows.
+// Run with: go test -run '^$' -bench . -benchmem
 //
 // E1  — planning random permutations across network shapes
 // E7  — Theorem 2 vs greedy baseline on the adversarial workload

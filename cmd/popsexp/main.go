@@ -1,6 +1,7 @@
-// Command popsexp regenerates the reproduction experiments E1–E12 (and the
-// Figure 1–2 topology checks) defined in DESIGN.md, printing one table per
-// experiment. These are the tables recorded in EXPERIMENTS.md.
+// Command popsexp regenerates the reproduction experiments E1–E16 and EF
+// (the Figure 1–2 topology checks) of internal/expt, printing one table per
+// experiment. `popsexp -e all` is the paper reproduction; the README lists
+// it under "Commands and examples".
 //
 // Usage:
 //

@@ -54,7 +54,7 @@ func TestPlanCacheFaultSetKeys(t *testing.T) {
 	assertFaultFree(t, planA, pi, fsA)
 
 	// Same pi, different fault set: a distinct plan, never a cache hit.
-	if _, ok := p.CachedWorkload(FaultyPermutation(pi, fsB)); ok {
+	if _, ok := cachedWorkload(p, FaultyPermutation(pi, fsB)); ok {
 		t.Fatal("fault set B hit fault set A's cache entry")
 	}
 	planB, cached, err := p.ExecuteCached(ctx, FaultyPermutation(pi, fsB))
@@ -81,7 +81,7 @@ func TestPlanCacheFaultSetKeys(t *testing.T) {
 	if err != nil || cached {
 		t.Fatalf("plain permutation: cached=%v err=%v", cached, err)
 	}
-	if _, ok := p.CachedWorkload(FaultyPermutation(pi, FaultSet{})); ok {
+	if _, ok := cachedWorkload(p, FaultyPermutation(pi, FaultSet{})); ok {
 		t.Fatal("empty-fault workload aliased the plain permutation entry")
 	}
 	planEmpty, cached, err := p.ExecuteCached(ctx, FaultyPermutation(pi, FaultSet{}))
@@ -154,7 +154,7 @@ func TestMaterializedStreamsMemoize(t *testing.T) {
 	if _, err := p.Execute(ctx, batch); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := p.CachedWorkload(batch); !ok {
+	if _, ok := cachedWorkload(p, batch); !ok {
 		t.Fatal("verified fault plan was not memoized by Execute")
 	}
 	streamed := FaultyPermutation(RandomPermutation(d*g, rand.New(rand.NewSource(2))), fs)
@@ -167,7 +167,7 @@ func TestMaterializedStreamsMemoize(t *testing.T) {
 			break
 		}
 	}
-	if _, ok := p.CachedWorkload(streamed); !ok {
+	if _, ok := cachedWorkload(p, streamed); !ok {
 		t.Fatal("Next-drained fault stream was not memoized")
 	}
 

@@ -17,10 +17,9 @@ import (
 // goodput saturates near capacity while admitted p99 stays bounded — the
 // excess shows up as sheds, not as latency. ns/op is whole-ramp wall time.
 //
-// Recorded as a BENCH artifact via:
+// Compare a run against BENCH_2026-08-08_overload.json with:
 //
-//	go run ./cmd/benchrecord -out BENCH_<date>_overload.json \
-//	    -bench BenchmarkOverloadShedding -pkg ./internal/chaos -benchtime 3x
+//	go test -run '^$' -bench BenchmarkOverloadShedding -benchtime 3x ./internal/chaos
 func BenchmarkOverloadShedding(b *testing.B) {
 	loads := []struct {
 		name    string

@@ -29,10 +29,12 @@ func proxyRouteBody(t *testing.T, d, g int, pi []int) *bytes.Reader {
 // TestProxyRelaysRequestIDAndHeaders pins the pass-through contract of both
 // proxied paths: the backend's X-Request-Id echo and content type must reach
 // the client — on /route/stream the 200 path used to overwrite them with a
-// hardcoded content type, dropping the request-ID echo entirely.
+// hardcoded content type, dropping the request-ID echo entirely. The same ID
+// set through pops.ContextWithRequestID must come back to ServiceClient in
+// either codec, and a call without one still gets the node's own ID.
 func TestProxyRelaysRequestIDAndHeaders(t *testing.T) {
 	p, _, _ := fleet(t, 2, service.Config{BatchDelay: 200 * time.Microsecond}, Config{})
-	front, _ := serveFront(t, p)
+	front, client := serveFront(t, p)
 	const d, g = 4, 8
 	pi := pops.VectorReversal(d * g)
 
@@ -81,6 +83,28 @@ func TestProxyRelaysRequestIDAndHeaders(t *testing.T) {
 	}
 	if rec.Meta == nil || rec.Meta.RequestID != "hop-trace-2" {
 		t.Errorf("stream meta through proxy = %+v, want request_id hop-trace-2", rec.Meta)
+	}
+
+	for _, codec := range []pops.ServiceCodec{pops.CodecJSON, pops.CodecBinary} {
+		c := client.WithCodec(codec)
+		for _, id := range []string{"client-trace-1", ""} {
+			ctx := pops.ContextWithRequestID(t.Context(), id)
+			rr, err := c.Do(ctx, &pops.ServiceRouteRequest{D: d, G: g, Pi: pi})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := c.ExecuteStream(ctx, d, g, pops.Permutation(pi))
+			if err != nil {
+				t.Fatal(err)
+			}
+			meta := st.Meta()
+			st.Close()
+			for call, got := range map[string]string{"Do": rr.RequestID, "ExecuteStream": meta.RequestID} {
+				if (id != "" && got != id) || got == "" {
+					t.Errorf("codec %d, ContextWithRequestID %q: %s request_id = %q", codec, id, call, got)
+				}
+			}
+		}
 	}
 }
 

@@ -1,7 +1,8 @@
-// Package expt defines the reproduction experiments E1–E12 mapped out in
-// DESIGN.md: one per theorem, proposition, figure, and related-work claim of
-// Mei & Rizzi. Each experiment returns a Table that cmd/popsexp renders; the
-// same tables back EXPERIMENTS.md.
+// Package expt defines the reproduction experiments E1–E16 and EF (the
+// Figure 1–2 topology checks): one per theorem, proposition, figure, and
+// related-work claim of Mei & Rizzi. Each experiment returns a Table that
+// cmd/popsexp renders; `popsexp -e all` prints every table, and the README
+// lists the command under "Commands and examples".
 package expt
 
 import (
@@ -93,8 +94,8 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-len(s))
 }
 
-// Markdown writes the table as a GitHub-flavored markdown table, used to
-// regenerate EXPERIMENTS.md.
+// Markdown writes the table as a GitHub-flavored markdown table
+// (`popsexp -markdown`).
 func (t *Table) Markdown(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "### %s — %s\n\n", t.ID, t.Title); err != nil {
 		return err

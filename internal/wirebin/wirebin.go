@@ -219,9 +219,6 @@ func NewDecoder(r io.Reader) *Decoder {
 	return &Decoder{br: bufio.NewReaderSize(r, 4096)}
 }
 
-// Reset points the Decoder at a new reader, keeping its buffers.
-func (d *Decoder) Reset(r io.Reader) { d.br.Reset(r) }
-
 // ReadFrame reads one complete frame and returns its type and payload (the
 // bytes after the version and type bytes, aliasing the Decoder's buffer).
 // io.EOF is returned untouched at a clean frame boundary; a frame truncated

@@ -51,9 +51,6 @@ func (e *OverloadError) Error() string {
 	return msg
 }
 
-// Temporary marks the error retryable, matching the net.Error convention.
-func (e *OverloadError) Temporary() bool { return true }
-
 // tenantCtxKey carries a caller's admission tenant through a context.
 type tenantCtxKey struct{}
 

@@ -83,24 +83,6 @@ func (p *Planner) observePlan(strategy string, cached bool, start time.Time) {
 	}
 }
 
-// CachedPlan reports whether pi's plan is currently memoized, returning it
-// on a verified hit. The lookup counts toward CacheStats like any other.
-// Without WithPlanCache it reports false and counts nothing.
-func (p *Planner) CachedPlan(pi []int) (*Plan, bool) {
-	return p.CachedWorkload(Permutation(pi))
-}
-
-// CachedWorkload reports whether w's plan is currently memoized, returning
-// it on a verified hit. The lookup counts toward CacheStats like any other.
-// Without WithPlanCache it reports false and counts nothing.
-func (p *Planner) CachedWorkload(w Workload) (*Plan, bool) {
-	if p.cache == nil || w == nil {
-		return nil, false
-	}
-	key, kind, ident := workloadKey(w)
-	return p.cache.get(key, kind, ident)
-}
-
 // CacheStats returns a snapshot of the fingerprint plan cache counters. The
 // zero CacheStats is returned when the planner was built without
 // WithPlanCache.
@@ -110,10 +92,6 @@ func (p *Planner) CacheStats() CacheStats {
 	}
 	return p.cache.snapshot()
 }
-
-// PredictedSlots returns the slot count every permutation plan of this
-// planner uses: OptimalSlots(d, g), independent of the permutation.
-func (p *Planner) PredictedSlots() int { return OptimalSlots(p.nw.D, p.nw.G) }
 
 // BatchError records the failure of one permutation within a RouteBatch
 // call. The joined error RouteBatch returns is built from one BatchError per

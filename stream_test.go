@@ -316,7 +316,7 @@ func TestRouteStreamCacheHit(t *testing.T) {
 		t.Fatal("cached stream did not return the memoized plan pointer")
 	}
 	// A stream-built plan must also serve Execute hits.
-	if _, ok := p.CachedPlan(pi); !ok {
+	if _, ok := cachedWorkload(p, Permutation(pi)); !ok {
 		t.Fatal("collected stream plan was not memoized")
 	}
 }
@@ -336,7 +336,7 @@ func TestRouteStreamVerifyOnDrainedCollect(t *testing.T) {
 		t.Fatal(err)
 	}
 	collectStream(t, ps) // drain via Next: no verification has run yet
-	if _, ok := p.CachedPlan(pi); ok {
+	if _, ok := cachedWorkload(p, Permutation(pi)); ok {
 		t.Fatal("unverified drained plan was memoized under WithVerify")
 	}
 	plan, err := ps.Collect()
@@ -346,7 +346,7 @@ func TestRouteStreamVerifyOnDrainedCollect(t *testing.T) {
 	if plan == nil {
 		t.Fatal("no plan from post-drain Collect")
 	}
-	if _, ok := p.CachedPlan(pi); !ok {
+	if _, ok := cachedWorkload(p, Permutation(pi)); !ok {
 		t.Fatal("verified plan was not memoized after Collect")
 	}
 }

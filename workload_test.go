@@ -287,7 +287,7 @@ func TestExecuteHRelationCacheRoundTrip(t *testing.T) {
 
 	// A permutation with the same flattened content must not alias the
 	// h-relation entry: kinds are part of the cache identity.
-	if _, ok := p.CachedWorkload(Permutation(flattenRequests(reqs))); ok {
+	if _, ok := cachedWorkload(p, Permutation(flattenRequests(reqs))); ok {
 		t.Fatal("permutation workload hit the h-relation cache entry")
 	}
 }
