@@ -239,7 +239,7 @@ func FuzzBalancedInto(f *testing.F) {
 // runs this test as its perf-regression smoke.
 func TestFactorizerAllocBudget(t *testing.T) {
 	const budget = 0
-	for _, algo := range []Algorithm{RepeatedMatching, EulerSplitDC, Insertion} {
+	for _, algo := range allAlgorithms {
 		b := randomRegular(32, 16, rand.New(rand.NewSource(71)))
 		f := NewFactorizer()
 		colors := make([]int, b.NumEdges())
@@ -255,22 +255,26 @@ func TestFactorizerAllocBudget(t *testing.T) {
 			t.Errorf("%v: FactorizeInto allocates %.1f/op on a warmed arena, budget %d", algo, allocs, budget)
 		}
 	}
-	// Balanced with C = n > k (the d < g planner path), once with a class
-	// size dividing n and once without, where the swaps run.
-	for _, tc := range []struct{ n, k, seed int }{{24, 6, 72}, {64, 12, 73}} {
-		b := randomRegular(tc.n, tc.k, rand.New(rand.NewSource(int64(tc.seed))))
-		f := NewFactorizer()
-		colors := make([]int, b.NumEdges())
-		if err := f.BalancedInto(colors, b, tc.n, EulerSplitDC); err != nil { // warm up
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(10, func() {
-			if err := f.BalancedInto(colors, b, tc.n, EulerSplitDC); err != nil {
+	// Balanced with C = n > k (the d < g planner path, served by the default
+	// RepeatedMatching), once with a class size dividing n and once without,
+	// where the swaps run.
+	for _, algo := range allAlgorithms {
+		for _, tc := range []struct{ n, k, seed int }{{24, 6, 72}, {64, 12, 73}} {
+			b := randomRegular(tc.n, tc.k, rand.New(rand.NewSource(int64(tc.seed))))
+			f := NewFactorizer()
+			colors := make([]int, b.NumEdges())
+			if err := f.BalancedInto(colors, b, tc.n, algo); err != nil { // warm up
 				t.Fatal(err)
 			}
-		})
-		if allocs > budget {
-			t.Errorf("n=%d k=%d: BalancedInto allocates %.1f/op on a warmed arena, budget %d", tc.n, tc.k, allocs, budget)
+			allocs := testing.AllocsPerRun(10, func() {
+				if err := f.BalancedInto(colors, b, tc.n, algo); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > budget {
+				t.Errorf("%v n=%d k=%d: BalancedInto allocates %.1f/op on a warmed arena, budget %d",
+					algo, tc.n, tc.k, allocs, budget)
+			}
 		}
 	}
 }

@@ -71,6 +71,64 @@ func goldenLines() []string {
 				algo, tc.n, tc.k, tc.colors, tc.seed, joinInts(colors)))
 		}
 	}
+	return append(lines, servedGoldenLines()...)
+}
+
+// shuffledRegular returns the multigraph on n+n nodes whose edges are the
+// pairs (p/per, perm_j[p]/per) of k random permutations perm_j of n·per
+// items, added in a shuffled order. With per > 1 it is the group demand
+// graph of a POPS(per, n) permutation (k = 1, so it is per-regular); with
+// per == 1 it is the processor graph of a k-relation. The shuffle puts every
+// left node's edges at scattered IDs with unrelated right ends, so first-fit
+// does not find a perfect matching and Hopcroft–Karp's traversal order shows
+// in the coloring.
+func shuffledRegular(n, per, k int, rng *rand.Rand) *graph.Bipartite {
+	var edges []graph.Edge
+	for j := 0; j < k; j++ {
+		perm := rng.Perm(n * per)
+		for p, q := range perm {
+			edges = append(edges, graph.Edge{L: p / per, R: q / per})
+		}
+	}
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	b := graph.New(n, n)
+	for _, e := range edges {
+		b.AddEdge(e.L, e.R)
+	}
+	return b
+}
+
+// servedGoldenLines pins every backend on the shapes the planner serves:
+// the (16,64) group demand graph colored with C = g = 64 (the d < g
+// Balanced path), a (16,16) permutation's demand graph and the processor
+// graph of a (16,16) 4-relation (plain 1-factorizations).
+func servedGoldenLines() []string {
+	var lines []string
+	for _, algo := range allAlgorithms {
+		b := shuffledRegular(64, 16, 1, rand.New(rand.NewSource(51)))
+		colors, err := Balanced(b, 64, algo)
+		if err != nil {
+			panic(fmt.Sprintf("golden served (16,64) %v: %v", algo, err))
+		}
+		lines = append(lines, fmt.Sprintf("served-balanced algo=%v d=16 g=64 C=64 seed=51 colors=%s",
+			algo, joinInts(colors)))
+		for _, tc := range []struct {
+			label     string
+			n, per, k int
+			seed      int64
+		}{
+			{"permutation d=16 g=16", 16, 16, 1, 52},
+			{"hrelation d=16 g=16 h=4", 256, 1, 4, 53},
+		} {
+			b := shuffledRegular(tc.n, tc.per, tc.k, rand.New(rand.NewSource(tc.seed)))
+			classes, err := Factorize(b, algo)
+			if err != nil {
+				panic(fmt.Sprintf("golden served %s %v: %v", tc.label, algo, err))
+			}
+			lines = append(lines, fmt.Sprintf("served-factorize algo=%v %s seed=%d colors=%s",
+				algo, tc.label, tc.seed, joinInts(ClassesToColors(b.NumEdges(), classes))))
+		}
+	}
 	return lines
 }
 
