@@ -36,8 +36,9 @@ race:
 
 # Fuzz smoke: each fuzzer runs for FUZZTIME on top of its seed corpus —
 # binary frame decoding, JSON/binary request-body equivalence, NDJSON/binary
-# stream equivalence, the streamed plan against the batch reference, and
-# balanced edge coloring.
+# stream equivalence, the streamed plan against the batch reference,
+# balanced edge coloring, and the peeling matcher against a
+# rebuild-per-round Hopcroft–Karp reference.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/wirebin
@@ -45,6 +46,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzStreamCrossCodec -fuzztime $(FUZZTIME) ./internal/service
 	go test -run '^$$' -fuzz FuzzStreamMatchesReference -fuzztime $(FUZZTIME) ./internal/core
 	go test -run '^$$' -fuzz FuzzBalancedInto -fuzztime $(FUZZTIME) ./internal/edgecolor
+	go test -run '^$$' -fuzz FuzzPeelMatchesReference -fuzztime $(FUZZTIME) ./internal/matching
 
 # End-to-end serving smoke: start popsserved on an ephemeral port, route a
 # permutation through pops.ServiceClient, and assert the second call is
@@ -142,11 +144,12 @@ examples:
 # must all stay at 0 allocs/op. The binary wire codec holds the same bar:
 # a pooled slot-frame encode+decode cycle and a Reframer relay step are
 # 0 allocs/op in steady state (the measured codec delta is recorded in
-# BENCH_2026-08-08_wirebin.json).
+# BENCH_2026-08-08_wirebin.json), and a fragment decoded into a fresh
+# record, as the client's stream does, costs exactly its two slices.
 # Each line runs through the smoke guard, so a renamed guard test fails the
 # target instead of leaving it checking nothing.
 alloc-guard:
 	$(call smoke,TestFactorizerAllocBudget|TestStreamAllocBudget|TestMatcherSteadyStateAllocFree|TestSplitterSteadyStateAllocFree,./internal/edgecolor ./internal/matching ./internal/graph)
 	$(call smoke,TestSpanAllocBudget|TestPlanTimesObserveAllocBudget,./internal/obs)
-	$(call smoke,TestWireEncodeAllocBudget|TestReframerAllocBudget,./internal/wirebin)
+	$(call smoke,TestWireEncodeAllocBudget|TestReframerAllocBudget|TestDecodeSlotFreshRecordAllocs,./internal/wirebin)
 	$(call smoke,TestExecuteStreamAllocBudget|TestHRelationPooledAllocBudget|TestCachedHitSpanAllocBudget,.)

@@ -8,7 +8,11 @@
 // of the paper's Remark 1:
 //
 //   - RepeatedMatching: extract k perfect matchings with Hopcroft–Karp,
-//     O(k·m·√n). The simple baseline.
+//     O(k·m·√n). The simple baseline and the planner's default. The left
+//     adjacency is built once per factorization; each round peels its
+//     matching from it and deletes the matched edges in place, keeping
+//     every list in edge order, so a round costs one Hopcroft–Karp and no
+//     rebuild.
 //   - EulerSplitDC: divide and conquer — Euler-split even-degree graphs,
 //     peel one perfect matching (Alon's Euler-halving) at odd degrees,
 //     ≈O(m·log²) in practice. The approach behind Kapoor–Rizzi and Rizzi.

@@ -21,6 +21,10 @@ import (
 //   - the matching routines (Hopcroft–Karp, the Alon Euler-halving perfect
 //     matcher) and the Euler splitter write into caller-provided buffers
 //     owned by the arena (matching.Matcher, graph.Splitter);
+//   - repeated matching builds the matcher's left adjacency once per
+//     factorization and peels every perfect matching from it: each round's
+//     matched edges are deleted from their lists in place, order kept, so
+//     no round gathers, compacts or re-indexes the surviving edges;
 //   - the Balanced chunk-and-balance construction keeps its open class and
 //     its node-indexed matching tables in arena slices sized once per shape.
 //
@@ -41,16 +45,17 @@ type Factorizer struct {
 	edges      []graph.Edge // endpoints of the current segment, gathered per work item
 	outA, outB []int        // Euler-split halves (segment-local indices)
 	tmp        []int        // segment reorder scratch
-	match      []int        // matching output (segment-local indices)
+	match      []int        // matching output: segment-local indices, or edge IDs for repeated matching
 	rest       []int        // unmatched-index word-walk output
 	inMatch    bitvec.Vec
 	stack      []segTask
-	factorBuf  []int // edge IDs of the factor peeled by a matching step
+	factorBuf  []int // edge IDs of the factor an Euler-split peel step extracted
 
-	// Repeated-matching resumption state: the round about to be extracted
-	// and the live segment length. The Euler-split stepper needs no extra
-	// state — its work stack is the resumable position.
-	repRound, repK, repLen int
+	// Repeated-matching resumption state: the round about to be peeled
+	// (the surviving edges live in the matcher's adjacency). The
+	// Euler-split stepper needs no extra state — its work stack is the
+	// resumable position.
+	repRound, repK int
 
 	// streamGen invalidates the in-flight Stream (see Start) whenever
 	// another arena entry point reuses the factorization scratch.
@@ -269,47 +274,41 @@ func (f *Factorizer) factorizeEuler(colors []int, b *graph.Bipartite, k int) err
 	}
 }
 
-// repStart resets the repeated-matching resumption state.
+// repStart loads b into the matcher's peeling adjacency, which lives for
+// the whole factorization.
 func (f *Factorizer) repStart(b *graph.Bipartite, k int) {
-	m := b.NumEdges()
-	f.prepare(m, b.NLeft())
-	f.repRound, f.repK, f.repLen = 0, k, m
+	f.matcher.StartPeel(b.NLeft(), b.NRight(), b.EdgeList())
+	f.match = graph.ResizeInts(f.match, b.NLeft())
+	f.repRound, f.repK = 0, k
 }
 
-// repNext extracts one more perfect matching with Hopcroft–Karp and compacts
-// the surviving segment. Same contract as eulerNext.
-func (f *Factorizer) repNext(colors []int, all []graph.Edge, nL, nR int) (factorID int, factor []int, ok bool, err error) {
+// repNext peels one more perfect matching with Hopcroft–Karp; the matcher
+// deletes its edges from the adjacency in place. Same contract as
+// eulerNext.
+func (f *Factorizer) repNext(colors []int, nL int) (factorID int, factor []int, ok bool, err error) {
 	if f.repRound >= f.repK {
 		return 0, nil, false, nil
 	}
 	round := f.repRound
-	view := f.gather(all, f.ids[:f.repLen])
-	nMatch := f.matcher.HopcroftKarpInto(nL, nR, view, f.match)
+	nMatch := f.matcher.Peel(f.match)
 	if nMatch != nL {
 		return 0, nil, false, fmt.Errorf("edgecolor: round %d: matching size %d of %d (graph not regular?)",
 			round, nMatch, nL)
 	}
-	f.inMatch = f.inMatch.Resize(f.repLen)
-	f.factorBuf = f.factorBuf[:0]
-	for _, j := range f.match[:nMatch] {
-		id := f.ids[j]
+	factor = f.match[:nMatch]
+	for _, id := range factor {
 		colors[id] = round
-		f.factorBuf = append(f.factorBuf, id)
-		f.inMatch.Set(j)
 	}
-	f.repLen = f.compact(0, f.repLen)
 	f.repRound++
-	return round, f.factorBuf, true, nil
+	return round, factor, true, nil
 }
 
 // factorizeRepeated drains the repeated-matching stepper (see
 // factorizeEuler on why batch and stream share it).
 func (f *Factorizer) factorizeRepeated(colors []int, b *graph.Bipartite, k int) error {
 	f.repStart(b, k)
-	all := b.EdgeList()
-	nL, nR := b.NLeft(), b.NRight()
 	for {
-		_, _, ok, err := f.repNext(colors, all, nL, nR)
+		_, _, ok, err := f.repNext(colors, b.NLeft())
 		if err != nil {
 			return err
 		}

@@ -197,7 +197,7 @@ func (st *Stream) peel(colors []int) (factorID int, factor []int, ok bool, err e
 	case EulerSplitDC:
 		return st.f.eulerNext(colors, st.all, st.nL, st.nR)
 	case RepeatedMatching:
-		return st.f.repNext(colors, st.all, st.nL, st.nR)
+		return st.f.repNext(colors, st.nL)
 	default:
 		return st.insStep(colors)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // Matcher is a reusable arena for the matching algorithms. All scratch —
-// CSR adjacency over the input edge list, match tables, BFS queues, the
+// the Hopcroft–Karp adjacency and match tables, BFS queues, the
 // multiplicity counters and Euler-split buffers of the Alon engine — lives
 // in the Matcher and is recycled across calls, so steady-state matching is
 // allocation-free. The zero value is ready to use. A Matcher is not safe
@@ -19,16 +19,25 @@ import (
 // caller-provided buffer. This lets the edge-coloring Factorizer run
 // matchings directly on index-range views of its arena without
 // materializing subgraphs.
+//
+// Repeated matching peels several matchings from one view: StartPeel
+// builds the left adjacency once, and each Peel runs Hopcroft–Karp on the
+// edges still in it and then deletes the matched ones in place. A left
+// node's list keeps ascending edge order through the deletions, so every
+// Peel returns exactly what HopcroftKarpInto returns on a view of the
+// surviving edges in their original order.
 type Matcher struct {
-	// Hopcroft–Karp scratch.
-	offL, adjL     []int // CSR left adjacency over the view
-	fill           []int // CSR fill cursors / misc per-node scratch
+	// Hopcroft–Karp state. Left node l's live edges are
+	// adj[offL[l]:endL[l]], in ascending edge order; a left node records
+	// the slot of adj it is matched through, a right node its left mate.
+	offL, endL     []int
+	adj            []hkSlot
 	matchL, matchR []int
 	dist, queue    []int
-	edges          []graph.Edge // current view, only valid during a call
 	nL             int
 
 	// Alon perfect-matching scratch.
+	fill            []int // k == 1: first incident edge per left node
 	order, orderTmp []int // edge indices sorted by (L, R), stable
 	bucket          []int // counting-sort buckets
 	entL, entR      []int // distinct (L, R) entries, sorted, dummies merged
@@ -44,67 +53,104 @@ type Matcher struct {
 	degL, degR      []int
 }
 
+// hkSlot is one edge in a left node's adjacency list: its index in the
+// view and its right endpoint, side by side so the search never reads the
+// view again.
+type hkSlot struct{ id, r int }
+
 // HopcroftKarpInto computes a maximum matching of the bipartite multigraph
 // view whose i-th edge is edges[i] (endpoints in [0, nL) × [0, nR)), writes
 // the matched edge indices into out in left-node order, and returns the
 // matching size. out must hold at least min(nL, nR) entries. The result is
 // identical to HopcroftKarp on a graph whose edges were added in the same
-// order.
+// order. It is StartPeel followed by one round of the same search Peel
+// runs, without the deletion.
 func (m *Matcher) HopcroftKarpInto(nL, nR int, edges []graph.Edge, out []int) int {
-	m.edges = edges
-	m.nL = nL
-	m.buildLeftCSR(nL, edges)
-	m.matchL = graph.ResizeInts(m.matchL, nL)
-	m.matchR = graph.ResizeInts(m.matchR, nR)
-	for i := range m.matchL {
-		m.matchL[i] = -1
-	}
-	for i := range m.matchR {
-		m.matchR[i] = -1
-	}
-	m.dist = graph.ResizeInts(m.dist, nL)
-	if cap(m.queue) < nL {
-		m.queue = make([]int, 0, nL)
-	}
-
-	for m.bfs() {
-		for l := 0; l < nL; l++ {
-			if m.matchL[l] == -1 {
-				m.dfs(l)
-			}
-		}
-	}
-	n := 0
-	for l := 0; l < nL; l++ {
-		if m.matchL[l] != -1 {
-			out[n] = m.matchL[l]
-			n++
-		}
-	}
-	m.edges = nil
-	return n
+	m.StartPeel(nL, nR, edges)
+	return m.match(out, false)
 }
 
-// buildLeftCSR fills offL/adjL with the left adjacency of the view, stable
-// in edge order (matching AddEdge insertion order on a materialized graph).
-func (m *Matcher) buildLeftCSR(nL int, edges []graph.Edge) {
+// StartPeel loads the view whose i-th edge is edges[i] (endpoints in
+// [0, nL) × [0, nR)) for a sequence of Peel calls. It builds the left
+// adjacency, stable in edge order (matching AddEdge insertion order on a
+// materialized graph); edges is not read again.
+func (m *Matcher) StartPeel(nL, nR int, edges []graph.Edge) {
+	m.nL = nL
 	m.offL = graph.ResizeInts(m.offL, nL+1)
-	for i := range m.offL {
-		m.offL[i] = 0
-	}
+	clear(m.offL)
 	for _, e := range edges {
 		m.offL[e.L+1]++
 	}
 	for l := 0; l < nL; l++ {
 		m.offL[l+1] += m.offL[l]
 	}
-	m.adjL = graph.ResizeInts(m.adjL, len(edges))
-	m.fill = graph.ResizeInts(m.fill, nL)
-	copy(m.fill, m.offL[:nL])
-	for i, e := range edges {
-		m.adjL[m.fill[e.L]] = i
-		m.fill[e.L]++
+	if cap(m.adj) < len(edges) {
+		m.adj = make([]hkSlot, len(edges))
 	}
+	m.adj = m.adj[:len(edges)]
+	m.endL = graph.ResizeInts(m.endL, nL)
+	copy(m.endL, m.offL[:nL])
+	for i, e := range edges {
+		m.adj[m.endL[e.L]] = hkSlot{id: i, r: e.R}
+		m.endL[e.L]++
+	}
+	m.matchL = graph.ResizeInts(m.matchL, nL)
+	m.matchR = graph.ResizeInts(m.matchR, nR)
+	m.dist = graph.ResizeInts(m.dist, nL)
+	if cap(m.queue) < nL {
+		m.queue = make([]int, 0, nL)
+	}
+}
+
+// Peel computes a maximum matching of the edges StartPeel loaded that no
+// earlier Peel has matched, writes their view indices into out in
+// left-node order, deletes them from the adjacency, and returns the
+// matching size. out must hold at least min(nL, nR) entries. On a
+// k-regular view, k calls return the k perfect matchings of a
+// 1-factorization.
+func (m *Matcher) Peel(out []int) int {
+	return m.match(out, true)
+}
+
+// match runs Hopcroft–Karp on the live adjacency and collects the matched
+// edges in left-node order, deleting each from its list when peel is set:
+// a shift of the slots after it, so the list keeps its order.
+func (m *Matcher) match(out []int, peel bool) int {
+	for i := range m.matchL {
+		m.matchL[i] = -1
+	}
+	for i := range m.matchR {
+		m.matchR[i] = -1
+	}
+	// Every node is free in the first phase, so its BFS would only put
+	// every left node at distance 0 and report whether any edge exists:
+	// the phase is a first-fit pass, run without it.
+	clear(m.dist)
+	for {
+		for l := 0; l < m.nL; l++ {
+			if m.matchL[l] == -1 {
+				m.dfs(l)
+			}
+		}
+		if !m.bfs() {
+			break
+		}
+	}
+	n := 0
+	for l := 0; l < m.nL; l++ {
+		s := m.matchL[l]
+		if s == -1 {
+			continue
+		}
+		out[n] = m.adj[s].id
+		n++
+		if peel {
+			end := m.endL[l] - 1
+			copy(m.adj[s:end], m.adj[s+1:end+1])
+			m.endL[l] = end
+		}
+	}
+	return n
 }
 
 const infDist = int(^uint(0) >> 1)
@@ -122,15 +168,12 @@ func (m *Matcher) bfs() bool {
 	found := false
 	for qi := 0; qi < len(m.queue); qi++ {
 		l := m.queue[qi]
-		for ai := m.offL[l]; ai < m.offL[l+1]; ai++ {
-			id := m.adjL[ai]
-			r := m.edges[id].R
-			mm := m.matchR[r]
-			if mm == -1 {
+		for _, sl := range m.adj[m.offL[l]:m.endL[l]] {
+			nl := m.matchR[sl.r]
+			if nl == -1 {
 				found = true
 				continue
 			}
-			nl := m.edges[mm].L
 			if m.dist[nl] == infDist {
 				m.dist[nl] = m.dist[l] + 1
 				m.queue = append(m.queue, nl)
@@ -141,19 +184,12 @@ func (m *Matcher) bfs() bool {
 }
 
 func (m *Matcher) dfs(l int) bool {
-	for ai := m.offL[l]; ai < m.offL[l+1]; ai++ {
-		id := m.adjL[ai]
-		r := m.edges[id].R
-		mm := m.matchR[r]
-		if mm == -1 {
-			m.matchL[l] = id
-			m.matchR[r] = id
-			return true
-		}
-		nl := m.edges[mm].L
-		if m.dist[nl] == m.dist[l]+1 && m.dfs(nl) {
-			m.matchL[l] = id
-			m.matchR[r] = id
+	for s := m.offL[l]; s < m.endL[l]; s++ {
+		r := m.adj[s].r
+		nl := m.matchR[r]
+		if nl == -1 || (m.dist[nl] == m.dist[l]+1 && m.dfs(nl)) {
+			m.matchL[l] = s
+			m.matchR[r] = l
 			return true
 		}
 	}

@@ -100,7 +100,8 @@ func TestPerfectMatchingRegularIntoRejectsIrregularView(t *testing.T) {
 }
 
 // TestMatcherSteadyStateAllocFree guards the arena contract for both
-// matching engines: a warmed Matcher performs no allocations.
+// matching engines: a warmed Matcher performs no allocations, whether it
+// runs one Hopcroft–Karp or peels a whole 1-factorization.
 func TestMatcherSteadyStateAllocFree(t *testing.T) {
 	b := graph.Circulant(48, 7)
 	edges := b.EdgeList()
@@ -116,6 +117,17 @@ func TestMatcherSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("warmed HopcroftKarpInto allocates %.1f/op, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(10, func() {
+		m.StartPeel(48, 48, edges)
+		for round := 0; round < 7; round++ {
+			if n := m.Peel(out); n != 48 {
+				t.Fatalf("peel round %d matched %d of 48", round, n)
+			}
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("warmed StartPeel and 7 Peel rounds allocate %.1f/op, want 0", allocs)
 	}
 	if _, err := m.PerfectMatchingRegularInto(48, 7, edges, out); err != nil { // warm up
 		t.Fatal(err)

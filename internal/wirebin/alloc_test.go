@@ -76,6 +76,37 @@ func TestWireEncodeAllocBudget(t *testing.T) {
 	}
 }
 
+// TestDecodeSlotFreshRecordAllocs pins the client's stream decode, which
+// fills a fresh record per fragment: Sends and Recvs are each sized once
+// from their block's count, two allocations in all, instead of growing
+// append by append.
+func TestDecodeSlotFreshRecordAllocs(t *testing.T) {
+	slot := allocBudgetSlot()
+	if len(slot.Sends) < 2 || len(slot.Recvs) < 2 {
+		t.Fatalf("fixture has %d sends and %d recvs, want at least 2 of each", len(slot.Sends), len(slot.Recvs))
+	}
+	e := GetEncoder()
+	defer PutEncoder(e)
+	frame := append([]byte(nil), e.AppendSlot(&slot)...)
+	typ, payload, err := NewDecoder(&replayReader{data: frame}).ReadFrame()
+	if err != nil || typ != FrameSlot {
+		t.Fatalf("ReadFrame: typ=%d err=%v", typ, err)
+	}
+	var out wire.StreamSlot
+	if got := testing.AllocsPerRun(200, func() {
+		out = wire.StreamSlot{}
+		if err := DecodeSlot(payload, &out); err != nil {
+			panic(err)
+		}
+	}); got != 2 {
+		t.Errorf("DecodeSlot into an empty record: %v allocs/op, want 2", got)
+	}
+	if len(out.Sends) != len(slot.Sends) || len(out.Recvs) != len(slot.Recvs) {
+		t.Fatalf("decoded %d sends and %d recvs, want %d and %d",
+			len(out.Sends), len(out.Recvs), len(slot.Sends), len(slot.Recvs))
+	}
+}
+
 // TestReframerAllocBudget keeps the proxy relay path on the same zero
 // steady-state budget: relaying a frame must not allocate once the buffer is
 // warm.

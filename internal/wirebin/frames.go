@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"pops/internal/popsnet"
 	"pops/internal/wire"
@@ -98,10 +99,11 @@ func DecodeSlot(payload []byte, s *wire.StreamSlot) error {
 }
 
 // decodeSendsRecvs reads a sends block and a recvs block into the given
-// slices, reusing their capacity.
+// slices, reusing their capacity. A slice too small for its block's count
+// (bounded by the bytes left) is grown once, not append by append.
 func decodeSendsRecvs(r *reader, sends []popsnet.Send, recvs []popsnet.Recv) ([]popsnet.Send, []popsnet.Recv) {
 	nSends := r.count()
-	sends = sends[:0]
+	sends = slices.Grow(sends[:0], nSends)
 	for i := 0; i < nSends && r.err == nil; i++ {
 		sends = append(sends, popsnet.Send{
 			Src:       int(r.uvarint()),
@@ -110,7 +112,7 @@ func decodeSendsRecvs(r *reader, sends []popsnet.Send, recvs []popsnet.Recv) ([]
 		})
 	}
 	nRecvs := r.count()
-	recvs = recvs[:0]
+	recvs = slices.Grow(recvs[:0], nRecvs)
 	for i := 0; i < nRecvs && r.err == nil; i++ {
 		recvs = append(recvs, popsnet.Recv{
 			Proc:     int(r.uvarint()),
