@@ -1,7 +1,10 @@
 package wirebin
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"pops/internal/popsnet"
@@ -104,6 +107,27 @@ func TestDecodeSlotFreshRecordAllocs(t *testing.T) {
 	if len(out.Sends) != len(slot.Sends) || len(out.Recvs) != len(slot.Recvs) {
 		t.Fatalf("decoded %d sends and %d recvs, want %d and %d",
 			len(out.Sends), len(out.Recvs), len(slot.Sends), len(slot.Recvs))
+	}
+}
+
+// TestDecodeSlotCorruptCountBound feeds DecodeSlot a fragment whose sends
+// count claims every byte left, each byte a zero varint. A send needs three
+// of them, so the decode must fail as corrupt before it sizes anything from
+// the count.
+func TestDecodeSlotCorruptCountBound(t *testing.T) {
+	const n = 1 << 20
+	payload := binary.AppendUvarint([]byte{0, 0, 0, 0}, n) // slot, color, offset, flags
+	payload = append(payload, make([]byte, n)...)
+	var out wire.StreamSlot
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := DecodeSlot(payload, &out)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("DecodeSlot: %v, want ErrCorruptFrame", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > n {
+		t.Errorf("decoding a %d-byte corrupt fragment allocated %d bytes, want under %d", len(payload), got, n)
 	}
 }
 

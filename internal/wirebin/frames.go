@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 
 	"pops/internal/popsnet"
 	"pops/internal/wire"
@@ -100,10 +99,14 @@ func DecodeSlot(payload []byte, s *wire.StreamSlot) error {
 
 // decodeSendsRecvs reads a sends block and a recvs block into the given
 // slices, reusing their capacity. A slice too small for its block's count
-// (bounded by the bytes left) is grown once, not append by append.
+// is grown once, not append by append; a send is at least 3 varint bytes
+// and a recv 2, so a count the bytes left cannot hold is refused first.
 func decodeSendsRecvs(r *reader, sends []popsnet.Send, recvs []popsnet.Recv) ([]popsnet.Send, []popsnet.Recv) {
-	nSends := r.count()
-	sends = slices.Grow(sends[:0], nSends)
+	nSends := r.count(3)
+	if cap(sends) < nSends {
+		sends = make([]popsnet.Send, 0, nSends)
+	}
+	sends = sends[:0]
 	for i := 0; i < nSends && r.err == nil; i++ {
 		sends = append(sends, popsnet.Send{
 			Src:       int(r.uvarint()),
@@ -111,8 +114,11 @@ func decodeSendsRecvs(r *reader, sends []popsnet.Send, recvs []popsnet.Recv) ([]
 			Packet:    int(r.uvarint()),
 		})
 	}
-	nRecvs := r.count()
-	recvs = slices.Grow(recvs[:0], nRecvs)
+	nRecvs := r.count(2)
+	if cap(recvs) < nRecvs {
+		recvs = make([]popsnet.Recv, 0, nRecvs)
+	}
+	recvs = recvs[:0]
 	for i := 0; i < nRecvs && r.err == nil; i++ {
 		recvs = append(recvs, popsnet.Recv{
 			Proc:     int(r.uvarint()),
@@ -203,12 +209,12 @@ func DecodeRequest(payload []byte, req *wire.RouteRequest) error {
 	flags := r.byteVal()
 	req.IncludeSchedule = flags&flagSchedule != 0
 	req.Pi = r.ints()
-	nPis := r.count()
+	nPis := r.count(1)
 	req.Pis = nil
 	for i := 0; i < nPis && r.err == nil; i++ {
 		req.Pis = append(req.Pis, r.ints())
 	}
-	nReqs := r.count()
+	nReqs := r.count(1)
 	req.Requests = nil
 	for i := 0; i < nReqs && r.err == nil; i++ {
 		req.Requests = append(req.Requests, wire.Request{
@@ -219,7 +225,7 @@ func DecodeRequest(payload []byte, req *wire.RouteRequest) error {
 	req.Faults = nil
 	if flags&flagFaults != 0 {
 		fs := &wire.FaultSet{}
-		nCouplers := r.count()
+		nCouplers := r.count(1)
 		for i := 0; i < nCouplers && r.err == nil; i++ {
 			fs.Couplers = append(fs.Couplers, wire.Coupler{
 				B: int(r.uvarint()),
@@ -342,7 +348,7 @@ func DecodeResponse(payload []byte, resp *wire.RouteResponse) error {
 	resp.D = int(r.uvarint())
 	resp.G = int(r.uvarint())
 	resp.RequestID = r.str()
-	nPlans := r.count()
+	nPlans := r.count(1)
 	resp.Plans = make([]wire.PlanResult, 0, nPlans)
 	for i := 0; i < nPlans && r.err == nil; i++ {
 		resp.Plans = append(resp.Plans, decodePlan(&r))
@@ -379,7 +385,7 @@ func decodePlan(r *reader) wire.PlanResult {
 	if flags&flagSchedule != 0 {
 		d := int(r.uvarint())
 		g := int(r.uvarint())
-		nSlots := r.count()
+		nSlots := r.count(1)
 		sched := &popsnet.Schedule{Net: popsnet.Network{D: d, G: g}}
 		sched.Slots = make([]popsnet.Slot, 0, nSlots)
 		for i := 0; i < nSlots && r.err == nil; i++ {

@@ -289,15 +289,15 @@ func (r *reader) varint() int64 {
 }
 
 // count reads a uvarint element count and sanity-checks it against the bytes
-// that could possibly hold it (at least one byte per element), so a corrupt
-// count can never drive a huge allocation.
-func (r *reader) count() int {
+// that could possibly hold it (at least minSize bytes per element), so a
+// corrupt count can never drive a huge allocation.
+func (r *reader) count(minSize int) int {
 	n := r.uvarint()
 	if r.err != nil {
 		return 0
 	}
-	if n > uint64(len(r.b)) {
-		r.fail("count %d exceeds remaining %d bytes", n, len(r.b))
+	if n > uint64(len(r.b)/minSize) {
+		r.fail("count %d of %d-byte elements exceeds remaining %d bytes", n, minSize, len(r.b))
 		return 0
 	}
 	return int(n)
@@ -334,7 +334,7 @@ func (r *reader) str() string {
 }
 
 func (r *reader) ints() []int {
-	n := r.count()
+	n := r.count(1)
 	if r.err != nil || n == 0 {
 		return nil
 	}
