@@ -35,13 +35,15 @@ race:
 	go test -race . ./internal/popsnet ./internal/obs ./internal/wirebin ./internal/service/... ./internal/cluster/... ./internal/chaos ./cmd/popsserved ./cmd/popsproxy
 
 # Fuzz smoke: each fuzzer runs for FUZZTIME on top of its seed corpus —
-# binary frame decoding, JSON/binary request-body equivalence, NDJSON/binary
+# binary frame decoding, the payload decoders against the per-varint
+# reference decoders, JSON/binary request-body equivalence, NDJSON/binary
 # stream equivalence, the streamed plan against the batch reference,
 # balanced edge coloring, and the peeling matcher against a
 # rebuild-per-round Hopcroft–Karp reference.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/wirebin
+	go test -run '^$$' -fuzz FuzzPayloadDecodeMatchesReference -fuzztime $(FUZZTIME) ./internal/wirebin
 	go test -run '^$$' -fuzz FuzzRequestCrossCodec -fuzztime $(FUZZTIME) .
 	go test -run '^$$' -fuzz FuzzStreamCrossCodec -fuzztime $(FUZZTIME) ./internal/service
 	go test -run '^$$' -fuzz FuzzStreamMatchesReference -fuzztime $(FUZZTIME) ./internal/core
@@ -144,12 +146,14 @@ examples:
 # must all stay at 0 allocs/op. The binary wire codec holds the same bar:
 # a pooled slot-frame encode+decode cycle and a Reframer relay step are
 # 0 allocs/op in steady state (the measured codec delta is recorded in
-# BENCH_2026-08-08_wirebin.json), and a fragment decoded into a fresh
-# record, as the client's stream does, costs exactly its two slices.
+# BENCH_2026-08-08_wirebin.json), a fragment decoded into a fresh
+# record, as the client's stream does, costs exactly its two slices, and a
+# 1024-pair h-relation request decodes in two allocations (its Workload
+# string and its pairs).
 # Each line runs through the smoke guard, so a renamed guard test fails the
 # target instead of leaving it checking nothing.
 alloc-guard:
 	$(call smoke,TestFactorizerAllocBudget|TestStreamAllocBudget|TestMatcherSteadyStateAllocFree|TestSplitterSteadyStateAllocFree,./internal/edgecolor ./internal/matching ./internal/graph)
 	$(call smoke,TestSpanAllocBudget|TestPlanTimesObserveAllocBudget,./internal/obs)
-	$(call smoke,TestWireEncodeAllocBudget|TestReframerAllocBudget|TestDecodeSlotFreshRecordAllocs,./internal/wirebin)
+	$(call smoke,TestWireEncodeAllocBudget|TestReframerAllocBudget|TestDecodeSlotFreshRecordAllocs|TestDecodeRequestHRelationAllocs,./internal/wirebin)
 	$(call smoke,TestExecuteStreamAllocBudget|TestHRelationPooledAllocBudget|TestCachedHitSpanAllocBudget,.)

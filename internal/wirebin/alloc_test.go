@@ -131,6 +131,55 @@ func TestDecodeSlotCorruptCountBound(t *testing.T) {
 	}
 }
 
+// TestDecodeRequestHRelationAllocs pins the node's request decode at the
+// served h-relation shape, a 4-relation on POPS(16,16) of 1024 pairs: the
+// pairs are sized once from their count, so the decode costs the Workload
+// string and the Requests slice, two allocations in all.
+func TestDecodeRequestHRelationAllocs(t *testing.T) {
+	req := servedHRelation(16, 16, 4)
+	if len(req.Requests) != 1024 {
+		t.Fatalf("fixture has %d pairs, want 1024", len(req.Requests))
+	}
+	e := GetEncoder()
+	defer PutEncoder(e)
+	_, payload := decodeOne(t, e.AppendRequest(&req))
+	var out wire.RouteRequest
+	if got := testing.AllocsPerRun(100, func() {
+		out = wire.RouteRequest{}
+		if err := DecodeRequest(payload, &out); err != nil {
+			panic(err)
+		}
+	}); got != 2 {
+		t.Errorf("DecodeRequest of a 1024-pair h-relation: %v allocs/op, want 2", got)
+	}
+	if len(out.Requests) != len(req.Requests) || out.Requests[1023] != req.Requests[1023] {
+		t.Fatalf("decoded %d pairs, want %d", len(out.Requests), len(req.Requests))
+	}
+}
+
+// TestDecodeRequestCorruptCountBound feeds DecodeRequest a body whose pairs
+// count claims every byte left, each byte a zero varint. A pair needs two of
+// them, so the decode must fail as corrupt before it sizes anything from the
+// count.
+func TestDecodeRequestCorruptCountBound(t *testing.T) {
+	const n = 1 << 20
+	// d, g, workload, tenant, strategy, speaker, flags, pi, pis, then the
+	// pairs count.
+	payload := binary.AppendUvarint([]byte{1, 1, 0, 0, 0, 0, 0, 0, 0}, n)
+	payload = append(payload, make([]byte, n)...)
+	var out wire.RouteRequest
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := DecodeRequest(payload, &out)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("DecodeRequest: %v, want ErrCorruptFrame", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > n {
+		t.Errorf("decoding a %d-byte corrupt request allocated %d bytes, want under %d", len(payload), got, n)
+	}
+}
+
 // TestReframerAllocBudget keeps the proxy relay path on the same zero
 // steady-state budget: relaying a frame must not allocate once the buffer is
 // warm.

@@ -1,6 +1,7 @@
 package wirebin
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -26,21 +27,21 @@ const (
 // AppendMeta encodes a stream's opening meta record. The returned slice
 // aliases the Encoder's buffer.
 func (e *Encoder) AppendMeta(m *wire.StreamMeta) []byte {
-	e.begin(FrameMeta)
-	e.uvarint(uint64(m.D))
-	e.uvarint(uint64(m.G))
-	e.str(m.Workload)
-	e.uvarint(uint64(m.Slots))
-	e.uvarint(uint64(m.Fragments))
-	e.str(m.Strategy)
-	e.str(m.Fingerprint)
+	b := e.begin(FrameMeta)
+	b = binary.AppendUvarint(b, uint64(m.D))
+	b = binary.AppendUvarint(b, uint64(m.G))
+	b = appendStr(b, m.Workload)
+	b = binary.AppendUvarint(b, uint64(m.Slots))
+	b = binary.AppendUvarint(b, uint64(m.Fragments))
+	b = appendStr(b, m.Strategy)
+	b = appendStr(b, m.Fingerprint)
 	var flags byte
 	if m.Cached {
 		flags |= flagCached
 	}
-	e.byteVal(flags)
-	e.str(m.RequestID)
-	return e.finish()
+	b = append(b, flags)
+	b = appendStr(b, m.RequestID)
+	return e.finish(b)
 }
 
 // DecodeMeta fills m from a FrameMeta payload.
@@ -61,27 +62,33 @@ func DecodeMeta(payload []byte, m *wire.StreamMeta) error {
 // AppendSlot encodes one slot fragment — the per-record hot path. Allocation
 // free once the Encoder's buffer has grown to the largest fragment.
 func (e *Encoder) AppendSlot(s *wire.StreamSlot) []byte {
-	e.begin(FrameSlot)
-	e.uvarint(uint64(s.Slot))
-	e.varint(int64(s.Color))
-	e.uvarint(uint64(s.Offset))
+	b := e.begin(FrameSlot)
+	b = binary.AppendUvarint(b, uint64(s.Slot))
+	b = binary.AppendVarint(b, int64(s.Color))
+	b = binary.AppendUvarint(b, uint64(s.Offset))
 	var flags byte
 	if s.Final {
 		flags |= flagFinal
 	}
-	e.byteVal(flags)
-	e.uvarint(uint64(len(s.Sends)))
-	for i := range s.Sends {
-		e.uvarint(uint64(s.Sends[i].Src))
-		e.uvarint(uint64(s.Sends[i].DestGroup))
-		e.uvarint(uint64(s.Sends[i].Packet))
+	b = append(b, flags)
+	return e.finish(appendSendsRecvs(b, s.Sends, s.Recvs))
+}
+
+// appendSendsRecvs encodes a sends block and a recvs block, the fields
+// through the inline appendUvarint12.
+func appendSendsRecvs(b []byte, sends []popsnet.Send, recvs []popsnet.Recv) []byte {
+	b = binary.AppendUvarint(b, uint64(len(sends)))
+	for i := range sends {
+		b = appendUvarint12(b, uint64(sends[i].Src))
+		b = appendUvarint12(b, uint64(sends[i].DestGroup))
+		b = appendUvarint12(b, uint64(sends[i].Packet))
 	}
-	e.uvarint(uint64(len(s.Recvs)))
-	for i := range s.Recvs {
-		e.uvarint(uint64(s.Recvs[i].Proc))
-		e.uvarint(uint64(s.Recvs[i].SrcGroup))
+	b = binary.AppendUvarint(b, uint64(len(recvs)))
+	for i := range recvs {
+		b = appendUvarint12(b, uint64(recvs[i].Proc))
+		b = appendUvarint12(b, uint64(recvs[i].SrcGroup))
 	}
-	return e.finish()
+	return b
 }
 
 // DecodeSlot fills s from a FrameSlot payload, reusing s.Sends and s.Recvs
@@ -101,39 +108,61 @@ func DecodeSlot(payload []byte, s *wire.StreamSlot) error {
 // slices, reusing their capacity. A slice too small for its block's count
 // is grown once, not append by append; a send is at least 3 varint bytes
 // and a recv 2, so a count the bytes left cannot hold is refused first.
+// Each block decodes in one loop over a local slice, its fields through the
+// inline uvarint12 and binary.Uvarint only past two bytes.
 func decodeSendsRecvs(r *reader, sends []popsnet.Send, recvs []popsnet.Recv) ([]popsnet.Send, []popsnet.Recv) {
-	nSends := r.count(3)
-	if cap(sends) < nSends {
-		sends = make([]popsnet.Send, 0, nSends)
+	sends = resize(sends, r.count(3))
+	b := r.b
+	for i := range sends {
+		var f [3]uint64
+		for j := range f {
+			v, n := uvarint12(b)
+			if n == 0 {
+				if v, n = binary.Uvarint(b); n <= 0 {
+					r.fail("truncated uvarint")
+					return sends, recvs
+				}
+			}
+			f[j], b = v, b[n:]
+		}
+		sends[i] = popsnet.Send{Src: int(f[0]), DestGroup: int(f[1]), Packet: int(f[2])}
 	}
-	sends = sends[:0]
-	for i := 0; i < nSends && r.err == nil; i++ {
-		sends = append(sends, popsnet.Send{
-			Src:       int(r.uvarint()),
-			DestGroup: int(r.uvarint()),
-			Packet:    int(r.uvarint()),
-		})
+	r.b = b
+	recvs = resize(recvs, r.count(2))
+	b = r.b
+	for i := range recvs {
+		var f [2]uint64
+		for j := range f {
+			v, n := uvarint12(b)
+			if n == 0 {
+				if v, n = binary.Uvarint(b); n <= 0 {
+					r.fail("truncated uvarint")
+					return sends, recvs
+				}
+			}
+			f[j], b = v, b[n:]
+		}
+		recvs[i] = popsnet.Recv{Proc: int(f[0]), SrcGroup: int(f[1])}
 	}
-	nRecvs := r.count(2)
-	if cap(recvs) < nRecvs {
-		recvs = make([]popsnet.Recv, 0, nRecvs)
-	}
-	recvs = recvs[:0]
-	for i := 0; i < nRecvs && r.err == nil; i++ {
-		recvs = append(recvs, popsnet.Recv{
-			Proc:     int(r.uvarint()),
-			SrcGroup: int(r.uvarint()),
-		})
-	}
+	r.b = b
 	return sends, recvs
+}
+
+// resize returns s with length n, reusing its capacity when it suffices and
+// allocating once otherwise.
+func resize[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	return s[:n]
 }
 
 // AppendDone encodes a stream's closing record.
 func (e *Encoder) AppendDone(d *wire.StreamDone) []byte {
-	e.begin(FrameDone)
-	e.uvarint(uint64(d.Slots))
-	e.uvarint(uint64(d.Fragments))
-	return e.finish()
+	b := e.begin(FrameDone)
+	b = binary.AppendUvarint(b, uint64(d.Slots))
+	b = binary.AppendUvarint(b, uint64(d.Fragments))
+	return e.finish(b)
 }
 
 // DecodeDone fills d from a FrameDone payload.
@@ -147,9 +176,7 @@ func DecodeDone(payload []byte, d *wire.StreamDone) error {
 // AppendError encodes an in-band error record (mid-stream planning failure,
 // or a relay reporting a dead backend).
 func (e *Encoder) AppendError(msg string) []byte {
-	e.begin(FrameError)
-	e.str(msg)
-	return e.finish()
+	return e.finish(appendStr(e.begin(FrameError), msg))
 }
 
 // DecodeError extracts the error text of a FrameError payload.
@@ -161,13 +188,13 @@ func DecodeError(payload []byte) (string, error) {
 
 // AppendRequest encodes a unary route request body.
 func (e *Encoder) AppendRequest(req *wire.RouteRequest) []byte {
-	e.begin(FrameRequest)
-	e.uvarint(uint64(req.D))
-	e.uvarint(uint64(req.G))
-	e.str(req.Workload)
-	e.str(req.Tenant)
-	e.str(req.Strategy)
-	e.uvarint(uint64(req.Speaker))
+	b := e.begin(FrameRequest)
+	b = binary.AppendUvarint(b, uint64(req.D))
+	b = binary.AppendUvarint(b, uint64(req.G))
+	b = appendStr(b, req.Workload)
+	b = appendStr(b, req.Tenant)
+	b = appendStr(b, req.Strategy)
+	b = binary.AppendUvarint(b, uint64(req.Speaker))
 	var flags byte
 	if req.IncludeSchedule {
 		flags |= flagSchedule
@@ -175,26 +202,26 @@ func (e *Encoder) AppendRequest(req *wire.RouteRequest) []byte {
 	if req.Faults != nil {
 		flags |= flagFaults
 	}
-	e.byteVal(flags)
-	e.ints(req.Pi)
-	e.uvarint(uint64(len(req.Pis)))
+	b = append(b, flags)
+	b = appendInts(b, req.Pi)
+	b = binary.AppendUvarint(b, uint64(len(req.Pis)))
 	for _, pi := range req.Pis {
-		e.ints(pi)
+		b = appendInts(b, pi)
 	}
-	e.uvarint(uint64(len(req.Requests)))
+	b = binary.AppendUvarint(b, uint64(len(req.Requests)))
 	for i := range req.Requests {
-		e.uvarint(uint64(req.Requests[i].Src))
-		e.uvarint(uint64(req.Requests[i].Dst))
+		b = appendUvarint12(b, uint64(req.Requests[i].Src))
+		b = appendUvarint12(b, uint64(req.Requests[i].Dst))
 	}
 	if req.Faults != nil {
-		e.uvarint(uint64(len(req.Faults.Couplers)))
+		b = binary.AppendUvarint(b, uint64(len(req.Faults.Couplers)))
 		for i := range req.Faults.Couplers {
-			e.uvarint(uint64(req.Faults.Couplers[i].B))
-			e.uvarint(uint64(req.Faults.Couplers[i].A))
+			b = binary.AppendUvarint(b, uint64(req.Faults.Couplers[i].B))
+			b = binary.AppendUvarint(b, uint64(req.Faults.Couplers[i].A))
 		}
-		e.ints(req.Faults.Groups)
+		b = appendInts(b, req.Faults.Groups)
 	}
-	return e.finish()
+	return e.finish(b)
 }
 
 // DecodeRequest fills req from a FrameRequest payload.
@@ -209,28 +236,41 @@ func DecodeRequest(payload []byte, req *wire.RouteRequest) error {
 	flags := r.byteVal()
 	req.IncludeSchedule = flags&flagSchedule != 0
 	req.Pi = r.ints()
-	nPis := r.count(1)
 	req.Pis = nil
-	for i := 0; i < nPis && r.err == nil; i++ {
-		req.Pis = append(req.Pis, r.ints())
+	if n := r.count(1); n > 0 {
+		req.Pis = make([][]int, n)
+		for i := range req.Pis {
+			req.Pis[i] = r.ints()
+		}
 	}
-	nReqs := r.count(1)
 	req.Requests = nil
-	for i := 0; i < nReqs && r.err == nil; i++ {
-		req.Requests = append(req.Requests, wire.Request{
-			Src: int(r.uvarint()),
-			Dst: int(r.uvarint()),
-		})
+	if n := r.count(2); n > 0 {
+		req.Requests = make([]wire.Request, n)
+		b := r.b
+		for i := range req.Requests {
+			var f [2]uint64
+			for j := range f {
+				v, k := uvarint12(b)
+				if k == 0 {
+					if v, k = binary.Uvarint(b); k <= 0 {
+						r.fail("truncated uvarint")
+						return r.err
+					}
+				}
+				f[j], b = v, b[k:]
+			}
+			req.Requests[i] = wire.Request{Src: int(f[0]), Dst: int(f[1])}
+		}
+		r.b = b
 	}
 	req.Faults = nil
 	if flags&flagFaults != 0 {
 		fs := &wire.FaultSet{}
-		nCouplers := r.count(1)
-		for i := 0; i < nCouplers && r.err == nil; i++ {
-			fs.Couplers = append(fs.Couplers, wire.Coupler{
-				B: int(r.uvarint()),
-				A: int(r.uvarint()),
-			})
+		if n := r.count(2); n > 0 {
+			fs.Couplers = make([]wire.Coupler, n)
+			for i := range fs.Couplers {
+				fs.Couplers[i] = wire.Coupler{B: int(r.uvarint()), A: int(r.uvarint())}
+			}
 		}
 		fs.Groups = r.ints()
 		req.Faults = fs
@@ -273,19 +313,19 @@ func DecodeRequestBody(contentType string, body io.Reader, req *wire.RouteReques
 
 // AppendResponse encodes a unary route response body.
 func (e *Encoder) AppendResponse(resp *wire.RouteResponse) []byte {
-	e.begin(FrameResponse)
-	e.uvarint(uint64(resp.D))
-	e.uvarint(uint64(resp.G))
-	e.str(resp.RequestID)
-	e.uvarint(uint64(len(resp.Plans)))
+	b := e.begin(FrameResponse)
+	b = binary.AppendUvarint(b, uint64(resp.D))
+	b = binary.AppendUvarint(b, uint64(resp.G))
+	b = appendStr(b, resp.RequestID)
+	b = binary.AppendUvarint(b, uint64(len(resp.Plans)))
 	for i := range resp.Plans {
-		e.appendPlan(&resp.Plans[i])
+		b = appendPlan(b, &resp.Plans[i])
 	}
-	return e.finish()
+	return e.finish(b)
 }
 
 // appendPlan encodes one PlanResult of a response frame.
-func (e *Encoder) appendPlan(p *wire.PlanResult) {
+func appendPlan(b []byte, p *wire.PlanResult) []byte {
 	var flags byte
 	if p.Cached {
 		flags |= flagCached
@@ -299,14 +339,14 @@ func (e *Encoder) appendPlan(p *wire.PlanResult) {
 	if p.Schedule != nil {
 		flags |= flagSchedule
 	}
-	e.byteVal(flags)
-	e.str(p.Strategy)
-	e.str(p.Workload)
-	e.uvarint(uint64(p.Slots))
-	e.uvarint(uint64(p.Rounds))
-	e.uvarint(uint64(p.H))
-	e.str(p.Fingerprint)
-	e.str(p.Error)
+	b = append(b, flags)
+	b = appendStr(b, p.Strategy)
+	b = appendStr(b, p.Workload)
+	b = binary.AppendUvarint(b, uint64(p.Slots))
+	b = binary.AppendUvarint(b, uint64(p.Rounds))
+	b = binary.AppendUvarint(b, uint64(p.H))
+	b = appendStr(b, p.Fingerprint)
+	b = appendStr(b, p.Error)
 	if p.Unroutable != nil {
 		u := p.Unroutable
 		var uflags byte
@@ -316,30 +356,20 @@ func (e *Encoder) appendPlan(p *wire.PlanResult) {
 		if u.SeveredDst {
 			uflags |= flagSeveredDst
 		}
-		e.byteVal(uflags)
-		e.uvarint(uint64(u.Packet))
-		e.uvarint(uint64(u.SrcGroup))
-		e.uvarint(uint64(u.DstGroup))
+		b = append(b, uflags)
+		b = binary.AppendUvarint(b, uint64(u.Packet))
+		b = binary.AppendUvarint(b, uint64(u.SrcGroup))
+		b = binary.AppendUvarint(b, uint64(u.DstGroup))
 	}
 	if p.Schedule != nil {
-		e.uvarint(uint64(p.Schedule.Net.D))
-		e.uvarint(uint64(p.Schedule.Net.G))
-		e.uvarint(uint64(len(p.Schedule.Slots)))
+		b = binary.AppendUvarint(b, uint64(p.Schedule.Net.D))
+		b = binary.AppendUvarint(b, uint64(p.Schedule.Net.G))
+		b = binary.AppendUvarint(b, uint64(len(p.Schedule.Slots)))
 		for i := range p.Schedule.Slots {
-			slot := &p.Schedule.Slots[i]
-			e.uvarint(uint64(len(slot.Sends)))
-			for j := range slot.Sends {
-				e.uvarint(uint64(slot.Sends[j].Src))
-				e.uvarint(uint64(slot.Sends[j].DestGroup))
-				e.uvarint(uint64(slot.Sends[j].Packet))
-			}
-			e.uvarint(uint64(len(slot.Recvs)))
-			for j := range slot.Recvs {
-				e.uvarint(uint64(slot.Recvs[j].Proc))
-				e.uvarint(uint64(slot.Recvs[j].SrcGroup))
-			}
+			b = appendSendsRecvs(b, p.Schedule.Slots[i].Sends, p.Schedule.Slots[i].Recvs)
 		}
 	}
+	return b
 }
 
 // DecodeResponse fills resp from a FrameResponse payload.

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"pops/internal/popsnet"
 	"pops/internal/wire"
 )
 
@@ -149,4 +151,129 @@ func encodeDecoded(t *testing.T, typ byte, payload []byte, lenient bool) []byte 
 		// for relays); there is nothing to re-encode.
 		return nil
 	}
+}
+
+// FuzzPayloadDecodeMatchesReference holds every payload decoder to the
+// reference decoders of reference_test.go: on any payload, read as each
+// frame type, both must accept or both refuse with ErrCorruptFrame, and an
+// accepted payload must decode to the same fields. A slot payload is also
+// decoded into a record that already holds sends and recvs, the stream
+// loop's reuse case.
+func FuzzPayloadDecodeMatchesReference(f *testing.F) {
+	for _, p := range referenceSeedPayloads() {
+		f.Add(p)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		checkMatchesReference(t, "slot", payload,
+			func(s *wire.StreamSlot) error { return DecodeSlot(payload, s) },
+			func(s *wire.StreamSlot) error { return refDecodeSlot(payload, s) })
+		checkMatchesReference(t, "slot into a used record", payload,
+			func(s *wire.StreamSlot) error { *s = usedSlot(); return DecodeSlot(payload, s) },
+			func(s *wire.StreamSlot) error { *s = usedSlot(); return refDecodeSlot(payload, s) })
+		checkMatchesReference(t, "meta", payload,
+			func(m *wire.StreamMeta) error { return DecodeMeta(payload, m) },
+			func(m *wire.StreamMeta) error { return refDecodeMeta(payload, m) })
+		checkMatchesReference(t, "done", payload,
+			func(d *wire.StreamDone) error { return DecodeDone(payload, d) },
+			func(d *wire.StreamDone) error { return refDecodeDone(payload, d) })
+		checkMatchesReference(t, "error", payload,
+			func(s *string) (err error) { *s, err = DecodeError(payload); return err },
+			func(s *string) (err error) { *s, err = refDecodeError(payload); return err })
+		checkMatchesReference(t, "request", payload,
+			func(r *wire.RouteRequest) error { return DecodeRequest(payload, r) },
+			func(r *wire.RouteRequest) error { return refDecodeRequest(payload, r) })
+		checkMatchesReference(t, "response", payload,
+			func(r *wire.RouteResponse) error { return DecodeResponse(payload, r) },
+			func(r *wire.RouteResponse) error { return refDecodeResponse(payload, r) })
+	})
+}
+
+// checkMatchesReference decodes payload with the codec's decoder and the
+// reference into fresh values and compares verdicts, and fields on success.
+func checkMatchesReference[T any](t *testing.T, kind string, payload []byte, decode, ref func(*T) error) {
+	t.Helper()
+	var got, want T
+	err, refErr := decode(&got), ref(&want)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("%s %x: decode error %v, reference error %v", kind, payload, err, refErr)
+	}
+	if err != nil {
+		if !errors.Is(err, ErrCorruptFrame) || !errors.Is(refErr, ErrCorruptFrame) {
+			t.Fatalf("%s %x: errors %v and %v, want ErrCorruptFrame", kind, payload, err, refErr)
+		}
+		return
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s %x: decoded\n %+v\nreference decoded\n %+v", kind, payload, got, want)
+	}
+}
+
+// usedSlot is a record a stream loop has already decoded into: its Sends
+// and Recvs hold stale elements and spare capacity.
+func usedSlot() wire.StreamSlot {
+	s := randomSlot(rand.New(rand.NewSource(9)), 8)
+	s.Sends = append(make([]popsnet.Send, 0, 32), s.Sends...)
+	s.Recvs = append(make([]popsnet.Recv, 0, 32), s.Recvs...)
+	return s
+}
+
+// referenceSeedPayloads is the seed corpus of the differential fuzzer: one
+// payload of every frame type and every prefix of each (truncation at every
+// byte), the slot and request blocks with a field spelled as an overlong
+// varint, and varints of 10 and 11 bytes — the longest binary.Uvarint
+// accepts and one past it.
+func referenceSeedPayloads() [][]byte {
+	e := GetEncoder()
+	defer PutEncoder(e)
+	payloadOf := func(frame []byte) []byte {
+		_, payload, err := NewDecoder(bytes.NewReader(frame)).ReadFrame()
+		if err != nil {
+			panic(err)
+		}
+		return append([]byte(nil), payload...)
+	}
+	slot := randomSlot(rand.New(rand.NewSource(11)), 6)
+	hrel := servedHRelation(2, 2, 2)
+	// Negative ints are not a valid plan but a valid frame: they pin the
+	// zigzag decode.
+	faulty := wire.RouteRequest{D: 4, G: 4, Workload: wire.WorkloadFaultyPermutation, Pi: []int{3, -1, 0, 200},
+		Pis: [][]int{{1, 0}, {}}, Faults: &wire.FaultSet{Couplers: []wire.Coupler{{B: 1, A: 2}}, Groups: []int{-3}}}
+	sched := &popsnet.Schedule{Net: popsnet.Network{D: 2, G: 2}, Slots: []popsnet.Slot{
+		{Sends: []popsnet.Send{{Src: 0, DestGroup: 1, Packet: 200}}, Recvs: []popsnet.Recv{{Proc: 3, SrcGroup: 0}}}}}
+	valid := [][]byte{
+		payloadOf(e.AppendSlot(&slot)),
+		payloadOf(e.AppendMeta(&wire.StreamMeta{D: 16, G: 16, Workload: "hrelation", Slots: 8, Fragments: 8,
+			Strategy: "theorem2", Fingerprint: "00ff", Cached: true, RequestID: "r"})),
+		payloadOf(e.AppendDone(&wire.StreamDone{Slots: 8, Fragments: 8})),
+		payloadOf(e.AppendError("backend on fire")),
+		payloadOf(e.AppendRequest(&hrel)),
+		payloadOf(e.AppendRequest(&faulty)),
+		payloadOf(e.AppendResponse(&wire.RouteResponse{D: 2, G: 2, RequestID: "id", Plans: []wire.PlanResult{
+			{Strategy: "theorem2", Slots: 1, Rounds: 1, Schedule: sched},
+			{Error: "unroutable", Unroutable: &wire.UnroutableInfo{Packet: 1, SeveredSrc: true}}}})),
+	}
+	var seeds [][]byte
+	for _, p := range valid {
+		for n := 0; n <= len(p); n++ {
+			seeds = append(seeds, p[:n])
+		}
+	}
+	// A slot with one send whose packet is 5 spelled in two and in three
+	// bytes, and whose source is the largest 10-byte uvarint.
+	seeds = append(seeds,
+		[]byte{0, 1, 0, 1, 1, 0, 0, 0x85, 0x00, 0},
+		[]byte{0, 1, 0, 1, 1, 0, 0, 0x85, 0x80, 0x00, 0},
+		append(append([]byte{0, 1, 0, 1, 1}, bytes.Repeat([]byte{0xff}, 9)...), 0x01, 0, 0, 0),
+		append(append([]byte{0, 1, 0, 1, 1}, bytes.Repeat([]byte{0xff}, 9)...), 0x02, 0, 0, 0),
+		append(append([]byte{0, 1, 0, 1, 1}, bytes.Repeat([]byte{0x80}, 10)...), 0x00, 0, 0, 0),
+	)
+	// A request whose pair source and Pi element take 10 and 11 bytes.
+	head := []byte{1, 1, 0, 0, 0, 0, 0}
+	seeds = append(seeds,
+		append(append(append(head[:7:7], 1), bytes.Repeat([]byte{0xfe}, 9)...), 0x01, 0, 0),
+		append(append(append(head[:7:7], 1), bytes.Repeat([]byte{0xfe}, 10)...), 0x01, 0, 0),
+		append(append(append(head[:7:7], 0, 0, 1), bytes.Repeat([]byte{0x81}, 9)...), 0x01, 2),
+		append(append(append(head[:7:7], 0, 0, 1), bytes.Repeat([]byte{0x81}, 10)...), 0x01, 2),
+	)
+	return seeds
 }

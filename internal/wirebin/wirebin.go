@@ -35,9 +35,25 @@
 // decode-into-caller-owned-structs: DecodeSlot refills the caller's
 // wire.StreamSlot reusing its Sends/Recvs capacity, so a warmed
 // ReadFrame+DecodeSlot loop allocates nothing per record (guarded by
-// TestWireEncodeAllocBudget under make alloc-guard). Frames with string
-// fields (meta, error, request, response) allocate for the strings; they
-// occur once per stream or once per call, never per slot record.
+// TestWireEncodeAllocBudget under make alloc-guard). Every block a decoder
+// fills (sends, recvs, request pairs, couplers, ints) is sized once from its
+// count, after the count is checked against the bytes left at the element's
+// minimum encoded size, so a corrupt count fails before it sizes anything.
+// Frames with string fields (meta, error, request, response) allocate for
+// the strings; they occur once per stream or once per call, never per slot
+// record.
+//
+// # Block loops
+//
+// The per-element loops are the codec's hot path: a 256-send slot is 1,500
+// varints. Each block decodes in one loop over a local byte slice. A one-
+// or two-byte varint (any value below 2^14: at the served shapes, every
+// processor, group and packet index) decodes inline through uvarint12;
+// anything longer, or malformed, goes to binary.Uvarint out of line, and a
+// malformed one is the loop's single error exit. Encoding mirrors it: an
+// Append* method appends to a local slice, element fields through the
+// inline appendUvarint12. A reader whose read failed is emptied, so the
+// scalar reads around the blocks stay sticky without re-checking the error.
 //
 // # Negotiation
 //
@@ -61,8 +77,11 @@ import (
 )
 
 // ContentType is the negotiated media type of the binary codec, offered by
-// clients in Accept and announced by servers in Content-Type. JSON and
-// NDJSON remain the default wire format; binary is strictly opt-in.
+// clients in Accept and announced by servers in Content-Type, and named in
+// Content-Type by a request body in the binary framing. A server answers
+// binary only to an Accept that names it (wildcards never select it) and
+// reads any other request body as JSON; the Go client sends binary request
+// bodies by default and falls back to JSON when a server refuses them.
 const ContentType = "application/x-pops-bin"
 
 // Version is the frame version this package encodes. Decoders reject any
@@ -154,37 +173,53 @@ func GetEncoder() *Encoder { return encoderPool.Get().(*Encoder) }
 // every slice an Append* method returned.
 func PutEncoder(e *Encoder) { encoderPool.Put(e) }
 
-// begin resets the buffer to the reserved length prefix plus the version and
-// type bytes.
-func (e *Encoder) begin(typ byte) {
+// begin returns the encoder's buffer reset to the reserved length prefix
+// plus the version and type bytes. An Append* method appends its fields to
+// that local slice and hands it to finish, so the field loops never store
+// through e.buf.
+func (e *Encoder) begin(typ byte) []byte {
 	if cap(e.buf) < lenReserve+2 {
 		e.buf = make([]byte, lenReserve, 256)
-	} else {
-		e.buf = e.buf[:lenReserve]
 	}
-	e.buf = append(e.buf, Version, typ)
+	return append(e.buf[:lenReserve], Version, typ)
 }
 
-// finish writes the length prefix immediately before the payload and returns
-// the completed frame.
-func (e *Encoder) finish() []byte {
-	payload := len(e.buf) - lenReserve
+// finish keeps b as the encoder's buffer, writes the length prefix
+// immediately before the payload and returns the completed frame.
+func (e *Encoder) finish(b []byte) []byte {
+	e.buf = b
+	payload := len(b) - lenReserve
 	var tmp [lenReserve]byte
 	n := binary.PutUvarint(tmp[:], uint64(payload))
 	start := lenReserve - n
-	copy(e.buf[start:lenReserve], tmp[:n])
-	return e.buf[start:]
+	copy(b[start:lenReserve], tmp[:n])
+	return b[start:]
 }
 
-func (e *Encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *Encoder) varint(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *Encoder) byteVal(b byte)   { e.buf = append(e.buf, b) }
-func (e *Encoder) str(s string)     { e.uvarint(uint64(len(s))); e.buf = append(e.buf, s...) }
-func (e *Encoder) ints(vals []int) {
-	e.uvarint(uint64(len(vals)))
-	for _, v := range vals {
-		e.varint(int64(v))
+// appendUvarint12 appends v as a uvarint, writing the one- and two-byte
+// cases (v below 2^14) inline and leaving longer ones to
+// binary.AppendUvarint. The block loops encode every element field through
+// it.
+func appendUvarint12(b []byte, v uint64) []byte {
+	if v < 0x80 {
+		return append(b, byte(v))
 	}
+	if v < 0x4000 {
+		return append(b, byte(v)|0x80, byte(v>>7))
+	}
+	return binary.AppendUvarint(b, v)
+}
+
+func appendStr(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+func appendInts(b []byte, vals []int) []byte {
+	b = binary.AppendUvarint(b, uint64(len(vals)))
+	for _, v := range vals {
+		b = appendUvarint12(b, uint64(v)<<1^uint64(v>>63)) // zigzag, as binary.AppendVarint
+	}
+	return b
 }
 
 // Decoder reads frames off an io.Reader, buffering reads and reassembling
@@ -248,9 +283,10 @@ func (d *Decoder) ReadFrame() (typ byte, payload []byte, err error) {
 	return d.buf[1], d.buf[2:], nil
 }
 
-// reader is a cursor over one frame payload. All its take* methods fail with
-// ErrCorruptFrame-tagged errors by setting err sticky, so decode functions
-// check once at the end.
+// reader is a cursor over one frame payload. A failed read records an
+// ErrCorruptFrame-tagged error and empties the cursor, so every later read
+// fails as well without re-checking err, and decode functions check once at
+// the end.
 type reader struct {
 	b   []byte
 	err error
@@ -260,32 +296,55 @@ func (r *reader) fail(format string, args ...any) {
 	if r.err == nil {
 		r.err = fmt.Errorf("%w: "+format, append([]any{ErrCorruptFrame}, args...)...)
 	}
+	r.b = nil
+}
+
+// uvarint12 decodes a one- or two-byte uvarint from the front of b and
+// returns it with its length: any value below 2^14, which at the served
+// shapes is every count, processor, group and packet index. It returns
+// n == 0 for a longer or malformed varint, which the caller hands to
+// binary.Uvarint out of line: with no call in it, uvarint12 stays under the
+// inliner's budget, so the block loops decode the common case without a
+// call. Like binary.Uvarint it accepts a non-minimal spelling (0x80 0x00
+// reads as 0 in two bytes).
+func uvarint12(b []byte) (v uint64, n int) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	if len(b) > 1 && b[1] < 0x80 {
+		return uint64(b[0]&0x7f) | uint64(b[1])<<7, 2
+	}
+	return 0, 0
+}
+
+// unzigzag maps a zigzag-encoded uvarint back to its signed value, as
+// binary.Varint does.
+func unzigzag(u uint64) int64 {
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail("truncated uvarint")
-		return 0
+	v, n := uvarint12(r.b)
+	if n == 0 {
+		if v, n = binary.Uvarint(r.b); n <= 0 {
+			r.fail("truncated uvarint")
+			return 0
+		}
 	}
 	r.b = r.b[n:]
 	return v
 }
 
 func (r *reader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail("truncated varint")
-		return 0
+	v, n := uvarint12(r.b)
+	if n == 0 {
+		if v, n = binary.Uvarint(r.b); n <= 0 {
+			r.fail("truncated varint")
+			return 0
+		}
 	}
 	r.b = r.b[n:]
-	return v
+	return unzigzag(v)
 }
 
 // count reads a uvarint element count and sanity-checks it against the bytes
@@ -293,9 +352,6 @@ func (r *reader) varint() int64 {
 // corrupt count can never drive a huge allocation.
 func (r *reader) count(minSize int) int {
 	n := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
 	if n > uint64(len(r.b)/minSize) {
 		r.fail("count %d of %d-byte elements exceeds remaining %d bytes", n, minSize, len(r.b))
 		return 0
@@ -304,9 +360,6 @@ func (r *reader) count(minSize int) int {
 }
 
 func (r *reader) byteVal() byte {
-	if r.err != nil {
-		return 0
-	}
 	if len(r.b) == 0 {
 		r.fail("truncated byte")
 		return 0
@@ -317,13 +370,7 @@ func (r *reader) byteVal() byte {
 }
 
 func (r *reader) str() string {
-	if r.err != nil {
-		return ""
-	}
 	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
 	if n > uint64(len(r.b)) {
 		r.fail("string length %d exceeds remaining %d bytes", n, len(r.b))
 		return ""
@@ -333,18 +380,26 @@ func (r *reader) str() string {
 	return s
 }
 
+// ints reads a block of zigzag varints, sized once from its count and
+// decoded in one loop over a local slice. An empty block reads as nil.
 func (r *reader) ints() []int {
 	n := r.count(1)
-	if r.err != nil || n == 0 {
+	if n == 0 {
 		return nil
 	}
 	out := make([]int, n)
+	b := r.b
 	for i := range out {
-		out[i] = int(r.varint())
+		v, k := uvarint12(b)
+		if k == 0 {
+			if v, k = binary.Uvarint(b); k <= 0 {
+				r.fail("truncated varint")
+				return nil
+			}
+		}
+		out[i], b = int(unzigzag(v)), b[k:]
 	}
-	if r.err != nil {
-		return nil
-	}
+	r.b = b
 	return out
 }
 

@@ -38,7 +38,7 @@ func randomSlot(rng *rand.Rand, n int) wire.StreamSlot {
 
 // decodeOne runs one encoded frame through a Decoder and returns type and
 // payload.
-func decodeOne(t *testing.T, frame []byte) (byte, []byte) {
+func decodeOne(t testing.TB, frame []byte) (byte, []byte) {
 	t.Helper()
 	d := NewDecoder(bytes.NewReader(frame))
 	typ, payload, err := d.ReadFrame()
