@@ -12,22 +12,42 @@ package perms
 // permutations differ only in small integers — still spread over the whole
 // output space. It allocates nothing and needs one multiply per element.
 func Fingerprint(pi []int) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	h = (h ^ uint64(len(pi))) * prime64
+	h := NewHasher(len(pi))
 	for _, v := range pi {
-		h = (h ^ uint64(v)) * prime64
+		h = h.Add(v)
 	}
-	// Finalizer: murmur3's 64-bit avalanche. FNV-1a alone mixes the last
-	// few elements weakly into the high bits; the avalanche makes every
-	// input bit flip every output bit with probability ~1/2.
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
+	return h.Sum()
+}
+
+// Hasher is Fingerprint taken one element at a time, for a sequence held in
+// another shape than an []int: NewHasher(n), then Add of each of the n
+// elements in order, then Sum equals Fingerprint of those n elements.
+type Hasher uint64
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// NewHasher starts the fingerprint of an n-element sequence.
+func NewHasher(n int) Hasher {
+	return Hasher((fnvOffset64 ^ uint64(n)) * fnvPrime64)
+}
+
+// Add mixes the next element into the fingerprint.
+func (h Hasher) Add(v int) Hasher {
+	return Hasher((uint64(h) ^ uint64(v)) * fnvPrime64)
+}
+
+// Sum finalizes the fingerprint. Murmur3's 64-bit avalanche: FNV-1a alone
+// mixes the last few elements weakly into the high bits; the avalanche
+// makes every input bit flip every output bit with probability ~1/2.
+func (h Hasher) Sum() uint64 {
+	x := uint64(h)
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
 }

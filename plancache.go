@@ -38,9 +38,9 @@ type planCache struct {
 	stats   CacheStats
 }
 
-// cacheEntry is one memoized plan. ident is the cache's own copy of the
-// workload's flattened identity (the permutation itself, or the src/dst
-// pairs of an h-relation), kept for the equality check on hits.
+// cacheEntry is one memoized plan. ident is the workload's flattened
+// identity (the permutation itself, or the src/dst pairs of an
+// h-relation), kept for the equality check on hits.
 type cacheEntry struct {
 	key   uint64
 	kind  uint8
@@ -56,14 +56,15 @@ func newPlanCache(capacity int) *planCache {
 	}
 }
 
-// get returns the memoized plan for the workload identified by (key, kind,
-// ident), if any, and records the hit or miss.
-func (c *planCache) get(key uint64, kind uint8, ident []int) (*Plan, bool) {
+// get returns the memoized plan for workload w under (key, kind), if any,
+// and records the hit or miss. w is flattened to its identity only when an
+// entry holds the key, so a miss costs no copy of the workload.
+func (c *planCache) get(key uint64, kind uint8, w Workload) (*Plan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		e := el.Value.(*cacheEntry)
-		if e.kind == kind && perms.Equal(e.ident, ident) {
+		if e.kind == kind && perms.Equal(e.ident, workloadIdent(w)) {
 			c.lru.MoveToFront(el)
 			c.stats.Hits++
 			return e.plan, true
@@ -73,17 +74,19 @@ func (c *planCache) get(key uint64, kind uint8, ident []int) (*Plan, bool) {
 	return nil, false
 }
 
-// put memoizes plan under key, snapshotting ident for hit-time verification
-// and evicting the least recently used entry when the cache is full. A
-// same-key entry (collision, or a racing insert of the same workload) is
-// overwritten in place.
+// put memoizes plan under key, keeping ident for hit-time verification and
+// evicting the least recently used entry when the cache is full. A same-key
+// entry (collision, or a racing insert of the same workload) is overwritten
+// in place. The cache keeps ident without copying it, so it must be memory
+// no caller writes again: cacheIdentFor's, which is the immutable plan's
+// own or freshly built.
 func (c *planCache) put(key uint64, kind uint8, ident []int, plan *Plan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		e := el.Value.(*cacheEntry)
 		e.kind = kind
-		e.ident = append(e.ident[:0], ident...)
+		e.ident = ident
 		e.plan = plan
 		c.lru.MoveToFront(el)
 		return
@@ -94,7 +97,7 @@ func (c *planCache) put(key uint64, kind uint8, ident []int, plan *Plan) {
 		c.lru.Remove(back)
 		c.stats.Evictions++
 	}
-	e := &cacheEntry{key: key, kind: kind, ident: append([]int(nil), ident...), plan: plan}
+	e := &cacheEntry{key: key, kind: kind, ident: ident, plan: plan}
 	c.entries[key] = c.lru.PushFront(e)
 }
 

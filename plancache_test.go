@@ -12,8 +12,8 @@ import (
 // with WithPlanCache, returning it on a verified hit. The lookup counts toward
 // CacheStats like any other.
 func cachedWorkload(p *Planner, w Workload) (*Plan, bool) {
-	key, kind, ident := workloadKey(w)
-	return p.cache.get(key, kind, ident)
+	key, kind := workloadKey(w)
+	return p.cache.get(key, kind, w)
 }
 
 func TestPlanCacheHitsRepeatedPermutation(t *testing.T) {

@@ -108,8 +108,8 @@ var workloadSalt = [...]uint64{
 	cacheKindFaulty:      0x27d4eb2f165667c5,
 }
 
-// flattenRequests serializes reqs for fingerprinting and cache identity
-// checks: src₀, dst₀, src₁, dst₁, …
+// flattenRequests serializes reqs for cache identity checks: src₀, dst₀,
+// src₁, dst₁, …
 func flattenRequests(reqs []Request) []int {
 	flat := make([]int, 0, 2*len(reqs))
 	for _, r := range reqs {
@@ -118,31 +118,57 @@ func flattenRequests(reqs []Request) []int {
 	return flat
 }
 
-// workloadKey resolves a workload to its cache key, kind tag, and flattened
-// identity (the ident is what hits re-verify for equality).
-func workloadKey(w Workload) (key uint64, kind uint8, ident []int) {
+// requestsFingerprint is perms.Fingerprint(flattenRequests(reqs)), hashed
+// over the pairs in place.
+func requestsFingerprint(reqs []Request) uint64 {
+	h := perms.NewHasher(2 * len(reqs))
+	for _, r := range reqs {
+		h = h.Add(r.Src).Add(r.Dst)
+	}
+	return h.Sum()
+}
+
+// workloadKey resolves a workload to its cache key and kind tag. It
+// flattens nothing but a fault set: an h-relation is hashed in place.
+func workloadKey(w Workload) (key uint64, kind uint8) {
 	switch w := w.(type) {
 	case permutationWorkload:
-		return perms.Fingerprint(w.pi), cacheKindPermutation, w.pi
+		return perms.Fingerprint(w.pi), cacheKindPermutation
 	case hrelationWorkload:
-		flat := flattenRequests(w.reqs)
-		return perms.Fingerprint(flat) ^ workloadSalt[cacheKindHRelation], cacheKindHRelation, flat
+		return requestsFingerprint(w.reqs) ^ workloadSalt[cacheKindHRelation], cacheKindHRelation
 	case allToAllWorkload:
-		return perms.Fingerprint(nil) ^ workloadSalt[cacheKindAllToAll], cacheKindAllToAll, nil
+		return perms.Fingerprint(nil) ^ workloadSalt[cacheKindAllToAll], cacheKindAllToAll
 	case oneToAllWorkload:
-		ident = []int{w.speaker}
-		return perms.Fingerprint(ident) ^ workloadSalt[cacheKindOneToAll], cacheKindOneToAll, ident
+		return perms.Fingerprint([]int{w.speaker}) ^ workloadSalt[cacheKindOneToAll], cacheKindOneToAll
 	case faultyWorkload:
-		flat := faultyIdent(w.faults, w.pi)
-		return perms.Fingerprint(flat) ^ workloadSalt[cacheKindFaulty], cacheKindFaulty, flat
+		return perms.Fingerprint(faultyIdent(w.faults, w.pi)) ^ workloadSalt[cacheKindFaulty], cacheKindFaulty
 	default:
 		panic("pops: unknown workload type")
 	}
 }
 
+// workloadIdent returns w's flattened identity, the content a cache hit
+// re-verifies for equality; workloadKey's fingerprint is the fingerprint of
+// it.
+func workloadIdent(w Workload) []int {
+	switch w := w.(type) {
+	case permutationWorkload:
+		return w.pi
+	case hrelationWorkload:
+		return flattenRequests(w.reqs)
+	case oneToAllWorkload:
+		return []int{w.speaker}
+	case faultyWorkload:
+		return faultyIdent(w.faults, w.pi)
+	default:
+		return nil
+	}
+}
+
 // cacheIdentFor recovers a plan's flattened cache identity from the plan
-// itself — plan-owned memory, safe to snapshot into the cache even when the
-// caller has since reused its request or permutation buffers.
+// itself: plan-owned or freshly built memory, which the cache keeps without
+// copying even when the caller has since reused its request or permutation
+// buffers.
 func cacheIdentFor(kind uint8, plan *Plan) []int {
 	switch kind {
 	case cacheKindPermutation:
@@ -165,7 +191,7 @@ func cacheIdentFor(kind uint8, plan *Plan) []int {
 // tag. It is the key of the Planner's plan cache and the fingerprint the
 // routing service reports for non-permutation workloads.
 func WorkloadFingerprint(w Workload) uint64 {
-	key, _, _ := workloadKey(w)
+	key, _ := workloadKey(w)
 	return key
 }
 
@@ -273,10 +299,10 @@ func (p *Planner) lookup(ctx context.Context, w Workload, start time.Time) (key 
 	if _, ok := w.(oneToAllWorkload); ok {
 		return 0, 0, nil
 	}
-	key, kind, ident := workloadKey(w)
+	key, kind = workloadKey(w)
 	sp := obs.SpanFromContext(ctx)
 	sp.Begin(obs.PhaseCache)
-	hit, ok := p.cache.get(key, kind, ident)
+	hit, ok := p.cache.get(key, kind, w)
 	sp.End()
 	if ok {
 		p.observePlan(hit.Strategy, true, start)

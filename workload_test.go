@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"pops/internal/core"
+	"pops/internal/perms"
 )
 
 // randomRelation builds the union of h random permutations on n processors:
@@ -306,6 +307,36 @@ func TestWorkloadFingerprint(t *testing.T) {
 	}
 	if WorkloadFingerprint(AllToAll()) == WorkloadFingerprint(OneToAll(0)) {
 		t.Fatal("all-to-all and one-to-all fingerprints collide")
+	}
+}
+
+// TestWorkloadKeyMatchesIdent pins the cache key to the identity a hit
+// re-verifies: for every kind the key is the salted fingerprint of
+// workloadIdent, so hashing an h-relation's pairs in place keys it exactly
+// as fingerprinting its flattened pairs did. The in-place hash allocates
+// nothing.
+func TestWorkloadKeyMatchesIdent(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var reqs []Request
+	for src, dst := range rng.Perm(64) {
+		reqs = append(reqs, Request{Src: src, Dst: dst})
+	}
+	if got, want := requestsFingerprint(reqs), perms.Fingerprint(flattenRequests(reqs)); got != want {
+		t.Fatalf("requestsFingerprint = %016x, want perms.Fingerprint of the flattened pairs %016x", got, want)
+	}
+	faults := FaultSet{Couplers: []Coupler{{B: 1, A: 2}}, Groups: []int{3}}
+	for _, w := range []Workload{
+		Permutation(rng.Perm(16)), HRelation(reqs), HRelation(nil), AllToAll(), OneToAll(3),
+		FaultyPermutation(rng.Perm(16), faults),
+	} {
+		key, kind := workloadKey(w)
+		if want := perms.Fingerprint(workloadIdent(w)) ^ workloadSalt[kind]; key != want {
+			t.Errorf("%s: key %016x, want the salted fingerprint of its ident %016x", w.Kind(), key, want)
+		}
+	}
+	w := HRelation(reqs)
+	if got := testing.AllocsPerRun(100, func() { WorkloadFingerprint(w) }); got != 0 {
+		t.Errorf("WorkloadFingerprint of an h-relation: %v allocs/op, want 0", got)
 	}
 }
 
