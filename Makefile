@@ -133,14 +133,18 @@ examples:
 	@set -e; for e in $(EXAMPLES); do echo "== examples/$$e"; go run ./examples/$$e > /dev/null; done
 
 # The steady-state allocation guard of the coloring engine: fails if
-# Factorizer/Matcher/Splitter reuse regresses past the alloc budget. The
+# Factorizer reuse, the Matcher's StartPeel/Peel and Alon matcher, or
+# Splitter.Split regresses past the alloc budget. The
 # streaming path is covered too: a warmed Stream drain allocates nothing
 # beyond its handle, and — Execute being the drained stream — a cold Execute
 # at POPS(8,8) is pinned at 12 allocs/op with ExecuteStream+Collect at no
 # more than Execute. TestHRelationPooledAllocBudget guards the
 # pooled h-relation path of Execute: steady state must stay under half the
 # allocations of a fresh Planner per call (the measured delta is recorded in
-# BENCH_2026-07-30_hrelation.json). The tracing layer
+# BENCH_2026-07-30_hrelation.json), and TestHRelationAllocBudget holds a
+# warmed core planner's PlanHRelation of a 4-relation on POPS(16,16) to 61
+# allocations (each factor's permutation stream drained, its sends
+# relabeled in place). The tracing layer
 # rides the same gate: span recording, the tracer's pooled Start/Finish
 # cycle, plan-time Observe on an existing key, and a traced plan-cache hit
 # must all stay at 0 allocs/op. The binary wire codec holds the same bar:
@@ -154,6 +158,7 @@ examples:
 # target instead of leaving it checking nothing.
 alloc-guard:
 	$(call smoke,TestFactorizerAllocBudget|TestStreamAllocBudget|TestMatcherSteadyStateAllocFree|TestSplitterSteadyStateAllocFree,./internal/edgecolor ./internal/matching ./internal/graph)
+	$(call smoke,TestHRelationAllocBudget,./internal/core)
 	$(call smoke,TestSpanAllocBudget|TestPlanTimesObserveAllocBudget,./internal/obs)
 	$(call smoke,TestWireEncodeAllocBudget|TestReframerAllocBudget|TestDecodeSlotFreshRecordAllocs|TestDecodeRequestHRelationAllocs,./internal/wirebin)
 	$(call smoke,TestExecuteStreamAllocBudget|TestHRelationPooledAllocBudget|TestCachedHitSpanAllocBudget,.)

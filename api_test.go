@@ -258,3 +258,106 @@ func signature(ft *ast.FuncType) string {
 	}
 	return s
 }
+
+// internalExportKeep names the exported funcs and methods under internal/
+// that no non-test file calls but that stay, each with its reason. A key is
+// "pkg.Func" or "pkg.Type.Method", pkg being the path below internal/; a
+// bare "pkg" keeps every export of that package.
+var internalExportKeep = map[string]string{
+	"matching.Kuhn":                      "augmenting-path reference matcher the Hopcroft–Karp peel is tested against",
+	"matching.VerifyMatching":            "matching checker of the matching and coloring tests",
+	"core.PlanRouteViaListSystem":        "the paper's list-system construction, the reference the Theorem 2 planner is tested against",
+	"edgecolor.Factorizer.FactorizeInto": "batch 1-factorization: the reference the factor streams and the coloring goldens are held to",
+	"graph.Circulant":                    "regular test-graph generator shared by the graph, matching and coloring tests",
+	"graph.Bipartite.SubgraphByEdges":    "materializes an edge view, the reference of the splitter and matcher view tests",
+	"popsnet.Network.LocalIndex":         "part of the public surface through pops.Network (testdata/api.txt)",
+	"chaos":                              "overload harness: its tests drive the stack through it (make overload-smoke)",
+	"wire/wiretest":                      "request decoder of the fake servers in other packages' tests",
+
+	"popsnet.PermuteWithinGroups": "deferred: the only subject of three tier-1 tests; cut together with them in a later change",
+	"popsnet.GroupBroadcast":      "deferred: the only subject of two tier-1 tests; cut together with them in a later change",
+	"popsnet.State.Holding":       "deferred: the only subject of TestStateHoldingCopyIsolated; cut together with it in a later change",
+	"graph.Bipartite.Union":       "deferred: the only subject of TestUnion and TestUnionSizeMismatchPanics; cut together with them in a later change",
+}
+
+// TestInternalExportsHaveCallers fails on an exported func or method under
+// internal/ whose name appears in no non-test file of the module or of
+// perfbench except its own declaration: a kernel has one entry point, and
+// an export only tests call is either a test reference (kept above, with
+// its reason) or dead. It parses files with go/parser and matches
+// identifiers by name, without a type checker, so a name shared with any
+// other identifier — another declaration of the same name included —
+// counts as a caller.
+func TestInternalExportsHaveCallers(t *testing.T) {
+	type export struct{ pkg, key, name, pos string }
+	var exports []export
+	idents := make(map[string]int) // identifier -> occurrences in non-test files
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				idents[id.Name]++
+			}
+			return true
+		})
+		pkg, internal := strings.CutPrefix(filepath.ToSlash(filepath.Dir(path)), "internal/")
+		if !internal {
+			return nil
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || !fd.Name.IsExported() {
+				continue
+			}
+			key := pkg + "." + fd.Name.Name
+			if fd.Recv != nil {
+				recv := fd.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				key = pkg + "." + types.ExprString(recv) + "." + fd.Name.Name
+			}
+			exports = append(exports, export{pkg, key, fd.Name.Name, fset.Position(fd.Pos()).String()})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := make(map[string]bool)
+	for _, e := range exports {
+		if idents[e.name] > 1 {
+			continue
+		}
+		switch {
+		case internalExportKeep[e.key] != "":
+			used[e.key] = true
+		case internalExportKeep[e.pkg] != "":
+			used[e.pkg] = true
+		default:
+			t.Errorf("%s: exported %s has no caller in a non-test file; delete it, "+
+				"or keep it in internalExportKeep with a reason", e.pos, e.key)
+		}
+	}
+	for key := range internalExportKeep {
+		if !used[key] {
+			t.Errorf("internalExportKeep names %s, which is no uncalled export under internal/", key)
+		}
+	}
+}

@@ -189,30 +189,45 @@ func writeOverload(w http.ResponseWriter, oe *pops.OverloadError) {
 	http.Error(w, oe.Error(), http.StatusTooManyRequests)
 }
 
-func (p *Proxy) handleRoute(w http.ResponseWriter, r *http.Request) {
+// startRoute is the prologue /route and /route/stream share: it admits the
+// request (503 once the proxy is closing), reads and decodes the body,
+// echoes the request ID and starts the request's span, tagged with the
+// workload kind placement decoded. If ok is false the request has been
+// answered; otherwise the caller owes p.inflight.Done. Placement reads the
+// decoded request; the raw body bytes are forwarded unchanged, in whichever
+// codec the caller framed them.
+func (p *Proxy) startRoute(w http.ResponseWriter, r *http.Request) (body []byte, key uint64, id string, sp *obs.Span, ok bool) {
 	if !p.enter() {
 		http.Error(w, ErrClosed.Error(), http.StatusServiceUnavailable)
-		return
+		return nil, 0, "", nil, false
 	}
-	defer p.inflight.Done()
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err != nil {
 		http.Error(w, "cluster: reading request: "+err.Error(), http.StatusBadRequest)
-		return
+		p.inflight.Done()
+		return nil, 0, "", nil, false
 	}
-	// Placement reads the decoded request; the raw body bytes are forwarded
-	// unchanged, in whichever codec the caller framed them.
 	var req wire.RouteRequest
 	if err := wirebin.DecodeRequestBody(r.Header.Get("Content-Type"), bytes.NewReader(body), &req); err != nil {
 		http.Error(w, "cluster: decoding request: "+err.Error(), http.StatusBadRequest)
-		return
+		p.inflight.Done()
+		return nil, 0, "", nil, false
 	}
-	ctx := r.Context()
-	id := requestID(r)
+	id = requestID(r)
 	w.Header().Set("X-Request-Id", id)
 	key, kind := requestKey(&req)
-	sp := p.tracer.Start(id, req.D, req.G)
+	sp = p.tracer.Start(id, req.D, req.G)
 	sp.Workload = kind
+	return body, key, id, sp, true
+}
+
+func (p *Proxy) handleRoute(w http.ResponseWriter, r *http.Request) {
+	body, key, id, sp, ok := p.startRoute(w, r)
+	if !ok {
+		return
+	}
+	defer p.inflight.Done()
+	ctx := r.Context()
 	sp.Begin(obs.PhaseForward)
 	resp, err := p.forward(ctx, key, "/route", body, false, id, r.Header, sp)
 	sp.End()
@@ -247,27 +262,12 @@ func relayHeader(w http.ResponseWriter, resp *http.Response) {
 // stream admission only; once records have been relayed, a backend failure
 // becomes a wire "error" record (delivered fragments cannot be replayed).
 func (p *Proxy) handleRouteStream(w http.ResponseWriter, r *http.Request) {
-	if !p.enter() {
-		http.Error(w, ErrClosed.Error(), http.StatusServiceUnavailable)
+	body, key, id, sp, ok := p.startRoute(w, r)
+	if !ok {
 		return
 	}
 	defer p.inflight.Done()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	if err != nil {
-		http.Error(w, "cluster: reading request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	var req wire.RouteRequest
-	if err := wirebin.DecodeRequestBody(r.Header.Get("Content-Type"), bytes.NewReader(body), &req); err != nil {
-		http.Error(w, "cluster: decoding request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
 	ctx := r.Context()
-	id := requestID(r)
-	w.Header().Set("X-Request-Id", id)
-	key, kind := requestKey(&req)
-	sp := p.tracer.Start(id, req.D, req.G)
-	sp.Workload = kind
 	// Stream spans feed the slow ring only, not the latency histogram: a
 	// stream's wall clock is dominated by how fast the caller reads.
 	defer p.tracer.Finish(sp)

@@ -17,30 +17,6 @@ type Request struct {
 	Src, Dst int
 }
 
-// Degree returns h: the maximum number of times any processor occurs as a
-// source or as a destination in reqs.
-func Degree(n int, reqs []Request) (int, error) {
-	srcCount := make([]int, n)
-	dstCount := make([]int, n)
-	for i, r := range reqs {
-		if r.Src < 0 || r.Src >= n || r.Dst < 0 || r.Dst >= n {
-			return 0, fmt.Errorf("core: request %d (%d→%d) out of range [0,%d)", i, r.Src, r.Dst, n)
-		}
-		srcCount[r.Src]++
-		dstCount[r.Dst]++
-	}
-	h := 0
-	for p := 0; p < n; p++ {
-		if srcCount[p] > h {
-			h = srcCount[p]
-		}
-		if dstCount[p] > h {
-			h = dstCount[p]
-		}
-	}
-	return h, nil
-}
-
 // PredictedHRelationSlots returns the slot cost of an h-relation plan:
 // h · OptimalSlots(d, g).
 func PredictedHRelationSlots(d, g, h int) int {
@@ -195,10 +171,11 @@ func (pl *Planner) StartHRelation(ctx context.Context, reqs []Request) (*HRelati
 	return ps, nil
 }
 
-// degreeInto is the pooled-scratch form of Degree: it validates reqs
-// against the planner's shape and counts per-processor sends and receives
-// into pl.hrelSrc/pl.hrelDst — which padHRelation then consumes directly,
-// so the steady-state h-relation path neither allocates count slices nor
+// degreeInto returns h, the maximum number of times any processor occurs
+// as a source or as a destination in reqs. It validates reqs against the
+// planner's shape and counts per-processor sends and receives into
+// pl.hrelSrc/pl.hrelDst — which padHRelation then consumes directly, so
+// the steady-state h-relation path neither allocates count slices nor
 // scans the requests a second time.
 func (pl *Planner) degreeInto(reqs []Request) (int, error) {
 	n := pl.nw.N()
@@ -331,32 +308,35 @@ func (ps *HRelationStream) routeNextFactor() error {
 	}
 	ps.factors[factorID] = real
 
-	// Route the factor as a permutation. Per-factor verification is
-	// redundant inside an h-relation — the final plan is verified as a
-	// whole by Collect — so the planner's Verify option is masked for the
-	// sub-plan (the stream owns the worker, so the toggle cannot race).
-	savedVerify := pl.opts.Verify
-	pl.opts.Verify = false
-	sub, err := pl.PlanCtx(ps.ctx, pl.hrelPi)
-	pl.opts.Verify = savedVerify
+	// Route the factor as a permutation by draining its stream. Unlike
+	// Collect, draining never replays the sub-schedule: the final plan is
+	// verified as a whole by the h-relation's Collect.
+	sub, err := pl.StartPlanCtx(ps.ctx, pl.hrelPi)
+	if err == nil {
+		for {
+			if _, ok := sub.Next(); !ok {
+				break
+			}
+		}
+		err = sub.Err()
+	}
 	if err != nil {
 		return fmt.Errorf("core: routing factor %d: %w", factorID, err)
 	}
 
-	// Relabel the factor's slots into their fixed block of the schedule:
-	// core packet ids equal source processors, which hrelReqAt maps back to
-	// request ids. Recvs carry no packet ids and are aliased as-is.
+	// Move the factor's slots into their fixed block of the schedule. The
+	// sub-schedule is the stream's own storage, so its sends are relabeled
+	// in place: core packet ids equal source processors, which hrelReqAt
+	// maps back to request ids.
 	base := factorID * ps.slotsPer
-	for s, slot := range sub.Schedule().Slots {
-		out := popsnet.Slot{Recvs: slot.Recvs, Sends: make([]popsnet.Send, 0, len(slot.Sends))}
-		for _, snd := range slot.Sends {
-			snd.Packet = pl.hrelReqAt[snd.Packet]
-			out.Sends = append(out.Sends, snd)
+	for s, slot := range sub.sched.Slots {
+		for i := range slot.Sends {
+			slot.Sends[i].Packet = pl.hrelReqAt[slot.Sends[i].Packet]
 		}
-		ps.sched.Slots[base+s] = out
+		ps.sched.Slots[base+s] = slot
 		ps.ready = append(ps.ready, StreamedSlot{
 			Slot: base + s, Color: factorID, Offset: 0, Final: true,
-			Sends: out.Sends, Recvs: out.Recvs,
+			Sends: slot.Sends, Recvs: slot.Recvs,
 		})
 	}
 	ps.routed++

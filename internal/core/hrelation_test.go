@@ -32,21 +32,25 @@ func randomHRelation(n, h int, rng *rand.Rand) []Request {
 }
 
 func TestDegree(t *testing.T) {
+	pl, err := NewPlanner(2, 2, Options{}) // n = 4
+	if err != nil {
+		t.Fatal(err)
+	}
 	reqs := []Request{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 1, Dst: 2}, {Src: 3, Dst: 0}}
-	h, err := Degree(4, reqs)
+	h, err := pl.degreeInto(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h != 2 { // proc 0 sends twice, proc 2 receives twice
 		t.Fatalf("h = %d, want 2", h)
 	}
-	if _, err := Degree(4, []Request{{Src: 0, Dst: 9}}); err == nil {
+	if _, err := pl.degreeInto([]Request{{Src: 0, Dst: 9}}); err == nil {
 		t.Fatal("out-of-range request accepted")
 	}
-	if _, err := Degree(4, []Request{{Src: -1, Dst: 0}}); err == nil {
+	if _, err := pl.degreeInto([]Request{{Src: -1, Dst: 0}}); err == nil {
 		t.Fatal("negative source accepted")
 	}
-	h, err = Degree(4, nil)
+	h, err = pl.degreeInto(nil)
 	if err != nil || h != 0 {
 		t.Fatalf("empty relation: h=%d err=%v", h, err)
 	}
@@ -234,5 +238,33 @@ func TestAllToAllRequestsRoute(t *testing.T) {
 		if len(p.Reqs) != n*(n-1) {
 			t.Fatalf("d=%d g=%d: %d requests, want %d", tc.d, tc.g, len(p.Reqs), n*(n-1))
 		}
+	}
+}
+
+// TestHRelationAllocBudget pins the steady-state allocations of a warmed
+// planner's PlanHRelation on the stream-hrel benchmark's shape, a
+// 4-relation on POPS(16,16). Each König factor is routed by draining a
+// permutation stream whose sends are relabeled in place, so a plan costs
+// what its schedule, its factor listings and the per-factor sub-streams
+// retain or need; a copy per slot or a second Plan per factor fails it.
+func TestHRelationAllocBudget(t *testing.T) {
+	const d, g, h = 16, 16, 4
+	pl, err := NewPlanner(d, g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := randomHRelation(d*g, h, rand.New(rand.NewSource(4)))
+	ctx := context.Background()
+	if _, err := pl.PlanHRelation(ctx, reqs); err != nil { // warm the arenas
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := pl.PlanHRelation(ctx, reqs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget = 61
+	if allocs > budget {
+		t.Errorf("PlanHRelation allocates %.0f/op on POPS(%d,%d), h=%d; budget %d", allocs, d, g, h, budget)
 	}
 }

@@ -32,7 +32,7 @@ type Planner struct {
 	seenGroup  []bool // group -> seen within current color class (undo-reset)
 	colorCount int    // max(d, g)
 
-	// Streaming scratch (StartPlan): per-slot outstanding-class counters and
+	// Streaming scratch (StartPlanCtx): per-slot outstanding-class counters and
 	// the sorted-class buffer, reused across streams.
 	remaining []int
 	classBuf  []int

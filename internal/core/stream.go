@@ -36,7 +36,7 @@ type StreamedSlot struct {
 }
 
 // PlanStream is an in-progress Theorem 2 planning whose schedule is
-// delivered incrementally: StartPlan validates the permutation and builds
+// delivered incrementally: StartPlanCtx validates the permutation and builds
 // the demand graph, and each Next call resumes the balanced edge coloring
 // just long enough to peel one more color class, emitting that class's two
 // slot fragments. The paper's fair-distribution invariants (equations
@@ -68,20 +68,16 @@ type PlanStream struct {
 	done       bool
 }
 
-// StartPlan begins a streaming Theorem 2 planning of pi. It performs the
+// StartPlanCtx begins a streaming Theorem 2 planning of pi. It performs the
 // same validation as Plan, builds the demand multigraph once, and returns
 // a stream whose Next calls deliver the schedule fragment by fragment. The
 // first fragment is ready after a single color class has been peeled —
 // for d < g, right after the first perfect matching of the demand graph —
 // long before the full factorization that a batch Plan call must wait for.
-func (pl *Planner) StartPlan(pi []int) (*PlanStream, error) {
-	return pl.StartPlanCtx(context.Background(), pi)
-}
-
-// StartPlanCtx is StartPlan with a context: cancellation is checked between
-// factors (before each color class is peeled), so a cancelled stream stops
-// factor production at its next Next call with ctx.Err() as the sticky
-// error. An already-cancelled ctx is reported here, before any setup.
+// Cancellation of ctx is checked between factors (before each color class
+// is peeled), so a cancelled stream stops factor production at its next
+// Next call with ctx.Err() as the sticky error. An already-cancelled ctx is
+// reported here, before any setup.
 func (pl *Planner) StartPlanCtx(ctx context.Context, pi []int) (*PlanStream, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -55,9 +56,9 @@ func referencePlan(t testing.TB, nw popsnet.Network, pi []int, algo edgecolor.Al
 func checkStreamMatchesReference(t testing.TB, pl *Planner, pi []int, algo edgecolor.Algorithm) {
 	t.Helper()
 	nw := pl.Network()
-	ps, err := pl.StartPlan(pi)
+	ps, err := pl.StartPlanCtx(context.Background(), pi)
 	if err != nil {
-		t.Fatalf("%v %v: StartPlan: %v", algo, nw, err)
+		t.Fatalf("%v %v: StartPlanCtx: %v", algo, nw, err)
 	}
 	got, err := ps.Collect()
 	if err != nil {
@@ -122,7 +123,7 @@ func TestPlanStreamFragments(t *testing.T) {
 			t.Fatal(err)
 		}
 		pi := perms.Random(s.d*s.g, rand.New(rand.NewSource(7)))
-		ps, err := pl.StartPlan(pi)
+		ps, err := pl.StartPlanCtx(context.Background(), pi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,10 +181,10 @@ func TestStartPlanValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pl.StartPlan([]int{0, 1, 2}); err == nil {
+	if _, err := pl.StartPlanCtx(context.Background(), []int{0, 1, 2}); err == nil {
 		t.Fatal("short permutation accepted")
 	}
-	if _, err := pl.StartPlan([]int{0, 0, 1, 2, 3, 3}); err == nil {
+	if _, err := pl.StartPlanCtx(context.Background(), []int{0, 0, 1, 2, 3, 3}); err == nil {
 		t.Fatal("non-permutation accepted")
 	}
 }
@@ -196,7 +197,7 @@ func TestStartPlanVerifyOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	pi := perms.Random(16, rand.New(rand.NewSource(9)))
-	ps, err := pl.StartPlan(pi)
+	ps, err := pl.StartPlanCtx(context.Background(), pi)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func Balanced(b *graph.Bipartite, colorCount int, algo Algorithm) ([]int, error)
 
 // BalancedInto is the arena form of Balanced: it writes the color of every
 // edge of b into colors (indexed by edge ID, len(colors) == b.NumEdges()).
-// It is the StartBalanced stream drained, so the two cannot diverge; the
+// It is the StartBalancedCtx stream drained, so the two cannot diverge; the
 // stream lives on the stack and steady-state calls do not allocate.
 func (f *Factorizer) BalancedInto(colors []int, b *graph.Bipartite, colorCount int, algo Algorithm) error {
 	var st Stream

@@ -21,17 +21,22 @@ func randomRegular(n, k int, rng *rand.Rand) *graph.Bipartite {
 
 var allAlgorithms = []Algorithm{RepeatedMatching, EulerSplitDC, Insertion}
 
-func checkFactorization(t *testing.T, b *graph.Bipartite, classes [][]int, k int) {
+// factorize 1-factorizes b on a fresh arena and returns every edge's class.
+func factorize(b *graph.Bipartite, algo Algorithm) ([]int, error) {
+	colors := make([]int, b.NumEdges())
+	return colors, NewFactorizer().FactorizeInto(colors, b, algo)
+}
+
+// colorInsertion Δ-colors b with the insertion backend on a fresh arena.
+func colorInsertion(b *graph.Bipartite) ([]int, int, error) {
+	colors := make([]int, b.NumEdges())
+	c, err := NewFactorizer().colorInsertionInto(colors, b)
+	return colors, c, err
+}
+
+// checkFactorization fails unless colors splits b into k perfect matchings.
+func checkFactorization(t *testing.T, b *graph.Bipartite, colors []int, k int) {
 	t.Helper()
-	if len(classes) != k {
-		t.Fatalf("got %d classes, want %d", len(classes), k)
-	}
-	colors := ClassesToColors(b.NumEdges(), classes)
-	for id, c := range colors {
-		if c == -1 {
-			t.Fatalf("edge %d uncolored", id)
-		}
-	}
 	if err := Verify(b, colors, k, b.NLeft()); err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +50,11 @@ func TestFactorizeAllAlgorithms(t *testing.T) {
 	for _, algo := range allAlgorithms {
 		for _, tc := range cases {
 			b := randomRegular(tc.n, tc.k, rng)
-			classes, err := Factorize(b, algo)
+			colors, err := factorize(b, algo)
 			if err != nil {
 				t.Fatalf("%v n=%d k=%d: %v", algo, tc.n, tc.k, err)
 			}
-			checkFactorization(t, b, classes, tc.k)
+			checkFactorization(t, b, colors, tc.k)
 		}
 	}
 }
@@ -66,11 +71,11 @@ func TestFactorizeParallelEdgeBundles(t *testing.T) {
 					b.AddEdge(h, (h+1)%g)
 				}
 			}
-			classes, err := Factorize(b, algo)
+			colors, err := factorize(b, algo)
 			if err != nil {
 				t.Fatalf("%v d=%d: %v", algo, d, err)
 			}
-			checkFactorization(t, b, classes, d)
+			checkFactorization(t, b, colors, d)
 		}
 	}
 }
@@ -81,21 +86,21 @@ func TestFactorizeRejectsIrregular(t *testing.T) {
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 1)
 	for _, algo := range []Algorithm{RepeatedMatching, EulerSplitDC} {
-		if _, err := Factorize(b, algo); err == nil {
+		if _, err := factorize(b, algo); err == nil {
 			t.Fatalf("%v accepted irregular graph", algo)
 		}
 	}
 }
 
 func TestFactorizeRejectsUnequalSides(t *testing.T) {
-	if _, err := Factorize(graph.New(2, 3), RepeatedMatching); err == nil {
+	if _, err := factorize(graph.New(2, 3), RepeatedMatching); err == nil {
 		t.Fatal("unequal sides accepted")
 	}
 }
 
 func TestFactorizeUnknownAlgorithm(t *testing.T) {
 	b := randomRegular(3, 2, rand.New(rand.NewSource(1)))
-	if _, err := Factorize(b, Algorithm(99)); err == nil {
+	if _, err := factorize(b, Algorithm(99)); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }
@@ -122,7 +127,7 @@ func TestColorInsertionNonRegular(t *testing.T) {
 		for e := 0; e < m; e++ {
 			b.AddEdge(rng.Intn(nL), rng.Intn(nR))
 		}
-		colors, c, err := ColorInsertion(b)
+		colors, c, err := colorInsertion(b)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -137,7 +142,7 @@ func TestColorInsertionNonRegular(t *testing.T) {
 
 func TestColorInsertionEmptyGraph(t *testing.T) {
 	b := graph.New(3, 3)
-	colors, c, err := ColorInsertion(b)
+	colors, c, err := colorInsertion(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +161,7 @@ func TestColorInsertionTriggersAlternatingPath(t *testing.T) {
 	b.AddEdge(0, 1) // L0 free {1}? no: L0 has 0; R1 has 0,1 -> needs swap path
 	b.AddEdge(0, 0)
 	b.AddEdge(1, 1)
-	colors, c, err := ColorInsertion(b)
+	colors, c, err := colorInsertion(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +178,7 @@ func TestColorInsertionProperty(t *testing.T) {
 		n := int(nSeed)%16 + 1
 		k := int(kSeed)%6 + 1
 		b := randomRegular(n, k, rand.New(rand.NewSource(seed)))
-		colors, c, err := ColorInsertion(b)
+		colors, c, err := colorInsertion(b)
 		if err != nil || c != k {
 			return false
 		}
@@ -316,16 +321,6 @@ func TestVerifyAcceptsProper(t *testing.T) {
 	b.AddEdge(1, 1) // color 0
 	if err := Verify(b, []int{0, 1, 1, 0}, 2, 2); err != nil {
 		t.Fatalf("proper balanced coloring rejected: %v", err)
-	}
-}
-
-func TestClassesToColors(t *testing.T) {
-	colors := ClassesToColors(5, [][]int{{0, 3}, {1}, {4}})
-	want := []int{0, 1, -1, 0, 2}
-	for i := range want {
-		if colors[i] != want[i] {
-			t.Fatalf("colors = %v, want %v", colors, want)
-		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // Factorizer is a reusable arena for bipartite edge coloring — the
-// allocation-free engine behind Factorize and Balanced. One Factorizer
+// allocation-free engine behind FactorizeInto and Balanced. One Factorizer
 // amortizes every piece of scratch the factorization algorithms need across
 // calls:
 //
@@ -57,7 +57,7 @@ type Factorizer struct {
 	// resumable position.
 	repRound, repK int
 
-	// streamGen invalidates the in-flight Stream (see Start) whenever
+	// streamGen invalidates the in-flight Stream (see StartCtx) whenever
 	// another arena entry point reuses the factorization scratch.
 	streamGen uint64
 
@@ -87,23 +87,6 @@ type segTask struct {
 // NewFactorizer returns an empty arena. The zero value works too; New is
 // for callers that want to share one behind a pointer.
 func NewFactorizer() *Factorizer { return &Factorizer{} }
-
-// Factorize decomposes a k-regular bipartite multigraph with equal sides
-// into k perfect matchings, returned as freshly allocated slices of edge
-// IDs (ascending within each class), one slice per color class. The arena
-// is reused across calls; only the returned classes are allocated.
-func (f *Factorizer) Factorize(b *graph.Bipartite, algo Algorithm) ([][]int, error) {
-	k, _ := b.RegularDegree() // validated (with the side check first) by FactorizeInto
-	colors := make([]int, b.NumEdges())
-	if err := f.FactorizeInto(colors, b, algo); err != nil {
-		return nil, err
-	}
-	classes := make([][]int, k)
-	for id, c := range colors {
-		classes[c] = append(classes[c], id)
-	}
-	return classes, nil
-}
 
 // FactorizeInto decomposes a k-regular bipartite multigraph with equal
 // sides into k perfect matchings, writing the class index of every edge

@@ -1,6 +1,7 @@
 package edgecolor
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -20,23 +21,22 @@ func factorizerCases() []struct{ n, k, seed int } {
 
 // TestFactorizerAllCombinations checks that every algorithm × arena-reuse
 // combination produces k disjoint perfect matchings, and that a reused
-// arena is colorwise identical to the package-level wrapper (fresh arena).
+// arena is colorwise identical to a fresh one.
 func TestFactorizerAllCombinations(t *testing.T) {
 	for _, algo := range allAlgorithms {
 		reused := NewFactorizer() // one arena across every case of this algorithm
 		for _, tc := range factorizerCases() {
 			b := randomRegular(tc.n, tc.k, rand.New(rand.NewSource(int64(tc.seed))))
-			classes, err := Factorize(b, algo) // fresh arena per call
+			want, err := factorize(b, algo) // fresh arena per call
 			if err != nil {
-				t.Fatalf("%v n=%d k=%d: wrapper: %v", algo, tc.n, tc.k, err)
+				t.Fatalf("%v n=%d k=%d: fresh arena: %v", algo, tc.n, tc.k, err)
 			}
-			checkFactorization(t, b, classes, tc.k)
+			checkFactorization(t, b, want, tc.k)
 
 			colors := make([]int, b.NumEdges())
 			if err := reused.FactorizeInto(colors, b, algo); err != nil {
 				t.Fatalf("%v n=%d k=%d: reused arena: %v", algo, tc.n, tc.k, err)
 			}
-			want := ClassesToColors(b.NumEdges(), classes)
 			for id := range colors {
 				if colors[id] != want[id] {
 					t.Fatalf("%v n=%d k=%d: reused arena diverges at edge %d: %d vs %d",
@@ -212,7 +212,7 @@ func FuzzBalancedInto(f *testing.F) {
 				t.Fatalf("%v n=%d k=%d C=%d: %v", algo, n, k, colorCount, err)
 			}
 			got := make([]int, b.NumEdges())
-			st := stream.StartBalanced(b, colorCount, algo)
+			st := stream.StartBalancedCtx(context.Background(), b, colorCount, algo)
 			for {
 				_, ok, err := st.Next(got)
 				if err != nil {
@@ -279,15 +279,15 @@ func TestFactorizerAllocBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkFactorizerReuse contrasts the compatibility wrapper (fresh arena
-// per call) with a reused arena on the planner-shaped workload.
+// BenchmarkFactorizerReuse contrasts a fresh arena per call with a reused
+// arena on the planner-shaped workload.
 func BenchmarkFactorizerReuse(b *testing.B) {
 	for _, g := range []int{32, 128} {
 		bb := randomRegular(g, g/2, rand.New(rand.NewSource(81)))
-		b.Run(fmt.Sprintf("wrapper/g=%d", g), func(b *testing.B) {
+		b.Run(fmt.Sprintf("fresh/g=%d", g), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Factorize(bb, EulerSplitDC); err != nil {
+				if _, err := factorize(bb, EulerSplitDC); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -32,28 +32,26 @@ func goldenBundle(g, d int) *graph.Bipartite {
 // (label, graph, C) balanced instances, all deterministic.
 func goldenLines() []string {
 	var lines []string
-	factorize := []struct{ n, k, seed int }{
+	regular := []struct{ n, k, seed int }{
 		{1, 1, 11}, {2, 2, 12}, {3, 2, 13}, {4, 4, 14}, {5, 3, 15},
 		{8, 8, 16}, {16, 5, 17}, {9, 7, 18}, {12, 1, 19}, {6, 6, 20},
 	}
 	for _, algo := range allAlgorithms {
-		for _, tc := range factorize {
+		for _, tc := range regular {
 			b := randomRegular(tc.n, tc.k, rand.New(rand.NewSource(int64(tc.seed))))
-			classes, err := Factorize(b, algo)
+			colors, err := factorize(b, algo)
 			if err != nil {
 				panic(fmt.Sprintf("golden %v n=%d k=%d: %v", algo, tc.n, tc.k, err))
 			}
-			colors := ClassesToColors(b.NumEdges(), classes)
 			lines = append(lines, fmt.Sprintf("factorize algo=%v n=%d k=%d seed=%d colors=%s",
 				algo, tc.n, tc.k, tc.seed, joinInts(colors)))
 		}
 		for _, d := range []int{1, 2, 5, 8} {
 			b := goldenBundle(6, d)
-			classes, err := Factorize(b, algo)
+			colors, err := factorize(b, algo)
 			if err != nil {
 				panic(fmt.Sprintf("golden bundle %v d=%d: %v", algo, d, err))
 			}
-			colors := ClassesToColors(b.NumEdges(), classes)
 			lines = append(lines, fmt.Sprintf("factorize-bundle algo=%v g=6 d=%d colors=%s",
 				algo, d, joinInts(colors)))
 		}
@@ -121,12 +119,12 @@ func servedGoldenLines() []string {
 			{"hrelation d=16 g=16 h=4", 256, 1, 4, 53},
 		} {
 			b := shuffledRegular(tc.n, tc.per, tc.k, rand.New(rand.NewSource(tc.seed)))
-			classes, err := Factorize(b, algo)
+			colors, err := factorize(b, algo)
 			if err != nil {
 				panic(fmt.Sprintf("golden served %s %v: %v", tc.label, algo, err))
 			}
 			lines = append(lines, fmt.Sprintf("served-factorize algo=%v %s seed=%d colors=%s",
-				algo, tc.label, tc.seed, joinInts(ClassesToColors(b.NumEdges(), classes))))
+				algo, tc.label, tc.seed, joinInts(colors)))
 		}
 	}
 	return lines

@@ -62,9 +62,6 @@ func NewRecolorer(g *graph.Bipartite, colors []int, ncolor int) (*Recolorer, err
 	return r, nil
 }
 
-// ColorCount returns the number of colors currently tabled.
-func (r *Recolorer) ColorCount() int { return r.ncolor }
-
 // Color returns the current color of edge e.
 func (r *Recolorer) Color(e int) int { return r.colors[e] }
 

@@ -63,8 +63,8 @@ func TestRecolorerRecolorAndGrow(t *testing.T) {
 	}
 	// Grow and move e0 to a fresh color.
 	r.Grow(3)
-	if r.ColorCount() != 3 {
-		t.Fatalf("ColorCount = %d, want 3", r.ColorCount())
+	if r.ncolor != 3 {
+		t.Fatalf("%d colors tabled, want 3", r.ncolor)
 	}
 	if err := r.Recolor(0, 2); err != nil {
 		t.Fatalf("Recolor into fresh color: %v", err)

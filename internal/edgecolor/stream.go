@@ -21,9 +21,9 @@ var ErrStreamSuperseded = errors.New("edgecolor: stream superseded by a later ca
 // written, because batch and stream drain the same arena steppers.
 //
 // A Stream borrows its Factorizer's arena: starting another factorization
-// on the same arena (FactorizeInto, BalancedInto, Start, StartBalanced)
+// on the same arena (FactorizeInto, BalancedInto, StartCtx, StartBalancedCtx)
 // supersedes the stream, and its Next then returns ErrStreamSuperseded.
-// Steady-state Next calls on a warmed arena do not allocate; Start itself
+// Steady-state Next calls on a warmed arena do not allocate; starting one
 // allocates only the stream handle.
 type Stream struct {
 	f    *Factorizer
@@ -37,7 +37,7 @@ type Stream struct {
 	k       int // 1-factors the stepper peels: the regular degree
 	classes int // classes the stream yields: k, or the color count C
 
-	// balanced marks StartBalanced with C > k: the peeled factors are cut
+	// balanced marks StartBalancedCtx with C > k: the peeled factors are cut
 	// into classes of exactly classSize edges (see balancedNext).
 	balanced  bool
 	classSize int
@@ -54,36 +54,26 @@ type Stream struct {
 	done     bool
 }
 
-// Start begins a streaming 1-factorization of a k-regular bipartite
+// StartCtx begins a streaming 1-factorization of a k-regular bipartite
 // multigraph with equal sides: the stream's Next calls yield the k perfect
 // matchings one at a time. Validation errors (unequal sides, irregular
 // graph, unknown algorithm) surface on the first Next. The returned stream
-// borrows the Factorizer's arena — one stream per arena at a time.
-func (f *Factorizer) Start(b *graph.Bipartite, algo Algorithm) *Stream {
-	return f.StartCtx(context.Background(), b, algo)
-}
-
-// StartCtx is Start with a context: ctx is checked between factors, so
-// cancelling it stops factor production at the next Next call, which then
-// returns ctx.Err() as the stream's sticky error.
+// borrows the Factorizer's arena — one stream per arena at a time. ctx is
+// checked between factors, so cancelling it stops factor production at the
+// next Next call, which then returns ctx.Err() as the stream's sticky error.
 func (f *Factorizer) StartCtx(ctx context.Context, b *graph.Bipartite, algo Algorithm) *Stream {
 	st := &Stream{}
 	f.begin(st, ctx, b, -1, algo)
 	return st
 }
 
-// StartBalanced begins a streaming balanced coloring (Theorem 1): the
+// StartBalancedCtx begins a streaming balanced coloring (Theorem 1): the
 // stream yields colorCount classes of exactly n·k/C edges each, built by
 // the chunk-and-balance construction of Balanced. Driving the stream to
 // exhaustion writes exactly the colors BalancedInto would have written.
 // For C > k the classes are numbered in emission order, and the first one
-// is ready as soon as the first perfect matching has been peeled.
-func (f *Factorizer) StartBalanced(b *graph.Bipartite, colorCount int, algo Algorithm) *Stream {
-	return f.StartBalancedCtx(context.Background(), b, colorCount, algo)
-}
-
-// StartBalancedCtx is StartBalanced with a context, checked between classes
-// like StartCtx.
+// is ready as soon as the first perfect matching has been peeled. ctx is
+// checked between classes like StartCtx.
 func (f *Factorizer) StartBalancedCtx(ctx context.Context, b *graph.Bipartite, colorCount int, algo Algorithm) *Stream {
 	st := &Stream{}
 	f.begin(st, ctx, b, colorCount, algo)
@@ -138,7 +128,7 @@ func (f *Factorizer) begin(st *Stream, ctx context.Context, b *graph.Bipartite, 
 
 // Next resumes the coloring until one more class is complete, writing the
 // class index into colorBuf (indexed by edge ID of the graph passed to
-// Start/StartBalanced) for every edge of the class. It returns the class
+// StartCtx/StartBalancedCtx) for every edge of the class. It returns the class
 // index and ok == true, or ok == false once all classes have been
 // produced. The same colorBuf must be passed to every Next call of one
 // stream; after the final class it is identical to what the batch
@@ -309,17 +299,10 @@ func (st *Stream) insStep(target []int) (factorID int, factor []int, ok bool, er
 }
 
 // Factor returns the edge IDs of the most recently produced class, in the
-// graph passed to Start/StartBalanced. The slice is arena-owned: it is valid until the next Next call or
+// graph passed to StartCtx/StartBalancedCtx. The slice is arena-owned: it is valid until the next Next call or
 // any other call on the stream's Factorizer, and must not be modified. The
 // IDs are in no particular order.
 func (st *Stream) Factor() []int { return st.factor }
-
-// NumFactors returns the total number of classes the stream produces: the
-// regular degree for Start, colorCount for StartBalanced.
-func (st *Stream) NumFactors() int { return st.classes }
-
-// Produced returns how many classes Next has yielded so far.
-func (st *Stream) Produced() int { return st.produced }
 
 // Err returns the stream's sticky error, if any.
 func (st *Stream) Err() error { return st.err }

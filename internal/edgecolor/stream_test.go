@@ -1,6 +1,7 @@
 package edgecolor
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sort"
@@ -39,8 +40,8 @@ func drainStream(t *testing.T, st *Stream, colors []int, wantFactors int) []int 
 			}
 		}
 	}
-	if st.Produced() != wantFactors || len(order) != wantFactors {
-		t.Fatalf("stream produced %d factors, want %d", st.Produced(), wantFactors)
+	if len(order) != wantFactors {
+		t.Fatalf("stream produced %d factors, want %d", len(order), wantFactors)
 	}
 	return order
 }
@@ -58,7 +59,7 @@ func TestStreamMatchesFactorizeInto(t *testing.T) {
 				t.Fatalf("%v n=%d k=%d: batch: %v", algo, tc.n, tc.k, err)
 			}
 			got := make([]int, b.NumEdges())
-			st := streamArena.Start(b, algo)
+			st := streamArena.StartCtx(context.Background(), b, algo)
 			drainStream(t, st, got, tc.k)
 			for id := range got {
 				if got[id] != want[id] {
@@ -89,7 +90,7 @@ func TestStreamBalancedMatchesBalancedInto(t *testing.T) {
 				t.Fatalf("%v n=%d k=%d C=%d: batch: %v", algo, tc.n, tc.k, tc.colors, err)
 			}
 			got := make([]int, b.NumEdges())
-			st := f.StartBalanced(b, tc.colors, algo)
+			st := f.StartBalancedCtx(context.Background(), b, tc.colors, algo)
 			drainStream(t, st, got, tc.colors)
 			for id := range got {
 				if got[id] != want[id] {
@@ -112,7 +113,7 @@ func TestStreamBalancedMatchesBalancedInto(t *testing.T) {
 func TestStreamFactorOrderRepeatedMatching(t *testing.T) {
 	b := randomRegular(9, 7, rand.New(rand.NewSource(53)))
 	colors := make([]int, b.NumEdges())
-	st := NewFactorizer().Start(b, RepeatedMatching)
+	st := NewFactorizer().StartCtx(context.Background(), b, RepeatedMatching)
 	order := drainStream(t, st, colors, 7)
 	if !sort.IntsAreSorted(order) {
 		t.Fatalf("repeated-matching emission order %v is not ascending", order)
@@ -137,7 +138,7 @@ func TestStreamProperty(t *testing.T) {
 				return false
 			}
 			got := make([]int, b.NumEdges())
-			st := arenas[algo].Start(b, algo)
+			st := arenas[algo].StartCtx(context.Background(), b, algo)
 			for {
 				_, ok, err := st.Next(got)
 				if err != nil {
@@ -167,7 +168,7 @@ func TestStreamSuperseded(t *testing.T) {
 	f := NewFactorizer()
 	b := randomRegular(6, 4, rand.New(rand.NewSource(54)))
 	colors := make([]int, b.NumEdges())
-	st := f.Start(b, EulerSplitDC)
+	st := f.StartCtx(context.Background(), b, EulerSplitDC)
 	if _, ok, err := st.Next(colors); err != nil || !ok {
 		t.Fatalf("first factor: ok=%v err=%v", ok, err)
 	}
@@ -186,25 +187,25 @@ func TestStreamSuperseded(t *testing.T) {
 func TestStreamValidationErrors(t *testing.T) {
 	f := NewFactorizer()
 	uneven := graph.New(2, 3)
-	if _, _, err := f.Start(uneven, EulerSplitDC).Next(nil); err == nil {
+	if _, _, err := f.StartCtx(context.Background(), uneven, EulerSplitDC).Next(nil); err == nil {
 		t.Fatal("unequal sides accepted")
 	}
 	irregular := graph.New(2, 2)
 	irregular.AddEdge(0, 0)
-	if _, _, err := f.Start(irregular, EulerSplitDC).Next([]int{0}); !errors.Is(err, graph.ErrNotBipartiteRegular) {
+	if _, _, err := f.StartCtx(context.Background(), irregular, EulerSplitDC).Next([]int{0}); !errors.Is(err, graph.ErrNotBipartiteRegular) {
 		t.Fatalf("irregular graph: %v", err)
 	}
 	b := randomRegular(4, 2, rand.New(rand.NewSource(55)))
-	if _, _, err := f.Start(b, Algorithm(99)).Next(make([]int, b.NumEdges())); err == nil {
+	if _, _, err := f.StartCtx(context.Background(), b, Algorithm(99)).Next(make([]int, b.NumEdges())); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
-	st := f.Start(b, EulerSplitDC)
+	st := f.StartCtx(context.Background(), b, EulerSplitDC)
 	if _, _, err := st.Next(make([]int, 1)); err == nil {
 		t.Fatal("short color buffer accepted")
 	}
 	// Balanced validation: 3 colors do not divide the 8 edges of a
 	// 2-regular graph on 4+4 nodes evenly.
-	if _, _, err := f.StartBalanced(b, 3, EulerSplitDC).Next(make([]int, b.NumEdges())); err == nil {
+	if _, _, err := f.StartBalancedCtx(context.Background(), b, 3, EulerSplitDC).Next(make([]int, b.NumEdges())); err == nil {
 		t.Fatal("uneven color count accepted by StartBalanced")
 	}
 }
@@ -213,12 +214,12 @@ func TestStreamValidationErrors(t *testing.T) {
 // balanced stream over it yields its C classes empty.
 func TestStreamEmptyGraph(t *testing.T) {
 	b := graph.New(3, 3)
-	st := NewFactorizer().Start(b, EulerSplitDC)
+	st := NewFactorizer().StartCtx(context.Background(), b, EulerSplitDC)
 	if fid, ok, err := st.Next([]int{}); ok || err != nil {
 		t.Fatalf("empty graph yielded factor %d (ok=%v err=%v)", fid, ok, err)
 	}
 	for _, algo := range allAlgorithms {
-		drainStream(t, NewFactorizer().StartBalanced(b, 2, algo), []int{}, 2)
+		drainStream(t, NewFactorizer().StartBalancedCtx(context.Background(), b, 2, algo), []int{}, 2)
 	}
 }
 
@@ -234,7 +235,7 @@ func TestStreamAllocBudget(t *testing.T) {
 		f := NewFactorizer()
 		colors := make([]int, b.NumEdges())
 		drain := func() {
-			st := f.Start(b, algo)
+			st := f.StartCtx(context.Background(), b, algo)
 			for {
 				_, ok, err := st.Next(colors)
 				if err != nil {
@@ -257,7 +258,7 @@ func TestStreamAllocBudget(t *testing.T) {
 		f := NewFactorizer()
 		colors := make([]int, b.NumEdges())
 		drain := func() {
-			st := f.StartBalanced(b, tc.n, EulerSplitDC)
+			st := f.StartBalancedCtx(context.Background(), b, tc.n, EulerSplitDC)
 			for {
 				_, ok, err := st.Next(colors)
 				if err != nil {

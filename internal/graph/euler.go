@@ -36,24 +36,23 @@ type Splitter struct {
 //
 // The traversal — and therefore the exact partition — is deterministic: the
 // adjacency of each node is walked in input edge order, tours start at left
-// node 0, 1, … then right node 0, 1, …. This matches the historical
-// EulerSplit on a graph whose edges were added in the same order, which the
-// factorization golden tests rely on.
+// node 0, 1, … then right node 0, 1, …. The factorization golden tests rely
+// on this order.
 func (s *Splitter) Split(nL, nR int, edges []Edge, outA, outB []int) (nA, nB int, err error) {
 	m := len(edges)
 	s.buildCSR(nL, nR, edges)
 	for l := 0; l < nL; l++ {
 		if d := s.offL[l+1] - s.offL[l]; d%2 != 0 {
-			return 0, 0, fmt.Errorf("graph: EulerSplit: left node %d has odd degree %d", l, d)
+			return 0, 0, fmt.Errorf("graph: Euler split: left node %d has odd degree %d", l, d)
 		}
 	}
 	for r := 0; r < nR; r++ {
 		if d := s.offR[r+1] - s.offR[r]; d%2 != 0 {
-			return 0, 0, fmt.Errorf("graph: EulerSplit: right node %d has odd degree %d", r, d)
+			return 0, 0, fmt.Errorf("graph: Euler split: right node %d has odd degree %d", r, d)
 		}
 	}
 	if len(outA) < m/2 || len(outB) < m/2 {
-		return 0, 0, fmt.Errorf("graph: EulerSplit: output buffers hold %d+%d of %d edges", len(outA), len(outB), m)
+		return 0, 0, fmt.Errorf("graph: Euler split: output buffers hold %d+%d of %d edges", len(outA), len(outB), m)
 	}
 
 	s.curL = ResizeInts(s.curL, nL)
@@ -77,7 +76,7 @@ func (s *Splitter) Split(nL, nR int, edges []Edge, outA, outB []int) (nA, nB int
 	}
 	if nA+nB != m {
 		// Unreachable unless internal invariants are broken.
-		return 0, 0, fmt.Errorf("graph: EulerSplit covered %d of %d edges", nA+nB, m)
+		return 0, 0, fmt.Errorf("graph: Euler split covered %d of %d edges", nA+nB, m)
 	}
 	return nA, nB, nil
 }
@@ -186,25 +185,4 @@ func ResizeEdges(buf []Edge, n int) []Edge {
 		return make([]Edge, n)
 	}
 	return buf[:n]
-}
-
-// EulerSplit partitions the edges of a bipartite multigraph in which every
-// node has even degree into two halves A and B such that every node's degree
-// is exactly halved in each part: deg_A(v) = deg_B(v) = deg(v)/2.
-//
-// The returned slices contain edge IDs of b. EulerSplit runs in O(m) time.
-// It returns an error if some node has odd degree. It is the convenience
-// form of Splitter.Split with a throwaway arena; repeated callers (the
-// edge-coloring Factorizer, the Alon matching engine) hold a Splitter
-// instead and stay allocation-free.
-func EulerSplit(b *Bipartite) (a, bb []int, err error) {
-	var s Splitter
-	m := len(b.edges)
-	a = make([]int, m/2)
-	bb = make([]int, m/2)
-	nA, nB, err := s.Split(b.nLeft, b.nRight, b.edges, a, bb)
-	if err != nil {
-		return nil, nil, err
-	}
-	return a[:nA], bb[:nB], nil
 }

@@ -11,7 +11,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Edge is a single (possibly parallel) edge of a bipartite multigraph.
@@ -75,13 +74,6 @@ func (b *Bipartite) Edge(id int) Edge {
 	return b.edges[id]
 }
 
-// Edges returns a copy of the edge list indexed by edge ID.
-func (b *Bipartite) Edges() []Edge {
-	out := make([]Edge, len(b.edges))
-	copy(out, b.edges)
-	return out
-}
-
 // EdgeList returns the internal edge list indexed by edge ID, without
 // copying. The returned slice must not be modified and is invalidated by
 // AddEdge/Reset; it exists so the allocation-free matching and coloring
@@ -91,16 +83,6 @@ func (b *Bipartite) EdgeList() []Edge { return b.edges }
 // AdjL returns the IDs of edges incident with left node l. The returned
 // slice must not be modified.
 func (b *Bipartite) AdjL(l int) []int { return b.adjL[l] }
-
-// AdjR returns the IDs of edges incident with right node r. The returned
-// slice must not be modified.
-func (b *Bipartite) AdjR(r int) []int { return b.adjR[r] }
-
-// DegreeL returns the degree (with multiplicity) of left node l.
-func (b *Bipartite) DegreeL(l int) int { return len(b.adjL[l]) }
-
-// DegreeR returns the degree (with multiplicity) of right node r.
-func (b *Bipartite) DegreeR(r int) int { return len(b.adjR[r]) }
 
 // MaxDegree returns the maximum degree over all nodes of both classes.
 // The maximum degree of the empty graph is 0.
@@ -238,43 +220,9 @@ func (b *Bipartite) Validate() error {
 	return nil
 }
 
-// DegreeSequenceL returns the sorted (ascending) left degree sequence.
-func (b *Bipartite) DegreeSequenceL() []int {
-	out := make([]int, b.nLeft)
-	for l := range out {
-		out[l] = len(b.adjL[l])
-	}
-	sort.Ints(out)
-	return out
-}
-
-// DegreeSequenceR returns the sorted (ascending) right degree sequence.
-func (b *Bipartite) DegreeSequenceR() []int {
-	out := make([]int, b.nRight)
-	for r := range out {
-		out[r] = len(b.adjR[r])
-	}
-	sort.Ints(out)
-	return out
-}
-
 // String implements fmt.Stringer with a compact structural summary.
 func (b *Bipartite) String() string {
 	return fmt.Sprintf("Bipartite(%d+%d nodes, %d edges)", b.nLeft, b.nRight, len(b.edges))
-}
-
-// CompleteBipartite returns K_{nLeft,nRight}: one edge for every (l, r)
-// pair, in row-major order. It is the H1/H2 padding graph from the proof of
-// Theorem 1: every left node has degree nRight and every right node degree
-// nLeft.
-func CompleteBipartite(nLeft, nRight int) *Bipartite {
-	b := New(nLeft, nRight)
-	for l := 0; l < nLeft; l++ {
-		for r := 0; r < nRight; r++ {
-			b.AddEdge(l, r)
-		}
-	}
-	return b
 }
 
 // Circulant returns the k-regular bipartite circulant on n+n nodes: left

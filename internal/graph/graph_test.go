@@ -71,11 +71,11 @@ func TestParallelEdgesAndMultiplicity(t *testing.T) {
 	if got := b.Multiplicity(1, 0); got != 0 {
 		t.Fatalf("Multiplicity(1,0) = %d, want 0", got)
 	}
-	if got := b.DegreeL(0); got != 3 {
-		t.Fatalf("DegreeL(0) = %d, want 3", got)
+	if got := len(b.AdjL(0)); got != 3 {
+		t.Fatalf("left node 0 has degree %d, want 3", got)
 	}
-	if got := b.DegreeR(1); got != 2 {
-		t.Fatalf("DegreeR(1) = %d, want 2", got)
+	if got := len(b.adjR[1]); got != 2 {
+		t.Fatalf("right node 1 has degree %d, want 2", got)
 	}
 }
 
@@ -97,19 +97,18 @@ func TestRegularDetection(t *testing.T) {
 	}
 }
 
+// TestCompleteBipartite: the full circulant Circulant(n, n) is K_{n,n},
+// one edge for every (l, r) pair.
 func TestCompleteBipartite(t *testing.T) {
-	b := CompleteBipartite(3, 5)
-	if b.NumEdges() != 15 {
-		t.Fatalf("K(3,5) edges = %d, want 15", b.NumEdges())
+	b := Circulant(4, 4)
+	if b.NumEdges() != 16 {
+		t.Fatalf("K(4,4) edges = %d, want 16", b.NumEdges())
 	}
-	for l := 0; l < 3; l++ {
-		if b.DegreeL(l) != 5 {
-			t.Fatalf("left degree %d = %d, want 5", l, b.DegreeL(l))
-		}
-	}
-	for r := 0; r < 5; r++ {
-		if b.DegreeR(r) != 3 {
-			t.Fatalf("right degree %d = %d, want 3", r, b.DegreeR(r))
+	for l := 0; l < 4; l++ {
+		for r := 0; r < 4; r++ {
+			if b.Multiplicity(l, r) != 1 {
+				t.Fatalf("K(4,4) joins %d and %d %d times", l, r, b.Multiplicity(l, r))
+			}
 		}
 	}
 	if err := b.Validate(); err != nil {
@@ -197,24 +196,26 @@ func TestUnionSizeMismatchPanics(t *testing.T) {
 	New(2, 2).Union(New(3, 2))
 }
 
+// TestDegreeSequences: on an irregular graph the adjacency lists carry
+// every node's degree, with multiplicity.
 func TestDegreeSequences(t *testing.T) {
 	b := New(3, 2)
 	b.AddEdge(0, 0)
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 1)
-	gotL := b.DegreeSequenceL()
-	wantL := []int{0, 1, 2}
-	for i := range wantL {
-		if gotL[i] != wantL[i] {
-			t.Fatalf("left degree sequence = %v, want %v", gotL, wantL)
+	b.AddEdge(1, 1)
+	for l, want := range []int{2, 2, 0} {
+		if got := len(b.AdjL(l)); got != want {
+			t.Fatalf("left node %d has degree %d, want %d", l, got, want)
 		}
 	}
-	gotR := b.DegreeSequenceR()
-	wantR := []int{1, 2}
-	for i := range wantR {
-		if gotR[i] != wantR[i] {
-			t.Fatalf("right degree sequence = %v, want %v", gotR, wantR)
+	for r, want := range []int{1, 3} {
+		if got := len(b.adjR[r]); got != want {
+			t.Fatalf("right node %d has degree %d, want %d", r, got, want)
 		}
+	}
+	if b.MaxDegree() != 3 {
+		t.Fatalf("MaxDegree = %d, want 3", b.MaxDegree())
 	}
 }
 
@@ -231,13 +232,23 @@ func randomRegular(n, k int, rng *rand.Rand) *Bipartite {
 	return b
 }
 
+// eulerSplit Euler-partitions every edge of b on a fresh Splitter and
+// returns the edge IDs of the two halves.
+func eulerSplit(b *Bipartite) (a, bb []int, err error) {
+	var s Splitter
+	a = make([]int, b.NumEdges()/2)
+	bb = make([]int, b.NumEdges()/2)
+	nA, nB, err := s.Split(b.NLeft(), b.NRight(), b.EdgeList(), a, bb)
+	return a[:nA], bb[:nB], err
+}
+
 func TestEulerSplitHalvesDegreesExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, tc := range []struct{ n, k int }{
 		{1, 2}, {2, 2}, {3, 4}, {8, 6}, {16, 8}, {5, 2}, {32, 4},
 	} {
 		b := randomRegular(tc.n, tc.k, rng)
-		a, bb, err := EulerSplit(b)
+		a, bb, err := eulerSplit(b)
 		if err != nil {
 			t.Fatalf("n=%d k=%d: %v", tc.n, tc.k, err)
 		}
@@ -293,9 +304,9 @@ func TestEulerSplitNonRegularEvenDegrees(t *testing.T) {
 	b.AddEdge(0, 0)
 	b.AddEdge(1, 1)
 	// degrees: L0=4? L0: 2 +1 +1 = 4, L1: 4; R0: 2+1+1=4, R1: 4. All even.
-	a, bb, err := EulerSplit(b)
+	a, bb, err := eulerSplit(b)
 	if err != nil {
-		t.Fatalf("EulerSplit: %v", err)
+		t.Fatalf("split: %v", err)
 	}
 	if len(a) != 4 || len(bb) != 4 {
 		t.Fatalf("split sizes %d/%d, want 4/4", len(a), len(bb))
@@ -305,7 +316,7 @@ func TestEulerSplitNonRegularEvenDegrees(t *testing.T) {
 func TestEulerSplitOddDegreeRejected(t *testing.T) {
 	b := New(1, 1)
 	b.AddEdge(0, 0)
-	if _, _, err := EulerSplit(b); err == nil {
+	if _, _, err := eulerSplit(b); err == nil {
 		t.Fatal("odd-degree graph accepted")
 	}
 }
@@ -319,33 +330,33 @@ func TestEulerSplitDisconnected(t *testing.T) {
 		b.AddEdge(2, 3)
 		b.AddEdge(3, 2)
 	}
-	a, bb, err := EulerSplit(b)
+	a, bb, err := eulerSplit(b)
 	if err != nil {
-		t.Fatalf("EulerSplit: %v", err)
+		t.Fatalf("split: %v", err)
 	}
 	checkHalving(t, b, a, bb, 2)
 }
 
 func TestEulerSplitEmptyGraph(t *testing.T) {
 	b := New(3, 3)
-	a, bb, err := EulerSplit(b)
+	a, bb, err := eulerSplit(b)
 	if err != nil {
-		t.Fatalf("EulerSplit: %v", err)
+		t.Fatalf("split: %v", err)
 	}
 	if len(a) != 0 || len(bb) != 0 {
 		t.Fatalf("empty graph split sizes %d/%d", len(a), len(bb))
 	}
 }
 
-// Property: for random even-regular multigraphs, EulerSplit is an exact
-// edge partition with exact degree halving.
+// Property: for random even-regular multigraphs, the Euler split is an
+// exact edge partition with exact degree halving.
 func TestEulerSplitProperty(t *testing.T) {
 	f := func(nSeed, kSeed uint8, seed int64) bool {
 		n := int(nSeed)%20 + 1
 		k := 2 * (int(kSeed)%6 + 1)
 		rng := rand.New(rand.NewSource(seed))
 		b := randomRegular(n, k, rng)
-		a, bb, err := EulerSplit(b)
+		a, bb, err := eulerSplit(b)
 		if err != nil {
 			return false
 		}

@@ -6,8 +6,9 @@ import (
 )
 
 // TestSplitterViewMatchesSubgraph pins the view contract the edge-coloring
-// engine relies on: splitting a gathered edge view must equal EulerSplit on
-// the materialized subgraph, index for index.
+// engine relies on: splitting a gathered edge view on an arena reused across
+// trials must equal a fresh arena's split of the materialized subgraph,
+// index for index.
 func TestSplitterViewMatchesSubgraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	var s Splitter // one arena across all trials
@@ -30,9 +31,9 @@ func TestSplitterViewMatchesSubgraph(t *testing.T) {
 			}
 		}
 		sub, orig := b.SubgraphByEdges(ids)
-		wantA, wantB, err := EulerSplit(sub)
+		wantA, wantB, err := eulerSplit(sub)
 		if err != nil {
-			t.Fatalf("trial %d: EulerSplit: %v", trial, err)
+			t.Fatalf("trial %d: fresh split: %v", trial, err)
 		}
 
 		edges := make([]Edge, len(ids))
@@ -61,8 +62,7 @@ func TestSplitterViewMatchesSubgraph(t *testing.T) {
 	}
 }
 
-// TestSplitterOddDegreeError checks the splitter rejects odd-degree views
-// with the EulerSplit error shape.
+// TestSplitterOddDegreeError checks the splitter rejects odd-degree views.
 func TestSplitterOddDegreeError(t *testing.T) {
 	var s Splitter
 	edges := []Edge{{L: 0, R: 0}}

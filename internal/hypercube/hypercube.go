@@ -152,26 +152,6 @@ func (m *Machine) DataSum() (int64, error) {
 	return m.Reduce(func(a, b int64) int64 { return a + b })
 }
 
-// DataMax leaves the maximum of all registers in every processor.
-func (m *Machine) DataMax() (int64, error) {
-	return m.Reduce(func(a, b int64) int64 {
-		if a > b {
-			return a
-		}
-		return b
-	})
-}
-
-// DataMin leaves the minimum of all registers in every processor.
-func (m *Machine) DataMin() (int64, error) {
-	return m.Reduce(func(a, b int64) int64 {
-		if a < b {
-			return a
-		}
-		return b
-	})
-}
-
 // PrefixSum replaces every register with the inclusive prefix sum
 // v[0] + … + v[h] (in hypercube index order), using the standard
 // (prefix, total) scan: D exchange rounds.
@@ -192,42 +172,6 @@ func (m *Machine) PrefixSum() error {
 		}
 	}
 	copy(m.Values, prefix)
-	return nil
-}
-
-// ConsecutiveSum leaves in every processor the sum of its block of size
-// 2^blockBits (processors sharing the high Bits−blockBits index bits),
-// using blockBits exchange rounds — the consecutive-sum primitive of
-// Sahni 2000b.
-func (m *Machine) ConsecutiveSum(blockBits int) error {
-	if blockBits < 0 || blockBits > m.Bits {
-		return fmt.Errorf("hypercube: block bits %d outside dimension %d", blockBits, m.Bits)
-	}
-	for b := 0; b < blockBits; b++ {
-		nb, err := m.exchangedValues(b)
-		if err != nil {
-			return err
-		}
-		for h := range m.Values {
-			m.Values[h] += nb[h]
-		}
-	}
-	return nil
-}
-
-// AdjacentSum replaces v[h] with v[h] + v[(h+1) mod n], routing the cyclic
-// shift as one permutation (2⌈d/g⌉ slots) — the adjacent-sum primitive of
-// Sahni 2000b.
-func (m *Machine) AdjacentSum() error {
-	n := m.N()
-	saved := append([]int64(nil), m.Values...)
-	// Shift values down by one so processor h receives v[(h+1) mod n].
-	if err := m.permuteValues(perms.CyclicShift(n, -1)); err != nil {
-		return err
-	}
-	for h := range m.Values {
-		m.Values[h] += saved[h]
-	}
 	return nil
 }
 
@@ -255,10 +199,4 @@ func (m *Machine) Broadcast(src int) error {
 		m.Values[h] = popsVals[m.Mapping[h]]
 	}
 	return nil
-}
-
-// ExchangeCost returns the slot cost of one exchange on this machine's
-// network, 2⌈d/g⌉ (or 1 when d = 1) — what Theorem 2 charges per step.
-func (m *Machine) ExchangeCost() int {
-	return core.OptimalSlots(m.router.Net.D, m.router.Net.G)
 }

@@ -16,6 +16,12 @@ func seq(n int) []int64 {
 	return v
 }
 
+// exchangeCost is the slot cost of one exchange on m's network, 2⌈d/g⌉
+// (or 1 when d = 1): what Theorem 2 charges per step.
+func exchangeCost(m *Machine) int {
+	return core.OptimalSlots(m.router.Net.D, m.router.Net.G)
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(-1, 1, 1, nil, core.Options{}); err == nil {
 		t.Fatal("negative dimension accepted")
@@ -68,7 +74,7 @@ func TestDataSum(t *testing.T) {
 			}
 		}
 		// Slot accounting: D exchanges at 2⌈d/g⌉ each.
-		if got, want := m.SlotsUsed(), tc.bits*m.ExchangeCost(); got != want {
+		if got, want := m.SlotsUsed(), tc.bits*exchangeCost(m); got != want {
 			t.Fatalf("slots = %d, want %d", got, want)
 		}
 	}
@@ -95,6 +101,9 @@ func TestPrefixSum(t *testing.T) {
 	}
 }
 
+// TestConsecutiveSum builds Sahni's consecutive-sum primitive from the
+// exchange kernel: after exchange rounds on bits 0 and 1, every processor
+// holds the sum of its block of 4.
 func TestConsecutiveSum(t *testing.T) {
 	m, err := New(3, 2, 4, nil, core.Options{})
 	if err != nil {
@@ -103,10 +112,16 @@ func TestConsecutiveSum(t *testing.T) {
 	if err := m.Load(seq(8)); err != nil {
 		t.Fatal(err)
 	}
-	// Blocks of 4: sums 1+2+3+4 = 10 and 5+6+7+8 = 26.
-	if err := m.ConsecutiveSum(2); err != nil {
-		t.Fatal(err)
+	for b := 0; b < 2; b++ {
+		nb, err := m.exchangedValues(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for h := range m.Values {
+			m.Values[h] += nb[h]
+		}
 	}
+	// Blocks of 4: sums 1+2+3+4 = 10 and 5+6+7+8 = 26.
 	for h := 0; h < 4; h++ {
 		if m.Values[h] != 10 {
 			t.Fatalf("block 0 processor %d = %d, want 10", h, m.Values[h])
@@ -117,27 +132,36 @@ func TestConsecutiveSum(t *testing.T) {
 			t.Fatalf("block 1 processor %d = %d, want 26", h, m.Values[h])
 		}
 	}
-	if err := m.ConsecutiveSum(9); err == nil {
-		t.Fatal("oversized block accepted")
+	if got, want := m.SlotsUsed(), 2*exchangeCost(m); got != want {
+		t.Fatalf("slots = %d, want %d", got, want)
 	}
 }
 
+// TestAdjacentSum builds Sahni's adjacent-sum primitive v[h] + v[h+1 mod n]
+// from one Shift, routed as a single permutation.
 func TestAdjacentSum(t *testing.T) {
 	m, err := New(2, 2, 2, nil, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Load([]int64{10, 20, 30, 40}); err != nil {
+	vals := []int64{10, 20, 30, 40}
+	if err := m.Load(vals); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AdjacentSum(); err != nil {
+	if err := m.Shift(-1); err != nil {
 		t.Fatal(err)
+	}
+	for h := range m.Values {
+		m.Values[h] += vals[h]
 	}
 	want := []int64{30, 50, 70, 50}
 	for h := range want {
 		if m.Values[h] != want[h] {
 			t.Fatalf("adjacent sums = %v, want %v", m.Values, want)
 		}
+	}
+	if got, want := m.SlotsUsed(), exchangeCost(m); got != want {
+		t.Fatalf("slots = %d, want %d", got, want)
 	}
 }
 
@@ -245,12 +269,12 @@ func TestReduceMaxMin(t *testing.T) {
 	if err := mMax.Load(vals); err != nil {
 		t.Fatal(err)
 	}
-	max, err := mMax.DataMax()
+	hi, err := mMax.Reduce(func(a, b int64) int64 { return max(a, b) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if max != 17 {
-		t.Fatalf("max = %d, want 17", max)
+	if hi != 17 {
+		t.Fatalf("max = %d, want 17", hi)
 	}
 	for h, v := range mMax.Values {
 		if v != 17 {
@@ -265,15 +289,15 @@ func TestReduceMaxMin(t *testing.T) {
 	if err := mMin.Load(vals); err != nil {
 		t.Fatal(err)
 	}
-	min, err := mMin.DataMin()
+	lo, err := mMin.Reduce(func(a, b int64) int64 { return min(a, b) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if min != -8 {
-		t.Fatalf("min = %d, want -8", min)
+	if lo != -8 {
+		t.Fatalf("min = %d, want -8", lo)
 	}
-	// Reduce cost equals DataSum cost: D exchanges.
-	if mMin.SlotsUsed() != 3*mMin.ExchangeCost() {
-		t.Fatalf("slots = %d, want %d", mMin.SlotsUsed(), 3*mMin.ExchangeCost())
+	// Any reduction costs what DataSum does: D exchanges.
+	if mMin.SlotsUsed() != 3*exchangeCost(mMin) {
+		t.Fatalf("slots = %d, want %d", mMin.SlotsUsed(), 3*exchangeCost(mMin))
 	}
 }

@@ -24,7 +24,7 @@ import (
 // builds the left adjacency once, and each Peel runs Hopcroft–Karp on the
 // edges still in it and then deletes the matched ones in place. A left
 // node's list keeps ascending edge order through the deletions, so every
-// Peel returns exactly what HopcroftKarpInto returns on a view of the
+// Peel returns exactly what one Hopcroft–Karp returns on a view of the
 // surviving edges in their original order.
 type Matcher struct {
 	// Hopcroft–Karp state. Left node l's live edges are
@@ -57,18 +57,6 @@ type Matcher struct {
 // view and its right endpoint, side by side so the search never reads the
 // view again.
 type hkSlot struct{ id, r int }
-
-// HopcroftKarpInto computes a maximum matching of the bipartite multigraph
-// view whose i-th edge is edges[i] (endpoints in [0, nL) × [0, nR)), writes
-// the matched edge indices into out in left-node order, and returns the
-// matching size. out must hold at least min(nL, nR) entries. The result is
-// identical to HopcroftKarp on a graph whose edges were added in the same
-// order. It is StartPeel followed by one round of the same search Peel
-// runs, without the deletion.
-func (m *Matcher) HopcroftKarpInto(nL, nR int, edges []graph.Edge, out []int) int {
-	m.StartPeel(nL, nR, edges)
-	return m.match(out, false)
-}
 
 // StartPeel loads the view whose i-th edge is edges[i] (endpoints in
 // [0, nL) × [0, nR)) for a sequence of Peel calls. It builds the left
@@ -108,14 +96,11 @@ func (m *Matcher) StartPeel(nL, nR int, edges []graph.Edge) {
 // matching size. out must hold at least min(nL, nR) entries. On a
 // k-regular view, k calls return the k perfect matchings of a
 // 1-factorization.
+//
+// The matching is Hopcroft–Karp on the live adjacency. Each matched edge
+// is deleted from its list by a shift of the slots after it, so the list
+// keeps its order.
 func (m *Matcher) Peel(out []int) int {
-	return m.match(out, true)
-}
-
-// match runs Hopcroft–Karp on the live adjacency and collects the matched
-// edges in left-node order, deleting each from its list when peel is set:
-// a shift of the slots after it, so the list keeps its order.
-func (m *Matcher) match(out []int, peel bool) int {
 	for i := range m.matchL {
 		m.matchL[i] = -1
 	}
@@ -144,11 +129,9 @@ func (m *Matcher) match(out []int, peel bool) int {
 		}
 		out[n] = m.adj[s].id
 		n++
-		if peel {
-			end := m.endL[l] - 1
-			copy(m.adj[s:end], m.adj[s+1:end+1])
-			m.endL[l] = end
-		}
+		end := m.endL[l] - 1
+		copy(m.adj[s:end], m.adj[s+1:end+1])
+		m.endL[l] = end
 	}
 	return n
 }
@@ -198,14 +181,28 @@ func (m *Matcher) dfs(l int) bool {
 }
 
 // PerfectMatchingRegularInto finds a perfect matching of the k-regular
-// bipartite multigraph view whose i-th edge is edges[i] (n nodes per side),
-// writes the n matched edge indices into out, and returns n. It uses the
-// Euler-halving scheme of Alon (see PerfectMatchingRegular) with all state
-// in the arena: the implicit parallel-copy multiset lives in counting-sorted
-// entry arrays instead of maps, and the per-round leftover graphs are split
-// by the arena's graph.Splitter. The matched edge *set* is identical to the
-// historical map-based implementation (the golden factorization outputs
-// depend on it); the order written to out is by sorted (L, R) pair.
+// bipartite multigraph view whose i-th edge is edges[i] (n nodes per side)
+// in O(m·log(nk)) time, writes the n matched edge indices into out, and
+// returns n. It uses the Euler-halving scheme of Alon ("A simple algorithm
+// for edge-coloring bipartite multigraphs"). This is the fast-matching
+// engine underlying the near-linear 1-factorization algorithms
+// (Kapoor–Rizzi, Rizzi) cited in Remark 1 of the paper.
+//
+// The idea: pad the graph to 2^t-regular by taking α parallel copies of
+// every edge plus β copies of a dummy diagonal matching, where
+// α = ⌊2^t/k⌋ and β = 2^t − α·k, with 2^t ≥ n·k so that β·n < 2^t. Then
+// halve t times with Euler splits, always keeping the half containing fewer
+// dummy edges; the dummy count at least halves each round, so the final
+// 1-regular graph is a perfect matching made entirely of real edges.
+// Parallel copies are represented implicitly by multiplicity counters, so
+// each halving costs O(#distinct pairs + n), not O(2^t·n).
+//
+// All state lives in the arena: the implicit parallel-copy multiset lives
+// in counting-sorted entry arrays instead of maps, and the per-round
+// leftover graphs are split by the arena's graph.Splitter. The matched edge
+// *set* is identical to the historical map-based implementation (the golden
+// factorization outputs depend on it); the order written to out is by
+// sorted (L, R) pair.
 //
 // It returns graph.ErrNotBipartiteRegular if the view is not k-regular.
 func (m *Matcher) PerfectMatchingRegularInto(n, k int, edges []graph.Edge, out []int) (int, error) {

@@ -18,9 +18,9 @@ func randomRegularM(n, k int, rng *rand.Rand) *graph.Bipartite {
 	return b
 }
 
-// TestHopcroftKarpIntoViewMatchesSubgraph pins the view contract: running
-// the arena matcher on a gathered edge view equals HopcroftKarp on the
-// materialized subgraph.
+// TestHopcroftKarpIntoViewMatchesSubgraph pins the view contract: one Peel
+// on a gathered edge view, on an arena reused across trials, equals the
+// reference Hopcroft–Karp on the materialized subgraph.
 func TestHopcroftKarpIntoViewMatchesSubgraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	var m Matcher
@@ -36,14 +36,15 @@ func TestHopcroftKarpIntoViewMatchesSubgraph(t *testing.T) {
 			}
 		}
 		sub, _ := b.SubgraphByEdges(ids)
-		want := HopcroftKarp(sub)
+		want := refHopcroftKarp(n, n, sub.EdgeList())
 
 		edges := make([]graph.Edge, len(ids))
 		for i, id := range ids {
 			edges[i] = b.Edge(id)
 		}
 		out := make([]int, n)
-		got := m.HopcroftKarpInto(n, n, edges, out)
+		m.StartPeel(n, n, edges)
+		got := m.Peel(out)
 		if got != len(want) {
 			t.Fatalf("trial %d: size %d, want %d", trial, got, len(want))
 		}
@@ -56,8 +57,8 @@ func TestHopcroftKarpIntoViewMatchesSubgraph(t *testing.T) {
 }
 
 // TestPerfectMatchingRegularIntoViewValid checks the arena matcher on views
-// of regular graphs: the result must be a perfect matching, identical to
-// the package wrapper on the materialized graph.
+// of regular graphs: the result must be a perfect matching, identical on an
+// arena reused across trials to a fresh arena's.
 func TestPerfectMatchingRegularIntoViewValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var m Matcher
@@ -65,9 +66,9 @@ func TestPerfectMatchingRegularIntoViewValid(t *testing.T) {
 		n := rng.Intn(10) + 1
 		k := rng.Intn(6) + 1
 		b := randomRegularM(n, k, rng)
-		want, err := PerfectMatchingRegular(b)
+		want, err := perfectMatchingRegular(b)
 		if err != nil {
-			t.Fatalf("trial %d: wrapper: %v", trial, err)
+			t.Fatalf("trial %d: fresh arena: %v", trial, err)
 		}
 		out := make([]int, n)
 		outN, err := m.PerfectMatchingRegularInto(n, k, b.EdgeList(), out)
@@ -101,31 +102,22 @@ func TestPerfectMatchingRegularIntoRejectsIrregularView(t *testing.T) {
 
 // TestMatcherSteadyStateAllocFree guards the arena contract for both
 // matching engines: a warmed Matcher performs no allocations, whether it
-// runs one Hopcroft–Karp or peels a whole 1-factorization.
+// peels a whole 1-factorization or runs Alon's perfect matcher.
 func TestMatcherSteadyStateAllocFree(t *testing.T) {
 	b := graph.Circulant(48, 7)
 	edges := b.EdgeList()
 	out := make([]int, 48)
 	var m Matcher
-	if n := m.HopcroftKarpInto(48, 48, edges, out); n != 48 { // warm up
-		t.Fatalf("HK matched %d of 48", n)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if n := m.HopcroftKarpInto(48, 48, edges, out); n != 48 {
-			t.Fatal("HK incomplete")
-		}
-	})
-	if allocs > 0 {
-		t.Errorf("warmed HopcroftKarpInto allocates %.1f/op, want 0", allocs)
-	}
-	allocs = testing.AllocsPerRun(10, func() {
+	peelAll := func() {
 		m.StartPeel(48, 48, edges)
 		for round := 0; round < 7; round++ {
 			if n := m.Peel(out); n != 48 {
 				t.Fatalf("peel round %d matched %d of 48", round, n)
 			}
 		}
-	})
+	}
+	peelAll() // warm up
+	allocs := testing.AllocsPerRun(10, peelAll)
 	if allocs > 0 {
 		t.Errorf("warmed StartPeel and 7 Peel rounds allocate %.1f/op, want 0", allocs)
 	}

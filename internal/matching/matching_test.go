@@ -19,6 +19,29 @@ func randomRegular(n, k int, rng *rand.Rand) *graph.Bipartite {
 	return b
 }
 
+// hopcroftKarp computes a maximum matching of b on a fresh Matcher: one
+// Peel of the whole graph.
+func hopcroftKarp(b *graph.Bipartite) []int {
+	var m Matcher
+	out := make([]int, min(b.NLeft(), b.NRight()))
+	m.StartPeel(b.NLeft(), b.NRight(), b.EdgeList())
+	return out[:m.Peel(out)]
+}
+
+// perfectMatchingRegular runs Alon's matcher on all of b on a fresh
+// Matcher, taking the regular degree from left node 0; the matcher checks
+// every other node against it.
+func perfectMatchingRegular(b *graph.Bipartite) ([]int, error) {
+	n, k := b.NLeft(), 0
+	if n > 0 {
+		k = len(b.AdjL(0))
+	}
+	var m Matcher
+	out := make([]int, n)
+	outN, err := m.PerfectMatchingRegularInto(n, k, b.EdgeList(), out)
+	return out[:outN], err
+}
+
 func TestKuhnPerfectOnRegular(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, tc := range []struct{ n, k int }{{1, 1}, {2, 1}, {4, 3}, {8, 5}, {16, 4}, {7, 7}} {
@@ -34,7 +57,7 @@ func TestHopcroftKarpPerfectOnRegular(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, tc := range []struct{ n, k int }{{1, 1}, {2, 2}, {4, 3}, {8, 5}, {32, 6}, {9, 3}} {
 		b := randomRegular(tc.n, tc.k, rng)
-		m := HopcroftKarp(b)
+		m := hopcroftKarp(b)
 		if err := VerifyMatching(b, m, true); err != nil {
 			t.Fatalf("n=%d k=%d: %v", tc.n, tc.k, err)
 		}
@@ -51,7 +74,7 @@ func TestMaximumMatchingNonPerfect(t *testing.T) {
 	if got := len(Kuhn(b)); got != 2 {
 		t.Fatalf("Kuhn size = %d, want 2", got)
 	}
-	if got := len(HopcroftKarp(b)); got != 2 {
+	if got := len(hopcroftKarp(b)); got != 2 {
 		t.Fatalf("HopcroftKarp size = %d, want 2", got)
 	}
 }
@@ -61,7 +84,7 @@ func TestMatchingEmptyGraph(t *testing.T) {
 	if got := len(Kuhn(b)); got != 0 {
 		t.Fatalf("Kuhn on empty graph = %d edges", got)
 	}
-	if got := len(HopcroftKarp(b)); got != 0 {
+	if got := len(hopcroftKarp(b)); got != 0 {
 		t.Fatalf("HopcroftKarp on empty graph = %d edges", got)
 	}
 }
@@ -75,7 +98,7 @@ func TestKuhnEqualsHopcroftKarpSize(t *testing.T) {
 		for e := 0; e < m; e++ {
 			b.AddEdge(rng.Intn(n), rng.Intn(n))
 		}
-		k, h := Kuhn(b), HopcroftKarp(b)
+		k, h := Kuhn(b), hopcroftKarp(b)
 		if len(k) != len(h) {
 			t.Fatalf("trial %d: Kuhn=%d HopcroftKarp=%d", trial, len(k), len(h))
 		}
@@ -94,7 +117,7 @@ func TestPerfectMatchingRegularBasic(t *testing.T) {
 		{1, 1}, {1, 3}, {2, 2}, {3, 3}, {4, 2}, {8, 5}, {16, 7}, {32, 3}, {9, 6},
 	} {
 		b := randomRegular(tc.n, tc.k, rng)
-		m, err := PerfectMatchingRegular(b)
+		m, err := perfectMatchingRegular(b)
 		if err != nil {
 			t.Fatalf("n=%d k=%d: %v", tc.n, tc.k, err)
 		}
@@ -116,7 +139,7 @@ func TestPerfectMatchingRegularWithParallelEdges(t *testing.T) {
 				b.AddEdge(h, (h+1)%g)
 			}
 		}
-		m, err := PerfectMatchingRegular(b)
+		m, err := perfectMatchingRegular(b)
 		if err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
@@ -131,21 +154,14 @@ func TestPerfectMatchingRegularRejectsIrregular(t *testing.T) {
 	b.AddEdge(0, 0)
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 0)
-	if _, err := PerfectMatchingRegular(b); err == nil {
+	if _, err := perfectMatchingRegular(b); err == nil {
 		t.Fatal("irregular graph accepted")
-	}
-}
-
-func TestPerfectMatchingRegularRejectsUnequalSides(t *testing.T) {
-	b := graph.New(2, 3)
-	if _, err := PerfectMatchingRegular(b); err == nil {
-		t.Fatal("unequal sides accepted")
 	}
 }
 
 func TestPerfectMatchingRegularRejectsZeroRegular(t *testing.T) {
 	b := graph.New(3, 3)
-	if _, err := PerfectMatchingRegular(b); err == nil {
+	if _, err := perfectMatchingRegular(b); err == nil {
 		t.Fatal("0-regular graph accepted")
 	}
 }
@@ -153,11 +169,11 @@ func TestPerfectMatchingRegularRejectsZeroRegular(t *testing.T) {
 func TestPerfectMatchingRegularDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	b := randomRegular(12, 5, rng)
-	m1, err := PerfectMatchingRegular(b)
+	m1, err := perfectMatchingRegular(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := PerfectMatchingRegular(b)
+	m2, err := perfectMatchingRegular(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +197,7 @@ func TestPerfectMatchingRegularProperty(t *testing.T) {
 		k := int(kSeed)%8 + 1
 		rng := rand.New(rand.NewSource(seed))
 		b := randomRegular(n, k, rng)
-		m, err := PerfectMatchingRegular(b)
+		m, err := perfectMatchingRegular(b)
 		if err != nil {
 			return false
 		}
@@ -220,7 +236,7 @@ func BenchmarkHopcroftKarpRegular(b *testing.B) {
 	g := randomRegular(256, 16, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if m := HopcroftKarp(g); len(m) != 256 {
+		if m := hopcroftKarp(g); len(m) != 256 {
 			b.Fatalf("matching size %d", len(m))
 		}
 	}
@@ -231,7 +247,7 @@ func BenchmarkPerfectMatchingRegularAlon(b *testing.B) {
 	g := randomRegular(256, 16, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := PerfectMatchingRegular(g); err != nil {
+		if _, err := perfectMatchingRegular(g); err != nil {
 			b.Fatal(err)
 		}
 	}

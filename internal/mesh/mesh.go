@@ -76,9 +76,6 @@ func (m *Machine) Load(vals []int64) error {
 	return nil
 }
 
-// At returns the register of element (i, j).
-func (m *Machine) At(i, j int) int64 { return m.Values[i*m.Cols+j] }
-
 // permute routes mesh values along the mesh-index permutation mpi.
 func (m *Machine) permute(mpi []int) error {
 	n := m.N()

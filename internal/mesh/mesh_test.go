@@ -8,6 +8,9 @@ import (
 	"pops/internal/perms"
 )
 
+// at returns the register of element (i, j).
+func at(m *Machine, i, j int) int64 { return m.Values[i*m.Cols+j] }
+
 func seq(n int) []int64 {
 	v := make([]int64, n)
 	for i := range v {
@@ -40,11 +43,11 @@ func TestShiftDirections(t *testing.T) {
 	if err := m.Load(seq(6)); err != nil {
 		t.Fatal(err)
 	}
-	// Shift down: (i,j) -> (i+1,j). After it, At(1,0) must be old (0,0)=0.
+	// Shift down: (i,j) -> (i+1,j). After it, (1,0) must hold old (0,0)=0.
 	if err := m.Shift(1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if m.At(1, 0) != 0 || m.At(0, 0) != 3 {
+	if at(m, 1, 0) != 0 || at(m, 0, 0) != 3 {
 		t.Fatalf("down shift wrong: %v", m.Values)
 	}
 	// Shift back up restores.
@@ -60,7 +63,7 @@ func TestShiftDirections(t *testing.T) {
 	if err := m.Shift(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if m.At(0, 0) != 2 {
+	if at(m, 0, 0) != 2 {
 		t.Fatalf("right shift wrong: %v", m.Values)
 	}
 }
@@ -98,7 +101,7 @@ func TestTranspose(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
-			if m.At(i, j) != int64(j*3+i) {
+			if at(m, i, j) != int64(j*3+i) {
 				t.Fatalf("transpose wrong at (%d,%d): %v", i, j, m.Values)
 			}
 		}
@@ -125,10 +128,10 @@ func TestRowSum(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := 0; j < 3; j++ {
-		if m.At(0, j) != 6 {
+		if at(m, 0, j) != 6 {
 			t.Fatalf("row 0 sum = %v", m.Values)
 		}
-		if m.At(1, j) != 60 {
+		if at(m, 1, j) != 60 {
 			t.Fatalf("row 1 sum = %v", m.Values)
 		}
 	}
@@ -153,7 +156,7 @@ func TestMappingIndependence(t *testing.T) {
 		if err := m.Shift(1, 1); err != nil {
 			t.Fatal(err)
 		}
-		if m.At(1, 1) != 0 {
+		if at(m, 1, 1) != 0 {
 			t.Fatalf("diagonal shift wrong under mapping: %v", m.Values)
 		}
 		if got, want := m.SlotsUsed(), core.OptimalSlots(d, g); got != want {

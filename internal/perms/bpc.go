@@ -80,13 +80,3 @@ func PerfectShuffle(bits int) (*BPC, error) {
 	}
 	return NewBPC(bits, perm, 0)
 }
-
-// ComplementAll returns the BPC permutation π(i) = ¬i (all bits flipped) —
-// exactly VectorReversal on 2^bits elements.
-func ComplementAll(bits int) (*BPC, error) {
-	var mask uint64
-	if bits > 0 {
-		mask = (1 << uint(bits)) - 1
-	}
-	return NewBPC(bits, Identity(bits), mask)
-}

@@ -1,6 +1,6 @@
 // Package perms provides the permutation families used throughout the POPS
 // routing literature: the generic utilities (validation, inverse,
-// composition), the random and derangement generators used for sweeps, and
+// equality), the random and derangement generators used for sweeps, and
 // the structured families the related work routes one by one — vector
 // reversal, matrix transpose, BPC permutations (Sahni 2000a), hypercube
 // bit-b neighbor exchanges and mesh wraparound shifts (Sahni 2000b), and the
@@ -56,18 +56,6 @@ func Inverse(pi []int) []int {
 	return inv
 }
 
-// Compose returns the permutation (a ∘ b)(i) = a(b(i)).
-func Compose(a, b []int) []int {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("perms: composing lengths %d and %d", len(a), len(b)))
-	}
-	out := make([]int, len(a))
-	for i := range out {
-		out[i] = a[b[i]]
-	}
-	return out
-}
-
 // Equal reports whether two permutations are identical.
 func Equal(a, b []int) bool {
 	if len(a) != len(b) {
@@ -75,17 +63,6 @@ func Equal(a, b []int) bool {
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// IsDerangement reports whether π(i) ≠ i for all i — the hypothesis of
-// Proposition 1.
-func IsDerangement(pi []int) bool {
-	for i, v := range pi {
-		if v == i {
 			return false
 		}
 	}

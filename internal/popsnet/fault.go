@@ -245,9 +245,6 @@ func (r *Replayer) Step() (bool, error) {
 	return true, nil
 }
 
-// SlotIndex returns the index of the next slot Step would apply.
-func (r *Replayer) SlotIndex() int { return r.next }
-
 // Network returns the fault-injected network, the handle for mid-trace
 // KillCoupler/KillGroup calls. It is nil for a fault-free replay.
 func (r *Replayer) Network() *FaultyNetwork { return r.fn }

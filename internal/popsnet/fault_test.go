@@ -313,7 +313,7 @@ func TestReplayerMidTraceKill(t *testing.T) {
 	if !r2.State().Holds(2, 0) || !r2.State().Holds(3, 1) {
 		t.Fatal("packets not delivered after benign mid-trace kill")
 	}
-	if r2.SlotIndex() != 2 || len(r2.Trace().PacketsMoved) != 2 {
-		t.Fatalf("SlotIndex = %d, trace slots = %d", r2.SlotIndex(), len(r2.Trace().PacketsMoved))
+	if r2.next != 2 || len(r2.Trace().PacketsMoved) != 2 {
+		t.Fatalf("next slot = %d, trace slots = %d", r2.next, len(r2.Trace().PacketsMoved))
 	}
 }

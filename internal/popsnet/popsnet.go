@@ -107,21 +107,6 @@ type State struct {
 	where   []int   // packet -> processor currently holding it (last copy), -1 unknown
 }
 
-// NewPermutationState returns the canonical initial state for permutation
-// routing: packet p at processor p, for all p.
-func NewPermutationState(nw Network) *State {
-	st := &State{
-		nw:      nw,
-		holding: make([][]int, nw.N()),
-		where:   make([]int, nw.N()),
-	}
-	for p := 0; p < nw.N(); p++ {
-		st.holding[p] = []int{p}
-		st.where[p] = p
-	}
-	return st
-}
-
 // Holds reports whether processor p currently holds packet k.
 func (st *State) Holds(p, k int) bool {
 	for _, x := range st.holding[p] {

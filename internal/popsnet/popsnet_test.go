@@ -281,7 +281,10 @@ func TestDirectSlotIntraGroup(t *testing.T) {
 
 func TestStateHoldingCopyIsolated(t *testing.T) {
 	nw := mustNet(t, 1, 2)
-	st := NewPermutationState(nw)
+	st, err := NewCustomState(nw, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	h := st.Holding(0)
 	h[0] = 99
 	if !st.Holds(0, 0) {

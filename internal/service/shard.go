@@ -169,14 +169,14 @@ func (sh *shard) execute(ctx context.Context, w pops.Workload) (Result, error) {
 		sh.mu.RUnlock()
 		return Result{}, errShardRetired
 	}
-	if !sh.acquireDirect() {
+	if !acquireSlot(&sh.directActive, sh.svc.cfg.MaxDirect) {
 		sh.mu.RUnlock()
 		return Result{}, sh.shed(tenant, "direct")
 	}
 	sh.requests.Add(1)
 	sh.svc.tenant(tenant).admitted.Add(1)
 	sh.mu.RUnlock()
-	defer sh.releaseDirect()
+	defer sh.directActive.Add(-1)
 	plan, cached, err := sh.planner.ExecuteCached(ctx, w)
 	if err != nil {
 		// Context errors are request-level: the caller went away, nothing
@@ -232,31 +232,17 @@ func (sh *shard) admit(ctx context.Context, pi []int) (chan Result, error) {
 	}
 }
 
-// acquireDirect claims one direct-path slot (non-permutation workload
-// execution), reporting false when MaxDirect is configured and exhausted.
-func (sh *shard) acquireDirect() bool {
-	n := sh.directActive.Add(1)
-	if max := sh.svc.cfg.MaxDirect; max > 0 && n > int64(max) {
-		sh.directActive.Add(-1)
+// acquireSlot claims one slot of a capped occupancy counter — a shard's
+// directActive against MaxDirect, or its activeStreams against MaxStreams —
+// reporting false when limit > 0 and every slot is taken. The holder
+// releases its slot with n.Add(-1).
+func acquireSlot(n *atomic.Int64, limit int) bool {
+	if v := n.Add(1); limit > 0 && v > int64(limit) {
+		n.Add(-1)
 		return false
 	}
 	return true
 }
-
-func (sh *shard) releaseDirect() { sh.directActive.Add(-1) }
-
-// acquireStream claims one concurrent-stream slot, reporting false when
-// MaxStreams is configured and exhausted. Stream.Close releases it.
-func (sh *shard) acquireStream() bool {
-	n := sh.activeStreams.Add(1)
-	if max := sh.svc.cfg.MaxStreams; max > 0 && n > int64(max) {
-		sh.activeStreams.Add(-1)
-		return false
-	}
-	return true
-}
-
-func (sh *shard) releaseStream() { sh.activeStreams.Add(-1) }
 
 // shed records one overload rejection against the shard and the tenant's
 // fairness ledger, and builds the typed verdict with the shard's current

@@ -68,7 +68,7 @@ func (sh *shard) admitStream(ctx context.Context, w pops.Workload) (*Stream, err
 	// factorization, so unbounded streams were the one admission path with
 	// no queue to overflow — cap them like everything else (satisfying the
 	// shed-don't-collapse invariant for /route/stream too).
-	if !sh.acquireStream() {
+	if !acquireSlot(&sh.activeStreams, svc.cfg.MaxStreams) {
 		sh.mu.RUnlock()
 		return nil, sh.shed(tenant, "stream")
 	}
@@ -81,7 +81,7 @@ func (sh *shard) admitStream(ctx context.Context, w pops.Workload) (*Stream, err
 	ok := false
 	defer func() {
 		if !ok {
-			sh.releaseStream()
+			sh.activeStreams.Add(-1)
 			svc.streamsWG.Done()
 		}
 	}()
@@ -180,6 +180,6 @@ func (st *Stream) Close() {
 	}
 	st.closed = true
 	st.ps.Close()
-	st.sh.releaseStream()
+	st.sh.activeStreams.Add(-1)
 	st.svc.streamsWG.Done()
 }

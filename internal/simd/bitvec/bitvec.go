@@ -21,9 +21,6 @@ const wordBits = 64
 // Words returns the number of 64-bit words needed for n bits.
 func Words(n int) int { return (n + wordBits - 1) / wordBits }
 
-// Make returns a zeroed Vec with capacity for n bits.
-func Make(n int) Vec { return make(Vec, Words(n)) }
-
 // Resize returns a zeroed Vec with capacity for n bits, reusing v's storage
 // when it is large enough. Use it to recycle a scratch set across calls:
 //
@@ -48,9 +45,6 @@ func (v Vec) Reset() {
 // Set sets bit i.
 func (v Vec) Set(i int) { v[i/wordBits] |= 1 << (uint(i) % wordBits) }
 
-// Clear clears bit i.
-func (v Vec) Clear(i int) { v[i/wordBits] &^= 1 << (uint(i) % wordBits) }
-
 // Test reports whether bit i is set.
 func (v Vec) Test(i int) bool { return v[i/wordBits]&(1<<(uint(i)%wordBits)) != 0 }
 
@@ -65,25 +59,6 @@ func (v Vec) Count(n int) int {
 		total += bits.OnesCount64(v[full] & (1<<uint(rem) - 1))
 	}
 	return total
-}
-
-// AppendSet appends the indices of the set bits among the first n to dst and
-// returns the extended slice. The scan is a word walk: zero words cost one
-// comparison, and set bits are located with TrailingZeros64.
-func (v Vec) AppendSet(dst []int, n int) []int {
-	for wi, w := range v[:Words(n)] {
-		base := wi * wordBits
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			i := base + b
-			if i >= n {
-				return dst
-			}
-			dst = append(dst, i)
-			w &= w - 1
-		}
-	}
-	return dst
 }
 
 // AppendClear appends the indices of the clear bits among the first n to dst

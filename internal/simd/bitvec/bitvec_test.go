@@ -6,7 +6,7 @@ import (
 )
 
 func TestSetClearTest(t *testing.T) {
-	v := Make(200)
+	v := Vec(nil).Resize(200)
 	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 199} {
 		if v.Test(i) {
 			t.Fatalf("bit %d set in fresh vec", i)
@@ -16,17 +16,16 @@ func TestSetClearTest(t *testing.T) {
 			t.Fatalf("bit %d not set after Set", i)
 		}
 	}
-	v.Clear(64)
-	if v.Test(64) {
-		t.Fatal("bit 64 still set after Clear")
-	}
-	if !v.Test(65) || !v.Test(63) {
-		t.Fatal("Clear disturbed neighbouring bits")
+	v.Reset()
+	for _, i := range []int{0, 63, 64, 199} {
+		if v.Test(i) {
+			t.Fatalf("bit %d still set after Reset", i)
+		}
 	}
 }
 
 func TestResizeReusesStorage(t *testing.T) {
-	v := Make(1024)
+	v := Vec(nil).Resize(1024)
 	v.Set(500)
 	w := v.Resize(512)
 	if &w[0] != &v[0] {
@@ -45,7 +44,7 @@ func TestCountAndWalksAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 50; trial++ {
 		n := rng.Intn(300) + 1
-		v := Make(n)
+		v := Vec(nil).Resize(n)
 		ref := make([]bool, n)
 		for i := 0; i < n; i++ {
 			if rng.Intn(2) == 1 {
@@ -54,11 +53,10 @@ func TestCountAndWalksAgainstReference(t *testing.T) {
 			}
 		}
 		wantCount := 0
-		var wantSet, wantClear []int
+		var wantClear []int
 		for i, b := range ref {
 			if b {
 				wantCount++
-				wantSet = append(wantSet, i)
 			} else {
 				wantClear = append(wantClear, i)
 			}
@@ -66,11 +64,7 @@ func TestCountAndWalksAgainstReference(t *testing.T) {
 		if got := v.Count(n); got != wantCount {
 			t.Fatalf("n=%d: Count=%d want %d", n, got, wantCount)
 		}
-		gotSet := v.AppendSet(nil, n)
 		gotClear := v.AppendClear(nil, n)
-		if !equalInts(gotSet, wantSet) {
-			t.Fatalf("n=%d: AppendSet=%v want %v", n, gotSet, wantSet)
-		}
 		if !equalInts(gotClear, wantClear) {
 			t.Fatalf("n=%d: AppendClear=%v want %v", n, gotClear, wantClear)
 		}
