@@ -136,15 +136,18 @@ examples:
 # Factorizer reuse, the Matcher's StartPeel/Peel and Alon matcher, or
 # Splitter.Split regresses past the alloc budget. The
 # streaming path is covered too: a warmed Stream drain allocates nothing
-# beyond its handle, and — Execute being the drained stream — a cold Execute
-# at POPS(8,8) is pinned at 12 allocs/op with ExecuteStream+Collect at no
-# more than Execute. TestHRelationPooledAllocBudget guards the
-# pooled h-relation path of Execute: steady state must stay under half the
-# allocations of a fresh Planner per call (the measured delta is recorded in
-# BENCH_2026-07-30_hrelation.json), and TestHRelationAllocBudget holds a
-# warmed core planner's PlanHRelation of a 4-relation on POPS(16,16) to 61
-# allocations (each factor's permutation stream drained, its sends
-# relabeled in place). The tracing layer
+# beyond its handle, and — Execute being the collected stream, which writes
+# no slot — a cold Execute at POPS(8,8) is pinned at 6 allocs/op with
+# ExecuteStream+Collect at no more than Execute. TestHRelationPooledAllocBudget
+# guards the pooled h-relation path of Execute: steady state must stay at 19
+# allocs/op and under half the allocations of a fresh Planner per call (the
+# measured delta is recorded in BENCH_2026-07-30_hrelation.json), and
+# TestHRelationAllocBudget holds a warmed core planner's PlanHRelation of a
+# 4-relation on POPS(16,16) to 22 allocations (each factor's permutation
+# stream drained for its colors alone). TestCachedPlanRetainedBytes pins
+# what a cached plan keeps alive after GC: at most 17 B per packet for a
+# (16,64) permutation (π and the colors) and 32 B for a (16,16) 4-relation,
+# cache entry included — no plan stores its slots. The tracing layer
 # rides the same gate: span recording, the tracer's pooled Start/Finish
 # cycle, plan-time Observe on an existing key, and a traced plan-cache hit
 # must all stay at 0 allocs/op. The binary wire codec holds the same bar:
@@ -161,4 +164,4 @@ alloc-guard:
 	$(call smoke,TestHRelationAllocBudget,./internal/core)
 	$(call smoke,TestSpanAllocBudget|TestPlanTimesObserveAllocBudget,./internal/obs)
 	$(call smoke,TestWireEncodeAllocBudget|TestReframerAllocBudget|TestDecodeSlotFreshRecordAllocs|TestDecodeRequestHRelationAllocs,./internal/wirebin)
-	$(call smoke,TestExecuteStreamAllocBudget|TestHRelationPooledAllocBudget|TestCachedHitSpanAllocBudget,.)
+	$(call smoke,TestExecuteStreamAllocBudget|TestHRelationPooledAllocBudget|TestCachedHitSpanAllocBudget|TestCachedPlanRetainedBytes,.)

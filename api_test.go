@@ -266,7 +266,6 @@ func signature(ft *ast.FuncType) string {
 var internalExportKeep = map[string]string{
 	"matching.Kuhn":                      "augmenting-path reference matcher the Hopcroft–Karp peel is tested against",
 	"matching.VerifyMatching":            "matching checker of the matching and coloring tests",
-	"core.PlanRouteViaListSystem":        "the paper's list-system construction, the reference the Theorem 2 planner is tested against",
 	"edgecolor.Factorizer.FactorizeInto": "batch 1-factorization: the reference the factor streams and the coloring goldens are held to",
 	"graph.Circulant":                    "regular test-graph generator shared by the graph, matching and coloring tests",
 	"graph.Bipartite.SubgraphByEdges":    "materializes an edge view, the reference of the splitter and matcher view tests",

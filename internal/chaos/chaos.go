@@ -127,9 +127,6 @@ func (r *Report) observe(o Outcome, d time.Duration) {
 	}
 }
 
-// Total is the number of requests the ramp issued.
-func (r *Report) Total() int { return r.Admitted + r.Shed + r.DeadlineShed + r.Failed }
-
 // Percentile returns the q-quantile (0 < q <= 1) of admitted-request
 // latency, or 0 if nothing was admitted.
 func (r *Report) Percentile(q float64) time.Duration {

@@ -61,7 +61,8 @@ func TestOverloadShedsDontCollapse(t *testing.T) {
 	// drain, so nothing sheds and p99 is the uncontended floor.
 	base := Ramp{Workers: 2, Requests: 100, Interval: 2 * time.Millisecond}.
 		Run(context.Background(), routeOnce(client, ""))
-	if base.Shed != 0 || base.Failed != 0 || base.Admitted != base.Total() {
+	issued := base.Admitted + base.Shed + base.DeadlineShed + base.Failed
+	if base.Shed != 0 || base.Failed != 0 || base.Admitted != issued {
 		t.Fatalf("baseline ramp not clean: %+v", base)
 	}
 	p99Base := base.Percentile(0.99)

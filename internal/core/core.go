@@ -35,8 +35,7 @@ import (
 	"time"
 
 	"pops/internal/edgecolor"
-	"pops/internal/fairdist"
-	"pops/internal/perms"
+	"pops/internal/graph"
 	"pops/internal/popsnet"
 )
 
@@ -107,6 +106,9 @@ const (
 // fill Reqs/H/Factors instead of Pi, and one-to-all plans record the
 // Speaker. Strategy records which planner produced the plan, and Verify
 // replays the schedule under the matching delivery contract.
+// A Theorem 2 plan is its coloring — π and the colors fix every slot — so
+// it stores no slots: Schedule writes them afresh on each call. Plans are
+// immutable once built and safe to share.
 type Plan struct {
 	Net      popsnet.Network
 	Pi       []int
@@ -129,11 +131,11 @@ type Plan struct {
 	// out empty, which delegate to the normal planner (byte-identical plans).
 	Faults popsnet.FaultSet
 
-	sched *popsnet.Schedule
-	// Delivery vectors of an h-relation plan: packet k starts at home[k] and
-	// must end at want[k] (-1 for padding dummies). nil for permutation and
-	// broadcast plans, whose Verify contracts are derived from Pi / Speaker.
-	home, want []int
+	// fixed is the schedule of plans no coloring describes: broadcasts, d = 1
+	// fault plans and FromSchedule plans. codes[k] packs an h-relation's
+	// padded request k's factor f and color c as f·max(d, g) + c.
+	fixed *popsnet.Schedule
+	codes []int32
 }
 
 // FromSchedule wraps an already-built schedule as a Plan, recording the
@@ -141,7 +143,7 @@ type Plan struct {
 // direct optimal, single slot) adopt the unified result type. pi is copied:
 // a Plan owns all memory it references, so callers may reuse their slice.
 func FromSchedule(nw popsnet.Network, pi []int, sched *popsnet.Schedule, strategy string) *Plan {
-	return &Plan{Net: nw, Pi: copyPerm(pi), Strategy: strategy, sched: sched}
+	return &Plan{Net: nw, Pi: copyPerm(pi), Strategy: strategy, fixed: sched}
 }
 
 // copyPerm snapshots a caller-provided permutation so Plans never alias
@@ -173,133 +175,129 @@ func PlanRoute(d, g int, pi []int, opts Options) (*Plan, error) {
 	return pl.Plan(pi)
 }
 
-// PlanRouteViaListSystem computes the same routing through the paper's
-// literal Section 3.1 formalism: build the proper list system
-// L(h, i) = group(π(i + h·d)), obtain a fair distribution f by Theorem 1,
-// and use f(h, i) as the relay color of packet i + h·d. It exists to
-// cross-check the unified demand-graph construction; both produce schedules
-// with identical structure.
-func PlanRouteViaListSystem(d, g int, pi []int, opts Options) (*Plan, error) {
-	nw, err := popsnet.NewNetwork(d, g)
-	if err != nil {
-		return nil, err
-	}
-	if err := perms.Validate(pi); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if len(pi) != nw.N() {
-		return nil, fmt.Errorf("core: permutation has length %d, want n = %d", len(pi), nw.N())
-	}
-	var plan *Plan
-	if d == 1 {
-		sched, err := directSchedule(nw, pi)
-		if err != nil {
-			return nil, err
-		}
-		plan = &Plan{Net: nw, Pi: copyPerm(pi), Strategy: StrategyTheoremTwo, sched: sched}
-	} else {
-		ls, err := fairdist.FromPermutation(d, g, pi)
-		if err != nil {
-			return nil, err
-		}
-		f, err := ls.FairDistribution(opts.Algorithm)
-		if err != nil {
-			return nil, fmt.Errorf("core: fair distribution: %w", err)
-		}
-		colors := make([]int, nw.N())
-		for h := 0; h < g; h++ {
-			for i := 0; i < d; i++ {
-				colors[i+h*d] = f[h][i]
-			}
-		}
-		plan, err = planFromColors(nw, pi, colors)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if opts.Verify {
-		if _, err := plan.Verify(); err != nil {
-			return nil, fmt.Errorf("core: schedule failed verification: %w", err)
-		}
-	}
-	return plan, nil
-}
+// classes buckets packets by color in processor order, the order that
+// ranks a class onto distinct relays: class c is order[start[c]:start[c+1]].
+type classes struct{ order, start []int }
 
-// directSchedule is the d = 1 case: the network is a clique of couplers and
-// one slot suffices (each processor is its own group).
-func directSchedule(nw popsnet.Network, pi []int) (*popsnet.Schedule, error) {
-	n := nw.N()
-	slot := popsnet.Slot{
-		Sends: make([]popsnet.Send, 0, n),
-		Recvs: make([]popsnet.Recv, 0, n),
+func (cl *classes) sort(colors []int, count int) {
+	cl.start = graph.ResizeInts(cl.start, count+1)
+	clear(cl.start)
+	for _, c := range colors {
+		cl.start[c+1]++
 	}
-	for p := 0; p < n; p++ {
-		slot.Sends = append(slot.Sends, popsnet.Send{Src: p, DestGroup: pi[p], Packet: p})
-		slot.Recvs = append(slot.Recvs, popsnet.Recv{Proc: pi[p], SrcGroup: p})
+	for c := range count {
+		cl.start[c+1] += cl.start[c]
 	}
-	return &popsnet.Schedule{Net: nw, Slots: []popsnet.Slot{slot}}, nil
-}
-
-// planFromColors is the reference schedule builder: it turns per-packet
-// relay colors into the two-slot-per-round schedule in one batch pass,
-// re-checking equations (4)–(7) per color class first. Production planning
-// assembles the same layout class by class in PlanStream.Next; the stream
-// tests and FuzzStreamMatchesReference hold the two to deep equality.
-// Callers reach it only for d > 1, with pi already validated.
-func planFromColors(nw popsnet.Network, pi, colors []int) (*Plan, error) {
-	if len(colors) != nw.N() {
-		return nil, fmt.Errorf("core: %d colors for %d packets", len(colors), nw.N())
-	}
-	colorCount := max(nw.D, nw.G)
-	byColor := make([][]int, colorCount)
+	cl.order = graph.ResizeInts(cl.order, len(colors))
 	for p, c := range colors {
-		if c < 0 || c >= colorCount {
-			return nil, fmt.Errorf("core: packet %d has color %d outside [0,%d)", p, c, colorCount)
-		}
-		byColor[c] = append(byColor[c], p)
+		cl.order[cl.start[c]] = p
+		cl.start[c]++
 	}
-	pl := &Planner{nw: nw, seenGroup: make([]bool, nw.G)}
-	for c, class := range byColor {
-		if err := pl.checkClass(pi, class, c); err != nil {
-			return nil, err
-		}
-	}
-	sched := relaySchedule(nw, pi, byColor)
-	return &Plan{Net: nw, Pi: copyPerm(pi), Strategy: StrategyTheoremTwo, Colors: colors, Rounds: len(sched.Slots) / 2, sched: sched}, nil
+	copy(cl.start[1:], cl.start[:count])
+	cl.start[0] = 0
 }
 
-// relaySchedule lays out the relay schedule of per-color packet classes:
-// round k = ⌊c/g⌋ takes two slots, class c relays through group j = c mod g,
-// and each class's packets, in processor order, take the relays of group j
-// by rank. Properness of the classes at source and destination groups and
-// their size bound make both slots conflict free.
-func relaySchedule(nw popsnet.Network, pi []int, byColor [][]int) *popsnet.Schedule {
-	g := nw.G
-	rounds := ceilDiv(len(byColor), g)
-	sched := &popsnet.Schedule{Net: nw, Slots: make([]popsnet.Slot, 0, 2*rounds)}
-	for k := 0; k < rounds; k++ {
-		var slot1, slot2 popsnet.Slot
-		for c := k * g; c < min((k+1)*g, len(byColor)); c++ {
-			j := c % g
-			for rank, p := range byColor[c] {
-				relay := nw.Proc(j, rank)
-				dest := pi[p]
-				slot1.Sends = append(slot1.Sends, popsnet.Send{Src: p, DestGroup: j, Packet: p})
-				slot1.Recvs = append(slot1.Recvs, popsnet.Recv{Proc: relay, SrcGroup: nw.Group(p)})
-				slot2.Sends = append(slot2.Sends, popsnet.Send{Src: relay, DestGroup: nw.Group(dest), Packet: p})
-				slot2.Recvs = append(slot2.Recvs, popsnet.Recv{Proc: dest, SrcGroup: j})
-			}
+func (cl *classes) class(c int) []int { return cl.order[cl.start[c]:cl.start[c+1]] }
+
+// resize returns s with length n, reusing its storage when large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// relaySchedule is the one slot writer of relay plans: it writes class c's
+// fragments of slots 2⌊c/g⌋ (source to relay, into first) and 2⌊c/g⌋+1
+// (relay to destination, into second), each len(class) long. The class's
+// packets, in processor order, take the relays of group c mod g by rank.
+func relaySchedule(nw popsnet.Network, pi, class []int, c int, first, second popsnet.Slot) {
+	j := c % nw.G
+	for rank, p := range class {
+		relay := nw.Proc(j, rank)
+		dest := pi[p]
+		first.Sends[rank] = popsnet.Send{Src: p, DestGroup: j, Packet: p}
+		first.Recvs[rank] = popsnet.Recv{Proc: relay, SrcGroup: nw.Group(p)}
+		second.Sends[rank] = popsnet.Send{Src: relay, DestGroup: nw.Group(dest), Packet: p}
+		second.Recvs[rank] = popsnet.Recv{Proc: dest, SrcGroup: j}
+	}
+}
+
+// writeRound writes relay round k — classes [k·g, (k+1)·g) of cl side by
+// side in slot 2k (out[0]) and slot 2k+1 (out[1]) — reusing their storage.
+func writeRound(nw popsnet.Network, pi []int, cl *classes, k int, out []popsnet.Slot) {
+	base := cl.start[k*nw.G]
+	size := cl.start[(k+1)*nw.G] - base
+	for s := range out[:2] {
+		out[s].Sends, out[s].Recvs = resize(out[s].Sends, size), resize(out[s].Recvs, size)
+	}
+	for c := k * nw.G; c < (k+1)*nw.G; c++ {
+		a, b := cl.start[c]-base, cl.start[c+1]-base
+		relaySchedule(nw, pi, cl.class(c), c, popsnet.Slot{Sends: out[0].Sends[a:b], Recvs: out[0].Recvs[a:b]},
+			popsnet.Slot{Sends: out[1].Sends[a:b], Recvs: out[1].Recvs[a:b]})
+	}
+}
+
+// writeDirect writes the one slot of a d = 1 plan: each processor is its
+// own group, and every coupler carries one packet.
+func writeDirect(pi []int, out *popsnet.Slot) {
+	out.Sends, out.Recvs = resize(out.Sends, len(pi)), resize(out.Recvs, len(pi))
+	for p, dst := range pi {
+		out.Sends[p] = popsnet.Send{Src: p, DestGroup: dst, Packet: p}
+		out.Recvs[p] = popsnet.Recv{Proc: dst, SrcGroup: p}
+	}
+}
+
+// writeFactor writes one h-relation factor's OptimalSlots slots into out:
+// the factor routed as permutation pi by its colors, each send relabeled
+// from its source processor to request reqAt[src].
+func writeFactor(nw popsnet.Network, pi, colors, reqAt []int, cl *classes, out []popsnet.Slot) {
+	if nw.D == 1 {
+		writeDirect(pi, &out[0])
+	} else {
+		cl.sort(colors, len(out)/2*nw.G)
+		for k := range len(out) / 2 {
+			writeRound(nw, pi, cl, k, out[2*k:])
 		}
-		sched.Slots = append(sched.Slots, slot1, slot2)
+	}
+	for _, slot := range out {
+		for i := range slot.Sends {
+			slot.Sends[i].Packet = reqAt[slot.Sends[i].Packet]
+		}
+	}
+}
+
+// Schedule returns the plan's slot schedule: written afresh, for the caller
+// to keep, on every call — or, for plans with a fixed schedule, that stored
+// schedule, which callers must not modify.
+func (p *Plan) Schedule() *popsnet.Schedule {
+	if p.fixed != nil {
+		return p.fixed
+	}
+	sched := &popsnet.Schedule{Net: p.Net}
+	if n := p.SlotCount(); n > 0 {
+		sched.Slots = make([]popsnet.Slot, n)
+		rs := Replay(p)
+		for u := range n / rs.per {
+			rs.write(u, sched.Slots[u*rs.per:(u+1)*rs.per])
+		}
 	}
 	return sched
 }
 
-// Schedule returns the plan's slot schedule.
-func (p *Plan) Schedule() *popsnet.Schedule { return p.sched }
-
-// SlotCount returns the number of slots the plan uses.
-func (p *Plan) SlotCount() int { return len(p.sched.Slots) }
+// SlotCount returns the number of slots the plan uses, without writing any.
+func (p *Plan) SlotCount() int {
+	switch {
+	case p.fixed != nil:
+		return len(p.fixed.Slots)
+	case p.Strategy == StrategyHRelation:
+		return p.H * OptimalSlots(p.Net.D, p.Net.G)
+	case p.Colors != nil:
+		return 2 * p.Rounds
+	default:
+		return 1
+	}
+}
 
 // Verify replays the schedule on the network simulator and checks that the
 // plan's workload was delivered: every packet of a permutation plan at its
@@ -307,17 +305,27 @@ func (p *Plan) SlotCount() int { return len(p.sched.Slots) }
 // the speaker's packet of a one-to-all plan at every processor. It returns
 // the execution trace.
 func (p *Plan) Verify() (*popsnet.Trace, error) {
+	sched := p.Schedule()
 	switch {
 	case p.Strategy == StrategyFaulty:
 		fn, err := p.Faults.Compile(p.Net)
 		if err != nil {
 			return nil, err
 		}
-		return popsnet.VerifyPermutationRoutedFaulty(p.sched, p.Pi, fn)
+		return popsnet.VerifyPermutationRoutedFaulty(sched, p.Pi, fn)
 	case p.Strategy == StrategyHRelation:
-		return popsnet.VerifyDelivery(p.sched, p.home, p.want)
+		// Packet k (request k, then the dummies) starts at its source.
+		all := p.padded()
+		home, want := make([]int, len(all)), make([]int, len(all))
+		for k, r := range all {
+			home[k], want[k] = r.Src, -1
+			if k < len(p.Reqs) {
+				want[k] = r.Dst
+			}
+		}
+		return popsnet.VerifyDelivery(sched, home, want)
 	case p.Strategy == StrategyOneToAll:
-		st, tr, err := popsnet.Run(p.sched)
+		st, tr, err := popsnet.Run(sched)
 		if err != nil {
 			return nil, err
 		}
@@ -328,7 +336,7 @@ func (p *Plan) Verify() (*popsnet.Trace, error) {
 		}
 		return tr, nil
 	default:
-		return popsnet.VerifyPermutationRouted(p.sched, p.Pi)
+		return popsnet.VerifyPermutationRouted(sched, p.Pi)
 	}
 }
 

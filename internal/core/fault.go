@@ -82,18 +82,8 @@ func (pl *Planner) PlanFaulty(ctx context.Context, pi []int, fs popsnet.FaultSet
 	} else {
 		plan, err = pl.planFaultyRelay(ctx, pi, fs, fn)
 	}
-	if err != nil {
-		return nil, err
-	}
 	sp.End()
-	if pl.opts.Verify {
-		sp.Begin(obs.PhaseVerify)
-		if _, err := plan.Verify(); err != nil {
-			return nil, fmt.Errorf("core: fault schedule failed verification: %w", err)
-		}
-		sp.End()
-	}
-	return plan, nil
+	return pl.verified(ctx, plan, err)
 }
 
 // checkRoutable rejects up front any packet whose group pair survives on no
@@ -188,7 +178,7 @@ func (pl *Planner) planFaultyDirect(pi []int, fs popsnet.FaultSet, fn *popsnet.F
 	}
 	return &Plan{
 		Net: nw, Pi: copyPerm(pi), Strategy: StrategyFaulty,
-		Rounds: len(rounds), Faults: fs, sched: sched,
+		Rounds: len(rounds), Faults: fs, fixed: sched,
 	}, nil
 }
 
@@ -362,10 +352,11 @@ func (pl *Planner) planFaultyRelay(ctx context.Context, pi []int, fs popsnet.Fau
 	return pl.buildFaultyPlan(pi, colors, totalColors, capacity, fs, fn)
 }
 
-// buildFaultyPlan is planFromColors under the repaired coloring's relaxed
-// invariants: classes are proper and within capacity but need not be exactly
-// full (repair drains classes and overflow rounds are sparse), and every
-// class relay must be alive for all its packets. The schedule layout is
+// buildFaultyPlan checks a repaired coloring the way the tests' reference
+// builder planFromColors checks a fresh one, under relaxed invariants:
+// classes are proper and within capacity but need not be exactly full
+// (repair drains classes and overflow rounds are sparse), and every class
+// relay must be alive for all its packets. The schedule layout is
 // identical to the fault-free builder — two slots per round, relays assigned
 // by arrival rank — so properness and capacity give conflict freedom exactly
 // as in the normal proof.
@@ -374,16 +365,17 @@ func (pl *Planner) buildFaultyPlan(pi, colors []int, colorCount, capacity int, f
 	g := nw.G
 	rounds := ceilDiv(colorCount, g)
 
-	byColor := make([][]int, colorCount)
 	for p, c := range colors {
 		if c < 0 || c >= colorCount {
 			return nil, fmt.Errorf("core: packet %d has color %d outside [0,%d)", p, c, colorCount)
 		}
-		byColor[c] = append(byColor[c], p)
 	}
+	var cl classes
+	cl.sort(colors, colorCount)
 	seenSrc := make([]bool, g)
 	seenDst := make([]bool, g)
-	for c, class := range byColor {
+	for c := range colorCount {
+		class := cl.class(c)
 		if len(class) > capacity {
 			return nil, fmt.Errorf("core: fault repair overfilled color %d: %d packets, capacity %d", c, len(class), capacity)
 		}
@@ -409,6 +401,6 @@ func (pl *Planner) buildFaultyPlan(pi, colors []int, colorCount, capacity int, f
 
 	return &Plan{
 		Net: nw, Pi: copyPerm(pi), Strategy: StrategyFaulty,
-		Colors: colors, Rounds: rounds, Faults: fs, sched: relaySchedule(nw, pi, byColor),
+		Colors: colors, Rounds: rounds, Faults: fs,
 	}, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"pops/internal/edgecolor"
@@ -39,13 +40,13 @@ func AllToAllRequests(n int) []Request {
 
 // BroadcastPlan builds the paper's one-slot one-to-all schedule from the
 // given speaker as a Plan (Strategy StrategyOneToAll). It needs no planner
-// scratch: the schedule is a single fan-out slot.
+// scratch: the schedule is a single fan-out slot, kept whole on the plan.
 func BroadcastPlan(nw popsnet.Network, speaker int) (*Plan, error) {
 	sched, err := popsnet.OneToAll(nw, speaker, speaker)
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Net: nw, Strategy: StrategyOneToAll, Speaker: speaker, sched: sched}, nil
+	return &Plan{Net: nw, Strategy: StrategyOneToAll, Speaker: speaker, fixed: sched}, nil
 }
 
 // PlanHRelation routes an h-relation on the planner's POPS(d, g) network:
@@ -64,18 +65,21 @@ func (pl *Planner) PlanHRelation(ctx context.Context, reqs []Request) (*Plan, er
 	if err != nil {
 		return nil, err
 	}
-	return ps.Collect()
+	plan, err := ps.Collect()
+	return pl.verified(ctx, plan, err)
 }
 
 // HRelationStream is an in-progress h-relation planning whose schedule is
 // delivered incrementally: each König 1-factor of the request multigraph is
 // consumed from the coloring stream as it is peeled, routed as a Theorem 2
-// permutation, and emitted as whole-slot fragments — so the first slots are
-// ready after a single factor, long before the request-graph factorization
-// behind a batch PlanHRelation completes. Factor k's slots always occupy
-// schedule positions [k·OptimalSlots, (k+1)·OptimalSlots), so fragments of
+// permutation, and its slots written as whole-slot fragments into the
+// planner's factor buffer — so the first slots are ready after a single
+// factor, long before the request-graph factorization behind a batch
+// PlanHRelation completes. Factor k's slots always occupy schedule
+// positions [k·OptimalSlots, (k+1)·OptimalSlots), so fragments of
 // different factors can arrive out of factor order (the Euler-split backend
-// peels factors out of class order) and still reassemble by Slot index.
+// peels factors out of class order) and still reassemble by Slot index. A
+// fragment is valid until the next Next call.
 //
 // Like PlanStream, an HRelationStream owns its Planner until exhausted or
 // abandoned; cancellation of the start context is checked between factors.
@@ -87,19 +91,14 @@ type HRelationStream struct {
 	slotsPer int
 	stream   *edgecolor.Stream // request-graph factor stream; nil for h == 0
 	factors  [][]int           // factor index -> real request ids, ascending
-	sched    *popsnet.Schedule
-	home     []int
-	want     []int
+	codes    []int32           // padded request -> factor·max(d, g) + color
 
-	ready    []StreamedSlot // slots of routed factors awaiting emission
-	readyIdx int
-	routed   int // request-graph factors routed so far
-	emitted  int
-	total    int
-	plan     *Plan
-	verified bool
-	err      error
-	done     bool
+	written int // the factor whose slots the planner's factor buffer holds
+	left    int // slots of it not yet emitted
+	routed  int // request-graph factors routed so far
+	plan    *Plan
+	err     error
+	done    bool
 }
 
 // StartHRelation begins a streaming h-relation planning. It validates the
@@ -116,39 +115,25 @@ func (pl *Planner) StartHRelation(ctx context.Context, reqs []Request) (*HRelati
 	if err != nil {
 		return nil, err
 	}
+	n := nw.N()
+	if h*n > math.MaxInt32 {
+		return nil, fmt.Errorf("core: %d-relation on %d processors exceeds %d padded requests", h, n, math.MaxInt32)
+	}
 	ps := &HRelationStream{
 		pl:       pl,
 		ctx:      ctx,
 		reqs:     append([]Request(nil), reqs...),
 		h:        h,
 		slotsPer: OptimalSlots(nw.D, nw.G),
-		sched:    &popsnet.Schedule{Net: nw},
 	}
-	n := nw.N()
 	if h == 0 {
-		ps.plan = ps.assemble()
+		ps.finish()
 		return ps, nil
 	}
-	if err := pl.padHRelation(ps); err != nil {
-		return nil, err
-	}
-	ps.total = h * ps.slotsPer
+	all := padRequests(pl.hrelAll[:0], reqs, h, pl.hrelSrc, pl.hrelDst)
+	pl.hrelAll = all
 	ps.factors = make([][]int, h)
-	ps.sched.Slots = make([]popsnet.Slot, ps.total)
-
-	// Delivery contract: packet k (= request k, then padding dummies) starts
-	// at its source; dummies have no required destination.
-	all := pl.hrelAll
-	ps.home = make([]int, len(all))
-	ps.want = make([]int, len(all))
-	for k, r := range all {
-		ps.home[k] = r.Src
-		if k < len(reqs) {
-			ps.want[k] = r.Dst
-		} else {
-			ps.want[k] = -1
-		}
-	}
+	ps.codes = make([]int32, len(all))
 
 	// The request-graph factorization streams from the planner's second
 	// arena so the per-factor Theorem 2 routing (which colors the group
@@ -174,7 +159,7 @@ func (pl *Planner) StartHRelation(ctx context.Context, reqs []Request) (*HRelati
 // degreeInto returns h, the maximum number of times any processor occurs
 // as a source or as a destination in reqs. It validates reqs against the
 // planner's shape and counts per-processor sends and receives into
-// pl.hrelSrc/pl.hrelDst — which padHRelation then consumes directly, so
+// pl.hrelSrc/pl.hrelDst — which padRequests then consumes directly, so
 // the steady-state h-relation path neither allocates count slices nor
 // scans the requests a second time.
 func (pl *Planner) degreeInto(reqs []Request) (int, error) {
@@ -202,37 +187,42 @@ func (pl *Planner) degreeInto(reqs []Request) (int, error) {
 	return h, nil
 }
 
-// padHRelation extends the relation with dummy requests until every
+// padRequests appends reqs to all, then dummy requests until every
 // processor has exactly h sends and h receives, matching source deficits to
-// destination deficits in ascending processor order. It consumes the
-// per-processor counts degreeInto left in pl.hrelSrc/pl.hrelDst; the padded
-// list lands in pl.hrelAll (reused across calls).
-func (pl *Planner) padHRelation(ps *HRelationStream) error {
-	n := pl.nw.N()
-	h := ps.h
-	all := append(pl.hrelAll[:0], ps.reqs...)
+// destination deficits in ascending processor order. src and dst hold the
+// per-processor send and receive counts of reqs and are consumed. Total
+// send deficit always equals total receive deficit, so both run out
+// together.
+func padRequests(all, reqs []Request, h int, src, dst []int) []Request {
+	n := len(src)
+	all = append(all, reqs...)
 	si, di := 0, 0
 	for {
-		for si < n && pl.hrelSrc[si] == h {
+		for si < n && src[si] == h {
 			si++
 		}
-		for di < n && pl.hrelDst[di] == h {
+		for di < n && dst[di] == h {
 			di++
 		}
 		if si == n || di == n {
-			break
+			return all
 		}
 		all = append(all, Request{Src: si, Dst: di})
-		pl.hrelSrc[si]++
-		pl.hrelDst[di]++
+		src[si]++
+		dst[di]++
 	}
-	pl.hrelAll = all
-	if si != n || di != n {
-		// Total send deficit always equals total receive deficit, so this is
-		// unreachable unless the counting above is broken.
-		return fmt.Errorf("core: internal h-relation padding imbalance (si=%d, di=%d)", si, di)
+}
+
+// padded recomputes an h-relation plan's padded request list — Reqs, then
+// the dummies padRequests added when the plan was made.
+func (p *Plan) padded() []Request {
+	n := p.Net.N()
+	src, dst := make([]int, n), make([]int, n)
+	for _, r := range p.Reqs {
+		src[r.Src]++
+		dst[r.Dst]++
 	}
-	return nil
+	return padRequests(make([]Request, 0, p.H*n), p.Reqs, p.H, src, dst)
 }
 
 // Next emits the next slot of the schedule. It returns ok == false once
@@ -244,34 +234,37 @@ func (ps *HRelationStream) Next() (StreamedSlot, bool) {
 	if ps.err != nil || ps.done {
 		return StreamedSlot{}, false
 	}
-	for ps.readyIdx >= len(ps.ready) {
+	for ps.left == 0 {
 		if ps.routed >= ps.h {
 			ps.finish()
 			return StreamedSlot{}, false
 		}
-		if err := ps.routeNextFactor(); err != nil {
+		if err := ps.routeNextFactor(true); err != nil {
 			ps.err = err
 			return StreamedSlot{}, false
 		}
 	}
-	frag := ps.ready[ps.readyIdx]
-	ps.readyIdx++
-	ps.emitted++
-	if ps.emitted >= ps.total {
+	s := ps.slotsPer - ps.left
+	ps.left--
+	if ps.left == 0 && ps.routed == ps.h {
 		ps.finish()
 	}
-	return frag, true
+	slot := &ps.pl.hrelSlots[s]
+	return StreamedSlot{
+		Slot: ps.written*ps.slotsPer + s, Color: ps.written, Offset: 0, Final: true,
+		Sends: slot.Sends, Recvs: slot.Recvs,
+	}, true
 }
 
 // routeNextFactor peels one more 1-factor of the request multigraph from
 // the coloring stream, routes it as a full Theorem 2 permutation on the
-// planner's first arena, and queues its relabeled slots for emission.
-func (ps *HRelationStream) routeNextFactor() error {
+// planner's first arena, and records each of its requests' (factor, color).
+// With write it also writes the factor's slots into the planner's factor
+// buffer for emission.
+func (ps *HRelationStream) routeNextFactor(write bool) error {
 	pl := ps.pl
-	if ps.ctx != nil {
-		if err := ps.ctx.Err(); err != nil {
-			return err
-		}
+	if err := ps.ctx.Err(); err != nil {
+		return err
 	}
 	factorID, ok, err := ps.stream.Next(pl.hrelColors)
 	if err != nil {
@@ -291,103 +284,80 @@ func (ps *HRelationStream) routeNextFactor() error {
 	slices.Sort(ids)
 	pl.hrelIDs = ids
 
-	n := pl.nw.N()
+	nw := pl.nw
+	n := nw.N()
 	all := pl.hrelAll
 	pl.hrelPi = graph.ResizeInts(pl.hrelPi, n)
 	pl.hrelReqAt = graph.ResizeInts(pl.hrelReqAt, n)
+	real := make([]int, 0, len(ids))
 	for _, id := range ids {
 		r := all[id]
 		pl.hrelPi[r.Src] = r.Dst
 		pl.hrelReqAt[r.Src] = id
-	}
-	real := make([]int, 0, len(ids))
-	for _, id := range ids {
 		if id < len(ps.reqs) {
 			real = append(real, id)
 		}
 	}
 	ps.factors[factorID] = real
 
-	// Route the factor as a permutation by draining its stream. Unlike
-	// Collect, draining never replays the sub-schedule: the final plan is
-	// verified as a whole by the h-relation's Collect.
-	sub, err := pl.StartPlanCtx(ps.ctx, pl.hrelPi)
+	// Route the factor as a permutation. Its stream is drained for the
+	// colors alone: no slot is written, and the final plan is verified as a
+	// whole by PlanHRelation or the public layer.
+	sub, err := pl.startPlan(ps.ctx, pl.hrelPi, true)
 	if err == nil {
-		for {
-			if _, ok := sub.Next(); !ok {
-				break
-			}
-		}
-		err = sub.Err()
+		err = sub.drain()
 	}
 	if err != nil {
 		return fmt.Errorf("core: routing factor %d: %w", factorID, err)
 	}
-
-	// Move the factor's slots into their fixed block of the schedule. The
-	// sub-schedule is the stream's own storage, so its sends are relabeled
-	// in place: core packet ids equal source processors, which hrelReqAt
-	// maps back to request ids.
-	base := factorID * ps.slotsPer
-	for s, slot := range sub.sched.Slots {
-		for i := range slot.Sends {
-			slot.Sends[i].Packet = pl.hrelReqAt[slot.Sends[i].Packet]
+	colorCount := max(nw.D, nw.G)
+	for _, id := range ids {
+		c := 0
+		if sub.colors != nil {
+			c = sub.colors[all[id].Src]
 		}
-		ps.sched.Slots[base+s] = slot
-		ps.ready = append(ps.ready, StreamedSlot{
-			Slot: base + s, Color: factorID, Offset: 0, Final: true,
-			Sends: slot.Sends, Recvs: slot.Recvs,
-		})
+		ps.codes[id] = int32(factorID*colorCount + c)
 	}
 	ps.routed++
+	if !write {
+		return nil
+	}
+
+	pl.hrelSlots = resize(pl.hrelSlots, ps.slotsPer)
+	writeFactor(nw, pl.hrelPi, sub.colors, pl.hrelReqAt, &pl.hrelCl, pl.hrelSlots)
+	ps.written, ps.left = factorID, ps.slotsPer
 	return nil
 }
 
-// finish assembles the plan once the last slot is out.
+// finish assembles the plan once the last factor is routed.
 func (ps *HRelationStream) finish() {
-	if ps.done {
-		return
-	}
 	ps.done = true
-	if ps.plan == nil {
-		ps.plan = ps.assemble()
-	}
-}
-
-func (ps *HRelationStream) assemble() *Plan {
-	return &Plan{
+	ps.plan = &Plan{
 		Net: ps.pl.nw, Strategy: StrategyHRelation,
-		Reqs: ps.reqs, H: ps.h, Factors: ps.factors,
-		home: ps.home, want: ps.want, sched: ps.sched,
+		Reqs: ps.reqs, H: ps.h, Factors: ps.factors, codes: ps.codes,
 	}
 }
 
-// Collect drains the remaining slots and returns the assembled plan,
-// byte identical to what PlanHRelation would have produced for the same
-// requests. Under Options.Verify the completed schedule is replayed on the
-// simulator and every real request checked delivered.
+// Collect routes the remaining factors, writing no slot, and returns the
+// assembled plan, byte identical to what PlanHRelation would have produced
+// for the same requests. Like PlanStream.Collect it never replays the
+// schedule: PlanHRelation and the public layer do that under Options.Verify.
 func (ps *HRelationStream) Collect() (*Plan, error) {
-	for {
-		if _, ok := ps.Next(); !ok {
-			break
+	for ps.err == nil && !ps.done {
+		if ps.routed >= ps.h {
+			ps.finish()
+		} else if err := ps.routeNextFactor(false); err != nil {
+			ps.err = err
 		}
 	}
 	if ps.err != nil {
 		return nil, ps.err
 	}
-	if ps.pl.opts.Verify && !ps.verified {
-		if _, err := ps.plan.Verify(); err != nil {
-			ps.err = fmt.Errorf("core: h-relation schedule failed verification: %w", err)
-			return nil, ps.err
-		}
-		ps.verified = true
-	}
 	return ps.plan, nil
 }
 
 // Plan returns the assembled plan once the stream is exhausted, or nil
-// while slots are still outstanding. Unlike Collect it never replays the
-// schedule on the simulator.
+// while slots are still outstanding.
 func (ps *HRelationStream) Plan() *Plan { return ps.plan }
 
 // Err returns the stream's sticky error, if any.
@@ -395,7 +365,7 @@ func (ps *HRelationStream) Err() error { return ps.err }
 
 // SlotCount returns the total number of slots of the final schedule:
 // h · OptimalSlots(d, g).
-func (ps *HRelationStream) SlotCount() int { return ps.total }
+func (ps *HRelationStream) SlotCount() int { return ps.h * ps.slotsPer }
 
 // FragmentCount returns how many fragments the stream emits: one per slot.
-func (ps *HRelationStream) FragmentCount() int { return ps.total }
+func (ps *HRelationStream) FragmentCount() int { return ps.h * ps.slotsPer }

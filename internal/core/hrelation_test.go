@@ -244,9 +244,10 @@ func TestAllToAllRequestsRoute(t *testing.T) {
 // TestHRelationAllocBudget pins the steady-state allocations of a warmed
 // planner's PlanHRelation on the stream-hrel benchmark's shape, a
 // 4-relation on POPS(16,16). Each König factor is routed by draining a
-// permutation stream whose sends are relabeled in place, so a plan costs
-// what its schedule, its factor listings and the per-factor sub-streams
-// retain or need; a copy per slot or a second Plan per factor fails it.
+// permutation stream for its colors alone — no slot is written, and the
+// factor's permutation and colors live in planner scratch — so a plan costs
+// its request snapshot, factor listings and packed colors plus the
+// per-factor stream handles; a slot write, or a copy per factor, fails it.
 func TestHRelationAllocBudget(t *testing.T) {
 	const d, g, h = 16, 16, 4
 	pl, err := NewPlanner(d, g, Options{})
@@ -263,7 +264,7 @@ func TestHRelationAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 61
+	const budget = 22
 	if allocs > budget {
 		t.Errorf("PlanHRelation allocates %.0f/op on POPS(%d,%d), h=%d; budget %d", allocs, d, g, h, budget)
 	}

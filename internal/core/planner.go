@@ -6,6 +6,7 @@ import (
 
 	"pops/internal/edgecolor"
 	"pops/internal/graph"
+	"pops/internal/obs"
 	"pops/internal/popsnet"
 )
 
@@ -13,8 +14,8 @@ import (
 // The network shape is validated once, and the demand multigraph, the
 // edge-coloring arena, the permutation-validation scratch, and the
 // invariant-check tables are reused across calls, so planning a stream of
-// permutations allocates only what the returned Plans retain (colors,
-// slots). A Planner is not safe for concurrent use; the public layer keeps
+// permutations allocates only what the returned Plans retain (π and the
+// colors). A Planner is not safe for concurrent use; the public layer keeps
 // a free list of them and checks one out per plan or stream, so each worker
 // owns one Factorizer arena.
 type Planner struct {
@@ -32,10 +33,12 @@ type Planner struct {
 	seenGroup  []bool // group -> seen within current color class (undo-reset)
 	colorCount int    // max(d, g)
 
-	// Streaming scratch (StartPlanCtx): per-slot outstanding-class counters and
-	// the sorted-class buffer, reused across streams.
+	// Streaming scratch (StartPlanCtx): per-slot outstanding-class counters,
+	// the sorted-class buffer, and the two fragments the stream last wrote,
+	// reused across streams.
 	remaining []int
 	classBuf  []int
+	frag      [2]popsnet.Slot
 
 	// H-relation scratch (PlanHRelation / StartHRelation), created lazily on
 	// the first h-relation workload. hrelFact is a second coloring arena,
@@ -51,6 +54,9 @@ type Planner struct {
 	hrelPi     []int                 // factor permutation scratch
 	hrelReqAt  []int                 // source processor -> request id scratch
 	hrelIDs    []int                 // sorted copy of the current factor
+	hrelFColor []int                 // the current factor's relay colors
+	hrelSlots  []popsnet.Slot        // the current factor's written slots
+	hrelCl     classes               // the current factor's relay classes
 }
 
 // NewPlanner validates the POPS(d, g) shape and returns a Planner for it.
@@ -85,7 +91,7 @@ func (pl *Planner) Plan(pi []int) (*Plan, error) {
 	return pl.PlanCtx(context.Background(), pi)
 }
 
-// PlanCtx is Plan with a context. It is the drained form of StartPlanCtx,
+// PlanCtx is Plan with a context. It is the collected form of StartPlanCtx,
 // so the batch plan and the streamed plan come from one construction: an
 // already-cancelled ctx is reported before any planning work, and
 // cancellation is re-checked before each color class is peeled.
@@ -94,7 +100,23 @@ func (pl *Planner) PlanCtx(ctx context.Context, pi []int) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ps.Collect()
+	plan, err := ps.Collect()
+	return pl.verified(ctx, plan, err)
+}
+
+// verified hands out a collected plan, replayed on the simulator first under
+// Options.Verify.
+func (pl *Planner) verified(ctx context.Context, plan *Plan, err error) (*Plan, error) {
+	if err != nil || !pl.opts.Verify {
+		return plan, err
+	}
+	sp := obs.SpanFromContext(ctx)
+	sp.Begin(obs.PhaseVerify)
+	defer sp.End()
+	if _, err := plan.Verify(); err != nil {
+		return nil, fmt.Errorf("core: %s schedule failed verification: %w", plan.Strategy, err)
+	}
+	return plan, nil
 }
 
 // checkClass verifies the fair-distribution invariants for one color class:

@@ -29,11 +29,13 @@ func streamShapes() []struct{ d, g int } {
 func referencePlan(t testing.TB, nw popsnet.Network, pi []int, algo edgecolor.Algorithm) *Plan {
 	t.Helper()
 	if nw.D == 1 {
-		sched, err := directSchedule(nw, pi)
-		if err != nil {
-			t.Fatal(err)
+		var slot popsnet.Slot
+		for p, dst := range pi {
+			slot.Sends = append(slot.Sends, popsnet.Send{Src: p, DestGroup: dst, Packet: p})
+			slot.Recvs = append(slot.Recvs, popsnet.Recv{Proc: dst, SrcGroup: p})
 		}
-		return &Plan{Net: nw, Pi: copyPerm(pi), Strategy: StrategyTheoremTwo, sched: sched}
+		sched := &popsnet.Schedule{Net: nw, Slots: []popsnet.Slot{slot}}
+		return &Plan{Net: nw, Pi: copyPerm(pi), Strategy: StrategyTheoremTwo, fixed: sched}
 	}
 	demand := graph.New(nw.G, nw.G)
 	for p := range pi {
@@ -203,5 +205,72 @@ func TestStartPlanVerifyOption(t *testing.T) {
 	}
 	if _, err := ps.Collect(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// reassemble drains a stream through next, copying every fragment to its
+// Offset within its slot as it arrives — a fragment is valid only until the
+// following Next — and returns the rebuilt slots.
+func reassemble(next func() (StreamedSlot, bool), slotCount int) []popsnet.Slot {
+	slots := make([]popsnet.Slot, slotCount)
+	for {
+		frag, ok := next()
+		if !ok {
+			return slots
+		}
+		s := &slots[frag.Slot]
+		if grow := frag.Offset + len(frag.Sends) - len(s.Sends); grow > 0 {
+			s.Sends = append(s.Sends, make([]popsnet.Send, grow)...)
+			s.Recvs = append(s.Recvs, make([]popsnet.Recv, grow)...)
+		}
+		copy(s.Sends[frag.Offset:], frag.Sends)
+		copy(s.Recvs[frag.Offset:], frag.Recvs)
+	}
+}
+
+// TestFragmentsValidUntilNext pins the fragment lifetime. Every stream
+// writes its fragments into a buffer it reuses, and no plan stores its
+// slots, so a consumer that copies each fragment as it arrives must rebuild
+// exactly the collected plan's Schedule: for permutation streams on every
+// backend and shape, for h-relation streams (padding included), and for
+// replays of both finished plans.
+func TestFragmentsValidUntilNext(t *testing.T) {
+	ctx := context.Background()
+	for _, algo := range []edgecolor.Algorithm{edgecolor.RepeatedMatching, edgecolor.EulerSplitDC, edgecolor.Insertion} {
+		for i, s := range streamShapes() {
+			pl, err := NewPlanner(s.d, s.g, Options{Algorithm: algo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(i)))
+			ps, err := pl.StartPlanCtx(ctx, perms.Random(s.d*s.g, rng))
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamed := reassemble(ps.Next, ps.SlotCount())
+			hs, err := pl.StartHRelation(ctx, randomHRelation(s.d*s.g, 3, rng)[1:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			hStreamed := reassemble(hs.Next, hs.SlotCount())
+			for _, c := range []struct {
+				name  string
+				plan  *Plan
+				slots []popsnet.Slot
+				err   error
+			}{{"permutation", ps.Plan(), streamed, ps.Err()}, {"h-relation", hs.Plan(), hStreamed, hs.Err()}} {
+				if c.err != nil || c.plan == nil {
+					t.Fatalf("%v %v %s: stream ended with plan %v, err %v", algo, pl.Network(), c.name, c.plan, c.err)
+				}
+				want := c.plan.Schedule().Slots
+				if !reflect.DeepEqual(c.slots, want) {
+					t.Fatalf("%v %v %s: copied fragments diverge from the plan's schedule", algo, pl.Network(), c.name)
+				}
+				rs := Replay(c.plan)
+				if got := reassemble(rs.Next, rs.SlotCount()); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v %v %s: copied replay slots diverge from the plan's schedule", algo, pl.Network(), c.name)
+				}
+			}
+		}
 	}
 }

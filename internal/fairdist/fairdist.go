@@ -99,17 +99,6 @@ func (ls *ListSystem) IsProper() (bool, error) {
 	return true, nil
 }
 
-// Multiplicity returns l(s, s'): how many times s' occurs in list L_s.
-func (ls *ListSystem) Multiplicity(s, sp int) int {
-	n := 0
-	for _, v := range ls.Lists[s] {
-		if v == sp {
-			n++
-		}
-	}
-	return n
-}
-
 // Graph builds the bipartite multigraph G = (S, S'; E) from the proof of
 // Theorem 1: one edge (s, L(s,i)) per list entry. Edge IDs are assigned in
 // (s, i) row-major order, so entry (s, i) is edge s·Δ1 + i.

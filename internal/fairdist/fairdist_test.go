@@ -57,9 +57,21 @@ func TestIsProper(t *testing.T) {
 	}
 }
 
+// TestMultiplicity: l(s, s'), the number of times s' occurs in list L_s,
+// is the multiplicity of edge (s, s') in the Theorem 1 graph.
 func TestMultiplicity(t *testing.T) {
 	ls := &ListSystem{NSources: 2, NTargets: 2, Lists: [][]int{{0, 0, 1}, {1, 1, 0}}}
-	if ls.Multiplicity(0, 0) != 2 || ls.Multiplicity(0, 1) != 1 || ls.Multiplicity(1, 1) != 2 {
+	edges := ls.Graph().EdgeList()
+	multiplicity := func(s, sp int) int {
+		n := 0
+		for _, e := range edges {
+			if e.L == s && e.R == sp {
+				n++
+			}
+		}
+		return n
+	}
+	if multiplicity(0, 0) != 2 || multiplicity(0, 1) != 1 || multiplicity(1, 1) != 2 {
 		t.Fatal("Multiplicity values wrong")
 	}
 }

@@ -163,18 +163,6 @@ func (b *Bipartite) Clone() *Bipartite {
 	return c
 }
 
-// Multiplicity returns how many edges join left node l and right node r.
-// This is the l(s, s') quantity of the paper's list systems.
-func (b *Bipartite) Multiplicity(l, r int) int {
-	n := 0
-	for _, id := range b.adjL[l] {
-		if b.edges[id].R == r {
-			n++
-		}
-	}
-	return n
-}
-
 // ErrNotBipartiteRegular is returned by operations that require a k-regular
 // bipartite multigraph when the input is not regular.
 var ErrNotBipartiteRegular = errors.New("graph: multigraph is not regular")

@@ -134,14 +134,6 @@ func (sp *Span) Finish() time.Duration {
 	return sp.total
 }
 
-// Total returns the total latency fixed by Finish.
-func (sp *Span) Total() time.Duration {
-	if sp == nil {
-		return 0
-	}
-	return sp.total
-}
-
 // Phase returns the accumulated duration of phase p.
 func (sp *Span) Phase(p Phase) time.Duration {
 	if sp == nil {

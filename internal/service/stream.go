@@ -122,8 +122,11 @@ func (sh *shard) admitStream(ctx context.Context, w pops.Workload) (*Stream, err
 func (st *Stream) Meta() wire.StreamMeta { return st.meta }
 
 // Next produces the next slot fragment, or ok == false when the stream is
-// exhausted or failed (see Err). The first successful Next observes the
-// service's time-to-first-slot histogram.
+// exhausted or failed (see Err). The fragment's sends and receives live in
+// the planner's reused fragment buffer: they are valid until the next Next
+// call, so a caller encodes (or copies) each record before asking for the
+// next. The first successful Next observes the service's time-to-first-slot
+// histogram.
 func (st *Stream) Next() (wire.StreamSlot, bool) {
 	if st.err != nil || st.closed {
 		return wire.StreamSlot{}, false

@@ -3,8 +3,6 @@ package pops
 import (
 	"container/list"
 	"sync"
-
-	"pops/internal/perms"
 )
 
 // CacheStats is a snapshot of a Planner's workload plan cache counters
@@ -22,10 +20,10 @@ type CacheStats struct {
 // planCache memoizes *Plan results keyed by the workload cache key — the
 // workload-kind tag mixed into the content fingerprint — with an LRU bound
 // on live entries. Because the key is a 64-bit digest, every hit re-verifies
-// the stored workload identity (kind plus the flattened content) for
-// equality before the plan is trusted; a fingerprint collision therefore
-// degrades to a miss (the colliding entry is overwritten), never to a wrong
-// plan.
+// the workload's identity — its kind, and its content against the cached
+// plan's own copy (planAnswers) — before the plan is trusted; a fingerprint
+// collision therefore degrades to a miss (the colliding entry is
+// overwritten), never to a wrong plan.
 //
 // Cached *Plans are shared: a hit returns the same pointer that an earlier
 // call produced, so callers must treat plans as immutable — which the rest
@@ -38,14 +36,12 @@ type planCache struct {
 	stats   CacheStats
 }
 
-// cacheEntry is one memoized plan. ident is the workload's flattened
-// identity (the permutation itself, or the src/dst pairs of an
-// h-relation), kept for the equality check on hits.
+// cacheEntry is one memoized plan. The plan itself carries the workload
+// identity a hit re-verifies, so the entry keeps no copy of it.
 type cacheEntry struct {
-	key   uint64
-	kind  uint8
-	ident []int
-	plan  *Plan
+	key  uint64
+	kind uint8
+	plan *Plan
 }
 
 func newPlanCache(capacity int) *planCache {
@@ -57,14 +53,13 @@ func newPlanCache(capacity int) *planCache {
 }
 
 // get returns the memoized plan for workload w under (key, kind), if any,
-// and records the hit or miss. w is flattened to its identity only when an
-// entry holds the key, so a miss costs no copy of the workload.
+// and records the hit or miss.
 func (c *planCache) get(key uint64, kind uint8, w Workload) (*Plan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		e := el.Value.(*cacheEntry)
-		if e.kind == kind && perms.Equal(e.ident, workloadIdent(w)) {
+		if e.kind == kind && planAnswers(e.plan, w) {
 			c.lru.MoveToFront(el)
 			c.stats.Hits++
 			return e.plan, true
@@ -74,19 +69,15 @@ func (c *planCache) get(key uint64, kind uint8, w Workload) (*Plan, bool) {
 	return nil, false
 }
 
-// put memoizes plan under key, keeping ident for hit-time verification and
-// evicting the least recently used entry when the cache is full. A same-key
-// entry (collision, or a racing insert of the same workload) is overwritten
-// in place. The cache keeps ident without copying it, so it must be memory
-// no caller writes again: cacheIdentFor's, which is the immutable plan's
-// own or freshly built.
-func (c *planCache) put(key uint64, kind uint8, ident []int, plan *Plan) {
+// put memoizes plan under key, evicting the least recently used entry when
+// the cache is full. A same-key entry (collision, or a racing insert of the
+// same workload) is overwritten in place.
+func (c *planCache) put(key uint64, kind uint8, plan *Plan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		e := el.Value.(*cacheEntry)
 		e.kind = kind
-		e.ident = ident
 		e.plan = plan
 		c.lru.MoveToFront(el)
 		return
@@ -97,7 +88,7 @@ func (c *planCache) put(key uint64, kind uint8, ident []int, plan *Plan) {
 		c.lru.Remove(back)
 		c.stats.Evictions++
 	}
-	e := &cacheEntry{key: key, kind: kind, ident: ident, plan: plan}
+	e := &cacheEntry{key: key, kind: kind, plan: plan}
 	c.entries[key] = c.lru.PushFront(e)
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -186,5 +187,72 @@ func TestCacheStatsZeroWithoutOption(t *testing.T) {
 	}
 	if got := p.CacheStats(); got != (CacheStats{}) {
 		t.Fatalf("CacheStats without WithPlanCache = %+v, want zero", got)
+	}
+}
+
+// TestCachedPlanRetainedBytes pins what a cached plan keeps alive. A plan
+// is its coloring: a (16,64) permutation plan retains π and the colors —
+// 16 B per packet, where storing its slots cost ~86 — and a (16,16)
+// 4-relation plan retains its requests, factor listings and packed colors,
+// with its cache entry, in ≤ 32 B per packet (~131 with slots). 128 plans
+// are executed into a plan cache and the heap is measured after GC; the
+// workloads and the planner's arenas exist before the first measurement.
+func TestCachedPlanRetainedBytes(t *testing.T) {
+	const plans = 128
+	rng := rand.New(rand.NewSource(11))
+	relation := func(n, h int) Workload {
+		var reqs []Request
+		for range h {
+			for src, dst := range rng.Perm(n) {
+				reqs = append(reqs, Request{Src: src, Dst: dst})
+			}
+		}
+		return HRelation(reqs)
+	}
+	for _, c := range []struct {
+		name    string
+		d, g    int
+		packets int
+		budget  float64 // retained bytes per packet
+		gen     func() Workload
+	}{
+		{"(16,64) permutation", 16, 64, 16 * 64, 17, func() Workload { return Permutation(RandomPermutation(16*64, rng)) }},
+		{"(16,16) 4-relation", 16, 16, 4 * 16 * 16, 32, func() Workload { return relation(16*16, 4) }},
+	} {
+		p, err := NewPlanner(c.d, c.g, WithParallelism(1), WithPlanCache(plans+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := make([]Workload, plans+1)
+		for i := range ws {
+			ws[i] = c.gen()
+		}
+		ctx := context.Background()
+		if _, err := p.Execute(ctx, ws[0]); err != nil { // warm the worker's arenas
+			t.Fatal(err)
+		}
+		heap := func() uint64 {
+			runtime.GC()
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			return ms.HeapAlloc
+		}
+		before := heap()
+		for _, w := range ws[1:] {
+			if _, err := p.Execute(ctx, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		after := heap()
+		runtime.KeepAlive(ws)
+		if got := p.CacheStats().Entries; got != plans+1 {
+			t.Fatalf("%s: %d cache entries, want %d", c.name, got, plans+1)
+		}
+		perPacket := float64(int64(after)-int64(before)) / plans / float64(c.packets)
+		t.Logf("%s: %.0f B retained per cached plan, %.1f B per packet", c.name, perPacket*float64(c.packets), perPacket)
+		if perPacket > c.budget {
+			t.Errorf("%s: %.1f B retained per packet, budget %.0f", c.name, perPacket, c.budget)
+		}
 	}
 }

@@ -10,15 +10,15 @@ import (
 )
 
 // StreamedSlot is one increment of a streaming plan: the fragment of one
-// schedule slot contributed by a single relay color class, one whole slot
-// of an h-relation factor, or a whole slot replayed from the fingerprint
-// cache. See ExecuteStream.
+// schedule slot contributed by a single relay color class, or one whole
+// slot. A fragment is valid until the stream's next Next call; copy what
+// you keep. See ExecuteStream.
 type StreamedSlot = core.StreamedSlot
 
-// coreStream is the incremental planner behind a PlanStream: the Theorem 2
-// per-color-class stream (core.PlanStream) or the per-factor h-relation
-// stream (core.HRelationStream). Both deliver StreamedSlots; their batch
-// forms, PlanCtx and PlanHRelation, are the same streams drained.
+// coreStream is the stream behind a PlanStream: the Theorem 2 per-class
+// stream, the per-factor h-relation stream — whose batch forms, PlanCtx and
+// PlanHRelation, are the same streams collected — or the replay of a
+// finished plan (cache hits, broadcasts, fault plans).
 type coreStream interface {
 	Next() (core.StreamedSlot, bool)
 	Collect() (*core.Plan, error)
@@ -31,6 +31,7 @@ type coreStream interface {
 var (
 	_ coreStream = (*core.PlanStream)(nil)
 	_ coreStream = (*core.HRelationStream)(nil)
+	_ coreStream = (*core.ReplayStream)(nil)
 )
 
 // PlanStream is an in-progress routing plan whose schedule is delivered
@@ -54,15 +55,9 @@ var (
 // Planner — and concurrent Execute/RouteBatch calls — are independent.
 type PlanStream struct {
 	p      *Planner
-	worker *core.Planner
-	cs     coreStream
-
-	// Materialized replay state (cache hits, broadcasts, fault plans): the
-	// finished plan is emitted as one whole-slot fragment per schedule
-	// slot, no worker needed.
-	plan      *Plan
-	cached    bool
-	replayIdx int
+	worker *core.Planner // nil for replays, which need no worker
+	cs     coreStream    // its Plan is the finished plan: a replay's from the start
+	cached bool
 
 	// Memoization key (valid when hasKey): the workload cache key and kind.
 	// hasKey is false without a plan cache, for broadcasts (never cached),
@@ -71,13 +66,12 @@ type PlanStream struct {
 	ckind  uint8
 	hasKey bool
 
-	// verified reports that plan has passed its WithVerify replay: the core
-	// stream's Collect, the planner that materialized it, or the Collect
-	// after a Next drain. Memoization waits for it under WithVerify.
+	// verified reports that the plan has passed its WithVerify replay: in the
+	// planner that built it whole, or in Collect. Memoization waits for it
+	// under WithVerify.
 	verified bool
 	err      error
 	done     bool
-	total    int
 
 	// Plan-time observation state of planned (not cache-hit) streams: the
 	// span carried by the ExecuteStream ctx and the stream's start time.
@@ -89,51 +83,33 @@ type PlanStream struct {
 
 // Next emits the next slot fragment; ok is false once the stream is
 // exhausted (the assembled plan is then available from Collect) or has
-// failed (see Err). Fragments alias the final plan's schedule storage and
-// must not be modified. Fragment granularity is one color class per
-// fragment for permutation workloads, one whole slot for h-relation
-// workloads and cache-hit replays; either way the fragments of one slot
-// tile it exactly, and Final marks each slot's last fragment.
+// failed (see Err). A fragment is valid until the next Next call and must
+// not be modified. Fragment granularity is one color class per fragment for
+// permutation workloads, one whole slot for h-relation workloads and
+// replays of finished plans; either way the fragments of one slot tile it
+// exactly, and Final marks each slot's last fragment.
 func (ps *PlanStream) Next() (StreamedSlot, bool) {
 	if ps.done || ps.err != nil {
 		return StreamedSlot{}, false
 	}
-	if ps.cs == nil {
-		slots := ps.plan.Schedule().Slots
-		if ps.replayIdx >= len(slots) {
-			ps.finish()
-			return StreamedSlot{}, false
-		}
-		i := ps.replayIdx
-		ps.replayIdx++
-		slot := &slots[i]
-		return StreamedSlot{Slot: i, Color: -1, Final: true, Sends: slot.Sends, Recvs: slot.Recvs}, true
-	}
 	frag, ok := ps.cs.Next()
 	if !ok {
 		ps.err = ps.cs.Err()
-		ps.plan = ps.cs.Plan()
 		ps.finish()
 		return StreamedSlot{}, false
 	}
 	return frag, true
 }
 
-// Collect drains the remaining fragments and returns the finished plan —
-// Execute's result for the same workload, since Execute is this stream
-// drained. Like Execute, a collected plan is memoized in the fingerprint
-// cache. With WithVerify the completed schedule is replayed on the
-// simulator first. Collect on a Closed (abandoned) stream returns an error:
-// its worker planner is already back in the pool.
+// Collect finishes planning without writing the remaining fragments and
+// returns the finished plan — Execute's result for the same workload, since
+// Execute is this stream collected. Like Execute, a collected plan is
+// memoized in the fingerprint cache. With WithVerify the completed schedule
+// is replayed on the simulator first. Collect on a Closed (abandoned) stream
+// returns an error: its worker planner is already back in the pool.
 func (ps *PlanStream) Collect() (*Plan, error) {
 	if !ps.done {
-		if ps.cs == nil {
-			ps.replayIdx = ps.plan.SlotCount()
-		} else {
-			// The core stream's Collect replays the schedule under WithVerify.
-			ps.plan, ps.err = ps.cs.Collect()
-			ps.verified = ps.err == nil
-		}
+		_, ps.err = ps.cs.Collect()
 		ps.finish()
 	}
 	// Exhausted, failed, or abandoned: never touch the released worker
@@ -142,12 +118,13 @@ func (ps *PlanStream) Collect() (*Plan, error) {
 	if ps.err != nil {
 		return nil, ps.err
 	}
-	if ps.plan == nil {
+	plan := ps.cs.Plan()
+	if plan == nil {
 		return nil, errors.New("pops: plan stream closed before completion")
 	}
 	if ps.p.opts.Verify && !ps.verified {
 		ps.span.Begin(obs.PhaseVerify)
-		if _, err := ps.plan.Verify(); err != nil {
+		if _, err := plan.Verify(); err != nil {
 			ps.err = fmt.Errorf("pops: schedule failed verification: %w", err)
 			return nil, ps.err
 		}
@@ -155,7 +132,7 @@ func (ps *PlanStream) Collect() (*Plan, error) {
 		ps.verified = true
 		ps.memoize()
 	}
-	return ps.plan, nil
+	return plan, nil
 }
 
 // Close releases the stream's worker planner back to the pool without
@@ -176,8 +153,8 @@ func (ps *PlanStream) finish() {
 		ps.worker = nil
 	}
 	ps.memoize()
-	if !ps.obsStart.IsZero() && ps.err == nil && ps.plan != nil {
-		ps.p.observePlan(ps.plan.Strategy, false, ps.obsStart)
+	if plan := ps.cs.Plan(); !ps.obsStart.IsZero() && ps.err == nil && plan != nil {
+		ps.p.observePlan(plan.Strategy, false, ps.obsStart)
 		ps.obsStart = time.Time{}
 	}
 }
@@ -187,14 +164,12 @@ func (ps *PlanStream) finish() {
 // plans must be verified, so memoization waits for the Collect that
 // performs the replay.
 func (ps *PlanStream) memoize() {
-	if ps.p.cache == nil || !ps.hasKey || ps.err != nil || ps.plan == nil {
-		return
-	}
-	if ps.p.opts.Verify && !ps.verified {
+	plan := ps.cs.Plan()
+	if ps.p.cache == nil || !ps.hasKey || ps.err != nil || plan == nil || ps.p.opts.Verify && !ps.verified {
 		return
 	}
 	ps.span.Begin(obs.PhaseCache)
-	ps.p.cache.put(ps.ckey, ps.ckind, cacheIdentFor(ps.ckind, ps.plan), ps.plan)
+	ps.p.cache.put(ps.ckey, ps.ckind, plan)
 	ps.span.End()
 }
 
@@ -206,29 +181,19 @@ func (ps *PlanStream) Err() error { return ps.err }
 // than planning incrementally.
 func (ps *PlanStream) Cached() bool { return ps.cached }
 
-// Strategy reports the routing strategy of the streamed plan. Materialized
-// streams (cache hits, broadcasts, fault-repaired plans) read it off the
-// finished plan; incremental streams read it off the plan under assembly.
+// Strategy reports the routing strategy of the streamed plan. Replays
+// (cache hits, broadcasts, fault-repaired plans) read it off the finished
+// plan; incremental streams report the plan under assembly's, once done.
 func (ps *PlanStream) Strategy() string {
-	if ps.plan != nil {
-		return ps.plan.Strategy
-	}
-	if ps.cs != nil {
-		if p := ps.cs.Plan(); p != nil {
-			return p.Strategy
-		}
+	if p := ps.cs.Plan(); p != nil {
+		return p.Strategy
 	}
 	return StrategyTheoremTwo
 }
 
 // SlotCount returns the number of slots of the final schedule, known before
 // any fragment is produced.
-func (ps *PlanStream) SlotCount() int {
-	if ps.cs != nil {
-		return ps.cs.SlotCount()
-	}
-	return ps.plan.SlotCount()
-}
+func (ps *PlanStream) SlotCount() int { return ps.cs.SlotCount() }
 
 // FragmentCount returns how many fragments the stream will emit in total.
-func (ps *PlanStream) FragmentCount() int { return ps.total }
+func (ps *PlanStream) FragmentCount() int { return ps.cs.FragmentCount() }

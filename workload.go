@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"pops/internal/core"
@@ -108,18 +109,8 @@ var workloadSalt = [...]uint64{
 	cacheKindFaulty:      0x27d4eb2f165667c5,
 }
 
-// flattenRequests serializes reqs for cache identity checks: src₀, dst₀,
-// src₁, dst₁, …
-func flattenRequests(reqs []Request) []int {
-	flat := make([]int, 0, 2*len(reqs))
-	for _, r := range reqs {
-		flat = append(flat, r.Src, r.Dst)
-	}
-	return flat
-}
-
-// requestsFingerprint is perms.Fingerprint(flattenRequests(reqs)), hashed
-// over the pairs in place.
+// requestsFingerprint is perms.Fingerprint of the flattened pairs src₀,
+// dst₀, src₁, dst₁, …, hashed over the pairs in place.
 func requestsFingerprint(reqs []Request) uint64 {
 	h := perms.NewHasher(2 * len(reqs))
 	for _, r := range reqs {
@@ -147,41 +138,22 @@ func workloadKey(w Workload) (key uint64, kind uint8) {
 	}
 }
 
-// workloadIdent returns w's flattened identity, the content a cache hit
-// re-verifies for equality; workloadKey's fingerprint is the fingerprint of
-// it.
-func workloadIdent(w Workload) []int {
+// planAnswers reports whether plan was made for workload w — what a cache
+// hit re-verifies after its key matched — comparing in place, unflattened.
+func planAnswers(plan *Plan, w Workload) bool {
 	switch w := w.(type) {
 	case permutationWorkload:
-		return w.pi
+		return perms.Equal(w.pi, plan.Pi)
 	case hrelationWorkload:
-		return flattenRequests(w.reqs)
-	case oneToAllWorkload:
-		return []int{w.speaker}
+		return slices.Equal(w.reqs, plan.Reqs)
+	case allToAllWorkload:
+		return true
 	case faultyWorkload:
-		return faultyIdent(w.faults, w.pi)
+		// plan.Faults is canonical: zero for delegated empty-fault plans.
+		return perms.Equal(w.pi, plan.Pi) && slices.Equal(w.faults.Couplers, plan.Faults.Couplers) &&
+			slices.Equal(w.faults.Groups, plan.Faults.Groups)
 	default:
-		return nil
-	}
-}
-
-// cacheIdentFor recovers a plan's flattened cache identity from the plan
-// itself: plan-owned or freshly built memory, which the cache keeps without
-// copying even when the caller has since reused its request or permutation
-// buffers.
-func cacheIdentFor(kind uint8, plan *Plan) []int {
-	switch kind {
-	case cacheKindPermutation:
-		return plan.Pi
-	case cacheKindHRelation:
-		return flattenRequests(plan.Reqs)
-	case cacheKindFaulty:
-		// plan.Faults is already canonical (zero for delegated empty-fault
-		// plans, which AppendIdent encodes as [0, 0] — matching the
-		// workload's ident for an empty set).
-		return faultyIdent(plan.Faults, plan.Pi)
-	default:
-		return nil
+		return false
 	}
 }
 
@@ -265,7 +237,7 @@ func (p *Planner) broadcastPlan(speaker int) (*Plan, error) {
 // from the request-graph factorization and routed — the first slots are
 // ready long before the whole factorization completes. OneToAll streams its
 // single slot. With WithPlanCache, a memoized workload short-circuits to a
-// materialized stream that replays whole slots and holds no worker planner.
+// replay of whole slots that holds no worker planner.
 //
 // ctx gates the stream: an already-cancelled context returns ctx.Err()
 // without acquiring a worker, and cancelling it mid-stream stops factor
@@ -282,7 +254,7 @@ func (p *Planner) ExecuteStream(ctx context.Context, w Workload) (*PlanStream, e
 	start := time.Now()
 	key, kind, hit := p.lookup(ctx, w, start)
 	if hit != nil {
-		return &PlanStream{p: p, plan: hit, cached: true, verified: true, total: hit.SlotCount()}, nil
+		return &PlanStream{p: p, cs: core.Replay(hit), cached: true, verified: true}, nil
 	}
 	return p.startMiss(ctx, w, key, kind, start)
 }
@@ -313,7 +285,7 @@ func (p *Planner) lookup(ctx context.Context, w Workload, start time.Time) (key 
 // startMiss plans a workload the cache did not answer, as a stream that
 // memoizes its finished plan under (key, kind). Permutations and h-relations
 // stream incrementally from a checked-out worker planner. Broadcasts and
-// fault plans are materialized up front — fault repair is whole-plan (Kempe
+// fault plans are built whole up front — fault repair is whole-plan (Kempe
 // flips are global) — and replay whole slots like a cache hit; broadcasts
 // are never memoized.
 func (p *Planner) startMiss(ctx context.Context, w Workload, key uint64, kind uint8, start time.Time) (*PlanStream, error) {
@@ -324,7 +296,7 @@ func (p *Planner) startMiss(ctx context.Context, w Workload, key uint64, kind ui
 		if err != nil {
 			return nil, err
 		}
-		ps.plan, ps.verified, ps.total, ps.hasKey = plan, true, plan.SlotCount(), false
+		ps.cs, ps.verified, ps.hasKey = core.Replay(plan), true, false
 		return ps, nil
 	case faultyWorkload:
 		worker := p.acquire()
@@ -334,7 +306,7 @@ func (p *Planner) startMiss(ctx context.Context, w Workload, key uint64, kind ui
 			return nil, err
 		}
 		// PlanFaulty already replayed the schedule under WithVerify.
-		ps.plan, ps.verified, ps.total = plan, true, plan.SlotCount()
+		ps.cs, ps.verified = core.Replay(plan), true
 		return ps, nil
 	}
 	worker := p.acquire()
@@ -354,6 +326,6 @@ func (p *Planner) startMiss(ctx context.Context, w Workload, key uint64, kind ui
 		p.release(worker)
 		return nil, err
 	}
-	ps.worker, ps.cs, ps.total = worker, cs, cs.FragmentCount()
+	ps.worker, ps.cs = worker, cs
 	return ps, nil
 }

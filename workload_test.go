@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -76,6 +77,8 @@ func TestExecuteStreamHRelationEqualsPlanHRelation(t *testing.T) {
 				if !ok {
 					break
 				}
+				// Fragments are valid until the next Next: keep a copy.
+				frag.Sends, frag.Recvs = slices.Clone(frag.Sends), slices.Clone(frag.Recvs)
 				frags = append(frags, frag)
 			}
 			if err := ps.Err(); err != nil {
@@ -500,7 +503,8 @@ func TestExecuteCancelledMidPlan(t *testing.T) {
 // h-relations onto the pooled planners: steady-state Execute on a warmed
 // planner must allocate well under half of what a fresh planner per call
 // costs (NewPlanner + Execute rebuilds planner, arenas and demand graph
-// every call).
+// every call), and at most pooledBudget objects — the plan's requests,
+// factor listings and packed colors plus the stream handles, no slots.
 func TestHRelationPooledAllocBudget(t *testing.T) {
 	const d, g, h = 4, 8, 3
 	p, err := NewPlanner(d, g, WithParallelism(1))
@@ -526,8 +530,39 @@ func TestHRelationPooledAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	const pooledBudget = 19
+	if pooled > pooledBudget {
+		t.Errorf("pooled h-relation allocates %.0f/op, budget %d", pooled, pooledBudget)
+	}
 	if pooled*2 >= perCall {
 		t.Errorf("pooled h-relation allocates %.0f/op vs per-call %.0f/op; want < half", pooled, perCall)
 	}
 	t.Logf("h-relation allocs/op: pooled %.0f vs per-call %.0f", pooled, perCall)
+}
+
+// flattenRequests serializes reqs the way requestsFingerprint hashes them:
+// src₀, dst₀, src₁, dst₁, …
+func flattenRequests(reqs []Request) []int {
+	flat := make([]int, 0, 2*len(reqs))
+	for _, r := range reqs {
+		flat = append(flat, r.Src, r.Dst)
+	}
+	return flat
+}
+
+// workloadIdent returns w's flattened identity, whose salted fingerprint is
+// workloadKey's key (see TestWorkloadKeyMatchesIdent).
+func workloadIdent(w Workload) []int {
+	switch w := w.(type) {
+	case permutationWorkload:
+		return w.pi
+	case hrelationWorkload:
+		return flattenRequests(w.reqs)
+	case oneToAllWorkload:
+		return []int{w.speaker}
+	case faultyWorkload:
+		return faultyIdent(w.faults, w.pi)
+	default:
+		return nil
+	}
 }
