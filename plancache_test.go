@@ -191,12 +191,12 @@ func TestCacheStatsZeroWithoutOption(t *testing.T) {
 }
 
 // TestCachedPlanRetainedBytes pins what a cached plan keeps alive. A plan
-// is its coloring: a (16,64) permutation plan retains π and the colors —
-// 16 B per packet, where storing its slots cost ~86 — and a (16,16)
-// 4-relation plan retains its requests, factor listings and packed colors,
-// with its cache entry, in ≤ 32 B per packet (~131 with slots). 128 plans
-// are executed into a plan cache and the heap is measured after GC; the
-// workloads and the planner's arenas exist before the first measurement.
+// is its coloring and stores no slots: a (16,64) permutation plan retains π
+// and the colors, ≤ 17 B per packet, and a (16,16) 4-relation plan its
+// requests, factor listings and packed colors, ≤ 32 B per packet with its
+// cache entry. 128 plans are executed into a plan cache and the heap is
+// measured after GC; the workloads and the planner's arenas exist before
+// the first measurement.
 func TestCachedPlanRetainedBytes(t *testing.T) {
 	const plans = 128
 	rng := rand.New(rand.NewSource(11))
