@@ -20,6 +20,8 @@ import (
 	"testing"
 
 	"pops/internal/core"
+	"pops/internal/edgecolor"
+	"pops/internal/graph"
 	"pops/internal/hypercube"
 	"pops/internal/matmul"
 	"pops/internal/perms"
@@ -341,6 +343,45 @@ func BenchmarkE10Factorize(b *testing.B) {
 		}
 		for _, s := range structured {
 			run(fmt.Sprintf("%v/%s/g=128", algo, s.name), algo, 128, s.pi)
+		}
+	}
+}
+
+// BenchmarkE10BalancedServed times the coloring kernel alone, per backend,
+// on the group demand graphs of the two shapes the benchmark workloads
+// serve: POPS(16,64) colored with C = g = 64 classes of 16 (cold-perm's
+// d < g balanced path) and POPS(16,16), a plain 16-factorization. Each
+// iteration colors the next of 16 random permutations' demand graphs on
+// one warmed Factorizer, as a planner worker does.
+func BenchmarkE10BalancedServed(b *testing.B) {
+	for _, s := range []struct{ d, g int }{{16, 64}, {16, 16}} {
+		rng := rand.New(rand.NewSource(5))
+		demands := make([]*graph.Bipartite, 16)
+		for i := range demands {
+			pi := perms.Random(s.d*s.g, rng)
+			demands[i] = graph.New(s.g, s.g)
+			for p, q := range pi {
+				demands[i].AddEdge(p/s.d, q/s.d)
+			}
+		}
+		colorCount := max(s.d, s.g)
+		for _, algo := range []Algorithm{RepeatedMatching, EulerSplitDC, Insertion} {
+			b.Run(fmt.Sprintf("%v/d=%d/g=%d", algo, s.d, s.g), func(b *testing.B) {
+				var f edgecolor.Factorizer
+				colors := make([]int, s.d*s.g)
+				for _, dg := range demands { // warm the arena
+					if err := f.BalancedInto(colors, dg, colorCount, algo); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := f.BalancedInto(colors, demands[i%len(demands)], colorCount, algo); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

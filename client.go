@@ -549,10 +549,14 @@ func (c *ServiceClient) RouteBatch(ctx context.Context, d, g int, pis [][]int) (
 }
 
 // ServiceStream is an open POST /route/stream response: slot fragments
-// decoded one NDJSON record at a time, while the server is still peeling
-// later color classes. Drive it with Next and always Close it — Close
-// releases the HTTP connection, and abandoning a stream early tells the
-// server to stop planning.
+// decoded one record at a time, while the server is still peeling later
+// color classes. Drive it with Next and always Close it — Close releases
+// the HTTP connection, and abandoning a stream early tells the server to
+// stop planning.
+//
+// Next decodes every fragment into one record the stream owns, so a
+// fragment is valid until the next Next call — the contract of
+// PlanStream.Next. A caller that keeps fragments copies them.
 type ServiceStream struct {
 	body io.ReadCloser
 	// dec decodes NDJSON streams; bdec binary-framed ones. Exactly one is
@@ -562,6 +566,9 @@ type ServiceStream struct {
 	meta ServiceStreamMeta
 	done *ServiceStreamDone
 	err  error
+	// rec and slot are the record every fragment is decoded into.
+	rec  wire.StreamRecord
+	slot ServiceStreamSlot
 }
 
 // ExecuteStream opens a slot stream for any workload — the wire form of
@@ -662,7 +669,9 @@ func (s *ServiceStream) Meta() ServiceStreamMeta { return s.meta }
 
 // Next returns the next slot fragment, or (nil, nil) once the stream has
 // completed successfully (Done then holds the closing record). A planning
-// failure mid-stream or a malformed response is returned as an error.
+// failure mid-stream or a malformed response is returned as an error. The
+// fragment is valid until the next Next call: the stream decodes every
+// fragment into the same record and reuses its slices.
 func (s *ServiceStream) Next() (*ServiceStreamSlot, error) {
 	if s.err != nil || s.done != nil {
 		return nil, s.err
@@ -670,14 +679,18 @@ func (s *ServiceStream) Next() (*ServiceStreamSlot, error) {
 	if s.bdec != nil {
 		return s.nextBinary()
 	}
-	var rec wire.StreamRecord
-	if err := s.dec.Decode(&rec); err != nil {
+	// Every field is reset, since JSON leaves absent ones as they were. A
+	// slot payload always carries its index, so one still at -1 was absent.
+	s.slot = ServiceStreamSlot{Slot: -1, Sends: s.slot.Sends[:0], Recvs: s.slot.Recvs[:0]}
+	s.rec = wire.StreamRecord{Slot: &s.slot}
+	rec := &s.rec
+	if err := s.dec.Decode(rec); err != nil {
 		s.err = fmt.Errorf("pops: decoding stream record: %w", err)
 		return nil, s.err
 	}
 	switch rec.Type {
 	case "slot":
-		if rec.Slot == nil {
+		if rec.Slot == nil || rec.Slot.Slot < 0 {
 			s.err = fmt.Errorf("pops: slot record without slot payload")
 			return nil, s.err
 		}
@@ -709,14 +722,13 @@ func (s *ServiceStream) nextBinary() (*ServiceStreamSlot, error) {
 	}
 	switch typ {
 	case wirebin.FrameSlot:
-		// Decoded into a fresh record: callers accumulate fragments across
-		// Next calls, so the slices must not alias the decoder's buffer.
-		var slot ServiceStreamSlot
-		if err := wirebin.DecodeSlot(payload, &slot); err != nil {
+		// DecodeSlot sets every field and copies out of the frame buffer
+		// into the record's own slices.
+		if err := wirebin.DecodeSlot(payload, &s.slot); err != nil {
 			s.err = fmt.Errorf("pops: decoding stream record: %w", err)
 			return nil, s.err
 		}
-		return &slot, nil
+		return &s.slot, nil
 	case wirebin.FrameDone:
 		var done ServiceStreamDone
 		if err := wirebin.DecodeDone(payload, &done); err != nil {

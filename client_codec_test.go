@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -373,5 +375,124 @@ func TestServiceClientCodecJSONSendsNoAccept(t *testing.T) {
 	_, err := binClient.Execute(context.Background(), 4, 8, Permutation(VectorReversal(32)))
 	if err == nil || !strings.Contains(err.Error(), "want "+wirebin.ContentType) {
 		t.Fatalf("CodecBinary accepted a JSON answer: %v", err)
+	}
+}
+
+// memTransport answers every request in memory with one canned stream body:
+// no sockets, so an allocation count sees the client alone.
+type memTransport struct {
+	contentType string
+	body        []byte
+}
+
+func (m memTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Body != nil {
+		io.Copy(io.Discard, r.Body)
+		r.Body.Close()
+	}
+	return &http.Response{
+		StatusCode: http.StatusOK, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header:  http.Header{"Content-Type": {m.contentType}},
+		Body:    io.NopCloser(bytes.NewReader(m.body)),
+		Request: r,
+	}, nil
+}
+
+// TestServiceStreamDrainAllocs pins the client's fragment reuse: a stream
+// decodes every fragment into one record it owns, so draining a (16,16)
+// 4-relation — 8 whole slots of 256 sends — allocates no more than
+// draining its first 4 slots. The stream bytes are the planner's own,
+// encoded once and served from memory in both codecs.
+func TestServiceStreamDrainAllocs(t *testing.T) {
+	const d, g, h = 16, 16, 4
+	ctx := context.Background()
+	p, err := NewPlanner(d, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := randomRelation(d*g, h, rand.New(rand.NewSource(17)))
+	ps, err := p.ExecuteStream(ctx, HRelation(reqs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slots []wire.StreamSlot
+	for {
+		frag, ok := ps.Next()
+		if !ok {
+			break
+		}
+		slots = append(slots, wire.StreamSlot{Slot: frag.Slot, Color: frag.Color, Offset: frag.Offset, Final: frag.Final,
+			Sends: slices.Clone(frag.Sends), Recvs: slices.Clone(frag.Recvs)})
+	}
+	if err := ps.Err(); err != nil || len(slots) != 2*h {
+		t.Fatalf("planned %d fragments (err %v), want %d", len(slots), err, 2*h)
+	}
+	body := func(binary bool, slots []wire.StreamSlot) []byte {
+		meta := wire.StreamMeta{D: d, G: g, Slots: len(slots), Fragments: len(slots), Strategy: StrategyHRelation}
+		done := wire.StreamDone{Slots: len(slots), Fragments: len(slots)}
+		if binary {
+			enc := wirebin.GetEncoder()
+			defer wirebin.PutEncoder(enc)
+			out := append([]byte(nil), enc.AppendMeta(&meta)...)
+			for i := range slots {
+				out = append(out, enc.AppendSlot(&slots[i])...)
+			}
+			return append(out, enc.AppendDone(&done)...)
+		}
+		var buf bytes.Buffer
+		jenc := json.NewEncoder(&buf)
+		jenc.Encode(wire.StreamRecord{Type: "meta", Meta: &meta})
+		for i := range slots {
+			jenc.Encode(wire.StreamRecord{Type: "slot", Slot: &slots[i]})
+		}
+		jenc.Encode(wire.StreamRecord{Type: "done", Done: &done})
+		return buf.Bytes()
+	}
+	drainAllocs := func(codec ServiceCodec, contentType string, raw []byte, want []wire.StreamSlot) float64 {
+		client := NewServiceClient("http://mem", &http.Client{Transport: memTransport{contentType, raw}}).WithCodec(codec)
+		drain := func() {
+			st, err := client.ExecuteStream(ctx, d, g, HRelation(reqs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			for i := 0; ; i++ {
+				rec, err := st.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rec == nil {
+					if i != len(want) {
+						t.Fatalf("codec %d: stream ended after %d of %d fragments", codec, i, len(want))
+					}
+					return
+				}
+				if rec.Slot != want[i].Slot || !slices.Equal(rec.Sends, want[i].Sends) || !slices.Equal(rec.Recvs, want[i].Recvs) {
+					t.Fatalf("codec %d: fragment %d decoded as slot %d, want slot %d", codec, i, rec.Slot, want[i].Slot)
+				}
+			}
+		}
+		drain() // warm the pools
+		return testing.AllocsPerRun(20, drain)
+	}
+	for _, c := range []struct {
+		name        string
+		codec       ServiceCodec
+		contentType string
+	}{{"binary", CodecBinary, wirebin.ContentType}, {"ndjson", CodecJSON, "application/x-ndjson"}} {
+		binary := c.codec == CodecBinary
+		all := drainAllocs(c.codec, c.contentType, body(binary, slots), slots)
+		half := drainAllocs(c.codec, c.contentType, body(binary, slots[:h]), slots[:h])
+		// A JSON string field is a fresh string per record: NDJSON pays one
+		// allocation per record for its "type", nothing per send.
+		perSlot := 0.0
+		if !binary {
+			perSlot = 1
+		}
+		t.Logf("%s: draining %d slots allocates %.0f, %d slots %.0f", c.name, 2*h, all, h, half)
+		if all > half+perSlot*h {
+			t.Errorf("%s: draining %d slots allocates %.0f, %d slots %.0f: fragments are not reused",
+				c.name, 2*h, all, h, half)
+		}
 	}
 }

@@ -192,7 +192,9 @@ func TestProxyConcurrencyCapSheds(t *testing.T) {
 // health ejection alone re-admits it every probe round — only the
 // consecutive-error breaker holds it out. Once the node recovers, the
 // cooldown plus a healthz probe half-opens the breaker and the next request
-// closes it.
+// closes it. The cooldown is an hour, so no check of the open breaker races
+// it on a loaded host; the test ages the open transition past it instead of
+// sleeping, and waits on the half-open transition itself.
 func TestBreakerTripsAndRecovers(t *testing.T) {
 	var broken atomic.Bool
 	broken.Store(true)
@@ -225,7 +227,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 		Retries:         -1, // no failover: every conn error charges this backend once
 		HealthInterval:  5 * time.Millisecond,
 		BreakerFailures: 2,
-		BreakerCooldown: 10 * time.Millisecond,
+		BreakerCooldown: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,6 +264,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	// probe half-opens the breaker; the next request is the probe and closes
 	// it.
 	broken.Store(false)
+	b.brOpenedAt.Store(time.Now().Add(-2 * time.Hour).UnixNano())
 	waitFor(t, func() bool { return b.brState.Load() == brHalfOpen })
 	if _, err := client.Execute(context.Background(), 2, 4, pops.Permutation(pops.IdentityPermutation(8))); err != nil {
 		t.Fatalf("probe request after recovery: %v", err)

@@ -117,9 +117,11 @@ func TestProxyPlacementAffinity(t *testing.T) {
 
 // TestProxyFailoverOnBackendDeath kills one backend and asserts every
 // subsequent request still succeeds: connection errors eject the node
-// immediately and fail over to the next ring owner.
+// immediately and fail over to the next ring owner. The health checker is
+// held off for the test, so the first request to the dead node is what
+// ejects it, not a probe that may or may not get there first.
 func TestProxyFailoverOnBackendDeath(t *testing.T) {
-	p, servers, _ := fleet(t, 3, service.Config{BatchDelay: 200 * time.Microsecond}, Config{})
+	p, servers, _ := fleet(t, 3, service.Config{BatchDelay: 200 * time.Microsecond}, Config{HealthInterval: time.Hour})
 	_, client := serveFront(t, p)
 	ctx := context.Background()
 	const d, g = 4, 8
@@ -128,7 +130,11 @@ func TestProxyFailoverOnBackendDeath(t *testing.T) {
 	servers[1].CloseClientConnections()
 	servers[1].Close()
 
-	for i := 0; i < 20; i++ {
+	// At least 20 requests; more only while none has landed on the dead
+	// node yet (ring positions follow the servers' random ports).
+	var failovers uint64
+	var bs []wire.BackendStats
+	for i := 0; i < 20 || failovers == 0 && i < 200; i++ {
 		pi := make([]int, n)
 		for j := range pi {
 			pi[j] = (j + i + 1) % n
@@ -136,14 +142,13 @@ func TestProxyFailoverOnBackendDeath(t *testing.T) {
 		if _, err := client.Execute(ctx, d, g, pops.Permutation(pi)); err != nil {
 			t.Fatalf("request %d failed after backend death: %v", i, err)
 		}
+		bs, failovers = p.Backends(), 0
+		for _, b := range bs {
+			failovers += b.Failovers
+		}
 	}
-	bs := p.Backends()
 	if bs[1].Healthy {
 		t.Fatal("dead backend still marked healthy")
-	}
-	var failovers uint64
-	for _, b := range bs {
-		failovers += b.Failovers
 	}
 	if failovers == 0 {
 		t.Fatal("no failovers recorded although a backend died mid-trace")

@@ -53,8 +53,9 @@ type PlanObserver interface {
 // Options configures the planner.
 type Options struct {
 	// Algorithm selects the edge-coloring backend. The zero value — the
-	// default — is RepeatedMatching (Hopcroft–Karp peeling); EulerSplitDC
-	// is the near-linear divide-and-conquer alternative.
+	// default — is EulerSplitDC, the near-linear divide and conquer;
+	// RepeatedMatching (Hopcroft–Karp peeling) and Insertion are the
+	// Remark 1 alternatives.
 	Algorithm edgecolor.Algorithm
 	// Verify replays every produced schedule on the slot-level simulator
 	// before returning it; a simulation failure becomes a planning error.
@@ -281,6 +282,7 @@ func (p *Plan) Schedule() *popsnet.Schedule {
 		for u := range n / rs.per {
 			rs.write(u, sched.Slots[u*rs.per:(u+1)*rs.per])
 		}
+		rs.Release()
 	}
 	return sched
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"pops/internal/edgecolor"
@@ -68,9 +69,11 @@ type PlanStream struct {
 // StartPlanCtx begins a streaming Theorem 2 planning of pi. It performs the
 // same validation as Plan, builds the demand multigraph once, and returns
 // a stream whose Next calls deliver the schedule fragment by fragment. The
-// first fragment is ready after a single color class has been peeled —
-// for d < g, right after the first perfect matching of the demand graph —
-// long before the full factorization that a batch Plan call must wait for.
+// first fragment is ready after a single color class has been peeled.
+// Under the default Euler-split engine that is the first 1-factor of the
+// demand graph, after log2 d halvings — about 2m edge visits for m = n
+// edges and power-of-two d, against about m·log2 d for the whole coloring
+// a batch Plan call waits for. The other backends color whole first.
 // Cancellation of ctx is checked between factors (before each color class
 // is peeled), so a cancelled stream stops factor production at its next
 // Next call with ctx.Err() as the sticky error. An already-cancelled ctx is
@@ -282,38 +285,63 @@ func (ps *PlanStream) FragmentCount() int { return max(1, 2*ps.pl.colorCount) }
 // fresh storage.
 type ReplayStream struct {
 	plan *Plan
-	per  int            // slots per unit
-	buf  []popsnet.Slot // the unit last written
+	per  int // slots per unit
 	next int
-	cl   classes // relay classes: the plan's, or the current factor's
-	// H-relation plans: the padded requests grouped by factor, and the
-	// current factor's permutation, colors and request ids by source.
+	*replayScratch
+}
+
+// replayScratch is the storage a replay writes into, pooled across replays:
+// a cache-hit stream would otherwise allocate its slots afresh each time.
+type replayScratch struct {
+	buf []popsnet.Slot // the unit last written
+	cl  classes        // relay classes: the plan's, or the current factor's
+	// H-relation plans: the padded requests grouped by factor (factor is
+	// the sort key), and the current factor's permutation, colors and
+	// request ids by source.
 	all               []Request
+	factor            []int
 	byFactor          classes
 	pi, colors, reqAt []int
 }
 
-// Replay returns a stream over plan's slots.
+var replayPool = sync.Pool{New: func() any { return new(replayScratch) }}
+
+// Replay returns a stream over plan's slots. Its storage comes from a pool;
+// Release returns it.
 func Replay(plan *Plan) *ReplayStream {
 	nw := plan.Net
 	rs := &ReplayStream{plan: plan, per: OptimalSlots(nw.D, nw.G)}
-	switch {
-	case plan.fixed != nil:
+	if plan.fixed != nil {
 		return rs
+	}
+	rs.replayScratch = replayPool.Get().(*replayScratch)
+	switch {
 	case plan.Strategy == StrategyHRelation:
-		rs.all = plan.padded()
-		factor := make([]int, len(plan.codes))
+		n := nw.N()
+		rs.pi, rs.colors, rs.reqAt = resize(rs.pi, n), resize(rs.colors, n), resize(rs.reqAt, n)
+		rs.all = plan.padInto(rs.all, rs.pi, rs.colors)
+		rs.factor = resize(rs.factor, len(plan.codes))
 		for k, code := range plan.codes {
-			factor[k] = int(code) / max(nw.D, nw.G)
+			rs.factor[k] = int(code) / max(nw.D, nw.G)
 		}
-		rs.byFactor.sort(factor, plan.H)
-		rs.pi, rs.colors, rs.reqAt = make([]int, nw.N()), make([]int, nw.N()), make([]int, nw.N())
+		rs.byFactor.sort(rs.factor, plan.H)
 	case plan.Colors != nil:
 		rs.per = 2
 		rs.cl.sort(plan.Colors, plan.Rounds*nw.G)
 	}
-	rs.buf = make([]popsnet.Slot, rs.per)
+	rs.buf = resize(rs.buf, rs.per)
 	return rs
+}
+
+// Release returns the replay's storage to the pool once its last fragment
+// is consumed; the stream must not be driven afterwards, though Plan and
+// Collect still answer. Idempotent.
+func (rs *ReplayStream) Release() {
+	if rs.replayScratch != nil {
+		replayPool.Put(rs.replayScratch)
+		rs.replayScratch = nil
+	}
+	rs.next = rs.plan.SlotCount()
 }
 
 // write writes unit u's rs.per slots into out, reusing its storage.

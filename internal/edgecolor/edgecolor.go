@@ -7,25 +7,29 @@
 // Three factorization algorithms are provided, mirroring the algorithm menu
 // of the paper's Remark 1:
 //
+//   - EulerSplitDC: divide and conquer (the Euler-split family of Gabow,
+//     Alon, and Cole–Ost–Schirra) — halve even-degree graphs by an Euler
+//     partition, peel one perfect matching (Alon's Euler-halving) at odd
+//     degrees. Each halving is linear: the edge set is kept sorted by left
+//     and by right node, so the partition walks alternating cycles of
+//     paired edges with no adjacency to build. For power-of-two k it does
+//     O(m·log k) work whatever the input; each odd level adds one
+//     O(m·log(m)) perfect matching. The planner's default (the Algorithm
+//     zero value), and the only backend whose stream is resumable.
 //   - RepeatedMatching: extract k perfect matchings with Hopcroft–Karp,
-//     O(k·m·√n). The simple baseline and the planner's default. The left
-//     adjacency is built once per factorization; each round peels its
-//     matching from it and deletes the matched edges in place, keeping
-//     every list in edge order, so a round costs one Hopcroft–Karp and no
-//     rebuild.
-//   - EulerSplitDC: divide and conquer — Euler-split even-degree graphs,
-//     peel one perfect matching (Alon's Euler-halving) at odd degrees,
-//     ≈O(m·log²) in practice. The approach behind Kapoor–Rizzi and Rizzi.
+//     O(k·m·√n). The simple baseline. The left adjacency is built once per
+//     factorization; each round peels its matching from it and deletes the
+//     matched edges in place, keeping every list in edge order, so a round
+//     costs one Hopcroft–Karp and no rebuild.
 //   - Insertion: the classic alternating-path insertion proof of König's
 //     theorem, O(n·m); colors arbitrary (non-regular) bipartite multigraphs
 //     with Δ colors, corresponding to the O(Δm)-style bound of Schrijver.
 //
 // All three run on the arena-backed Factorizer engine: an iterative work
-// stack over index-range views of one edge array, bit-vector membership
-// sets, and matching/splitting routines that write into reusable buffers.
-// Planners that color repeatedly hold a Factorizer (one per worker) and stay
-// allocation-free after warm-up; the package-level Balanced colors on a
-// fresh arena.
+// stack over index-range views of one edge array, and matching routines
+// that write into reusable buffers. Planners that color repeatedly hold a
+// Factorizer (one per worker) and stay allocation-free after warm-up; the
+// package-level Balanced colors on a fresh arena.
 //
 // Balanced colorings with exact color-class sizes — the actual statement of
 // Theorem 1, needed when the network has fewer packets per group than groups
@@ -44,12 +48,13 @@ import (
 type Algorithm int
 
 const (
+	// EulerSplitDC recursively halves the graph with Euler splits, peeling a
+	// perfect matching (Alon Euler-halving) when the degree is odd. It is
+	// the zero value, so every planner uses it unless told otherwise.
+	EulerSplitDC Algorithm = iota
 	// RepeatedMatching extracts perfect matchings one at a time with
 	// Hopcroft–Karp.
-	RepeatedMatching Algorithm = iota
-	// EulerSplitDC recursively halves the graph with Euler splits, peeling a
-	// perfect matching (Alon Euler-halving) when the degree is odd.
-	EulerSplitDC
+	RepeatedMatching
 	// Insertion colors edges one at a time, repairing conflicts along
 	// alternating paths (the constructive proof of König's theorem).
 	Insertion

@@ -197,6 +197,11 @@ func FuzzBalancedInto(f *testing.F) {
 	f.Add(uint8(16), uint8(4), uint8(0), int64(4)) // class size divides n: no swaps
 	f.Add(uint8(6), uint8(2), uint8(1), int64(5))  // C < n
 	f.Add(uint8(4), uint8(3), uint8(5), int64(6))  // C > n
+	// Odd degrees below the top of the Euler-split recursion: 12 → 6 → 3,
+	// 10 → 5, and 7 → 6 → 3 after an odd top.
+	f.Add(uint8(11), uint8(11), uint8(0), int64(7)) // n=12, k=12
+	f.Add(uint8(15), uint8(9), uint8(3), int64(8))  // n=16, k=10
+	f.Add(uint8(20), uint8(6), uint8(0), int64(9))  // n=21, k=7
 	batch, stream := NewFactorizer(), NewFactorizer()
 	f.Fuzz(func(t *testing.T, nSeed, kSeed, cSeed uint8, seed int64) {
 		n := int(nSeed)%24 + 1
@@ -255,8 +260,8 @@ func TestFactorizerAllocBudget(t *testing.T) {
 			t.Errorf("%v: FactorizeInto allocates %.1f/op on a warmed arena, budget %d", algo, allocs, budget)
 		}
 	}
-	// Balanced with C = n > k (the d < g planner path, served by the default
-	// RepeatedMatching), once with a class size dividing n and once without,
+	// Balanced with C = n > k (the d < g planner path), once with a class
+	// size dividing n and once without,
 	// where the swaps run.
 	for _, algo := range allAlgorithms {
 		for _, tc := range []struct{ n, k, seed int }{{24, 6, 72}, {64, 12, 73}} {

@@ -18,7 +18,9 @@ var ErrStreamSuperseded = errors.New("edgecolor: stream superseded by a later ca
 // suspends it again, leaving the class index in the caller's color buffer.
 // It is the incremental form of FactorizeInto/BalancedInto — driving a
 // Stream to exhaustion writes exactly the colors the batch call would have
-// written, because batch and stream drain the same arena steppers.
+// written. Only EulerSplitDC is resumable, and batch and stream drain the
+// same stepper; the other backends color whole on the first Next and then
+// hand out one class per call.
 //
 // A Stream borrows its Factorizer's arena: starting another factorization
 // on the same arena (FactorizeInto, BalancedInto, StartCtx, StartBalancedCtx)
@@ -33,7 +35,7 @@ type Stream struct {
 
 	b       *graph.Bipartite // colorBuf and Factor are indexed by its edge IDs
 	all     []graph.Edge     // b's edge list
-	nL, nR  int
+	nL      int
 	k       int // 1-factors the stepper peels: the regular degree
 	classes int // classes the stream yields: k, or the color count C
 
@@ -45,8 +47,10 @@ type Stream struct {
 	pos       int   // first edge of cur not yet in a class
 	openFull  bool  // the last class emitted was the open class
 
-	insReady  bool // insertion backend: coloring materialized
-	insCursor int  // insertion backend: next factor to emit
+	// Backends other than EulerSplitDC stream their batch coloring: it is
+	// materialized on the first Next, then emitted one class per call.
+	materialized bool
+	cursor       int // next class to emit
 
 	produced int
 	factor   []int
@@ -72,8 +76,9 @@ func (f *Factorizer) StartCtx(ctx context.Context, b *graph.Bipartite, algo Algo
 // the chunk-and-balance construction of Balanced. Driving the stream to
 // exhaustion writes exactly the colors BalancedInto would have written.
 // For C > k the classes are numbered in emission order, and the first one
-// is ready as soon as the first perfect matching has been peeled. ctx is
-// checked between classes like StartCtx.
+// is ready as soon as the first 1-factor is: under EulerSplitDC after one
+// root-to-leaf path of halvings, about 2m edge visits for power-of-two k.
+// ctx is checked between classes like StartCtx.
 func (f *Factorizer) StartBalancedCtx(ctx context.Context, b *graph.Bipartite, colorCount int, algo Algorithm) *Stream {
 	st := &Stream{}
 	f.begin(st, ctx, b, colorCount, algo)
@@ -108,7 +113,7 @@ func (f *Factorizer) begin(st *Stream, ctx context.Context, b *graph.Bipartite, 
 	}
 	st.k, st.classes = k, colorCount
 	st.all = b.EdgeList()
-	st.nL, st.nR = b.NLeft(), b.NRight()
+	st.nL = b.NLeft()
 	if colorCount > k {
 		st.balanced, st.classSize = true, classSize
 		f.resetOpen(st.nL, classSize)
@@ -116,11 +121,9 @@ func (f *Factorizer) begin(st *Stream, ctx context.Context, b *graph.Bipartite, 
 	switch algo {
 	case EulerSplitDC:
 		f.eulerStart(b, k)
-	case RepeatedMatching:
-		f.repStart(b, k)
-	case Insertion:
-		// Materialized lazily on the first Next (the coloring needs its
-		// target buffer in hand); nothing to seed here.
+	case RepeatedMatching, Insertion:
+		// Materialized on the first Next (the coloring needs its target
+		// buffer in hand); nothing to seed here.
 	default:
 		st.err = fmt.Errorf("edgecolor: unknown algorithm %v", algo)
 	}
@@ -180,17 +183,27 @@ func (st *Stream) Next(colorBuf []int) (factorID int, ok bool, err error) {
 	return factorID, true, nil
 }
 
-// peel resumes the backend's stepper until one more 1-factor of b is
-// complete, writing its index into colors for each of its edges.
+// peel resumes the coloring until one more 1-factor of b is complete,
+// writing its index into colors for each of its edges. Only EulerSplitDC,
+// the production engine, is resumable; the other backends run whole on the
+// first call and then hand out their classes.
 func (st *Stream) peel(colors []int) (factorID int, factor []int, ok bool, err error) {
-	switch st.algo {
-	case EulerSplitDC:
-		return st.f.eulerNext(colors, st.all, st.nL, st.nR)
-	case RepeatedMatching:
-		return st.f.repNext(colors, st.nL)
-	default:
-		return st.insStep(colors)
+	if st.algo == EulerSplitDC {
+		return st.f.eulerNext(colors, st.all, st.nL)
 	}
+	f := st.f
+	if !st.materialized {
+		if err := f.factorize(colors, st.b, st.k, st.algo); err != nil {
+			return 0, nil, false, err
+		}
+		st.materialized = true
+	}
+	if st.cursor >= st.k {
+		return 0, nil, false, nil
+	}
+	factorID = st.cursor
+	st.cursor++
+	return factorID, f.ids[factorID*st.nL : (factorID+1)*st.nL], true, nil
 }
 
 // balancedNext yields the next class of the chunk-and-balance construction
@@ -250,52 +263,6 @@ func (st *Stream) emit(colors, class []int) (int, []int, bool, error) {
 		colors[id] = st.produced
 	}
 	return st.produced, class, true, nil
-}
-
-// insStep adapts the insertion coloring — which repairs earlier colors
-// along alternating paths and therefore cannot expose intermediate state —
-// to the stream contract: the full coloring is materialized on the first
-// call and bucketed by color (a counting sort into the arena's ids, so IDs
-// stay ascending within a class), then emitted one class per call in
-// ascending color order at O(class size) each.
-func (st *Stream) insStep(target []int) (factorID int, factor []int, ok bool, err error) {
-	f := st.f
-	if !st.insReady {
-		c, err := f.colorInsertionInto(target, st.b)
-		if err != nil {
-			return 0, nil, false, err
-		}
-		if c > st.k {
-			return 0, nil, false, fmt.Errorf("edgecolor: insertion used %d colors on %d-regular graph", c, st.k)
-		}
-		colors := target[:len(st.all)]
-		f.insEnd = graph.ResizeInts(f.insEnd, st.k)
-		clear(f.insEnd)
-		for _, c := range colors {
-			f.insEnd[c]++
-		}
-		start := 0
-		for c, size := range f.insEnd {
-			f.insEnd[c] = start
-			start += size
-		}
-		f.ids = graph.ResizeInts(f.ids, len(colors))
-		for id, c := range colors {
-			f.ids[f.insEnd[c]] = id
-			f.insEnd[c]++ // ends at class c's end, the start of class c+1
-		}
-		st.insReady = true
-	}
-	if st.insCursor >= st.k {
-		return 0, nil, false, nil
-	}
-	factorID = st.insCursor
-	st.insCursor++
-	lo := 0
-	if factorID > 0 {
-		lo = f.insEnd[factorID-1]
-	}
-	return factorID, f.ids[lo:f.insEnd[factorID]], true, nil
 }
 
 // Factor returns the edge IDs of the most recently produced class, in the

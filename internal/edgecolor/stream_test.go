@@ -107,9 +107,9 @@ func TestStreamBalancedMatchesBalancedInto(t *testing.T) {
 	}
 }
 
-// TestStreamFactorOrderRepeatedMatching pins the emission order contract the
-// planner's round streaming benefits from: the repeated-matching backend
-// yields factors in ascending class order.
+// TestStreamFactorOrderRepeatedMatching pins the emission order of the
+// materialized streams: the repeated-matching backend yields factors in
+// ascending class order.
 func TestStreamFactorOrderRepeatedMatching(t *testing.T) {
 	b := randomRegular(9, 7, rand.New(rand.NewSource(53)))
 	colors := make([]int, b.NumEdges())

@@ -7,12 +7,20 @@ import (
 	"pops"
 	"pops/internal/bounds"
 	"pops/internal/core"
+	"pops/internal/edgecolor"
 	"pops/internal/perms"
 	"pops/internal/popsnet"
 )
 
 // Figure3Perm is the permutation of Figure 3 of the paper on POPS(3,3).
 var Figure3Perm = []int{4, 8, 3, 6, 0, 2, 7, 1, 5}
+
+// paperOptions plans every table whose cells depend on the coloring (E3's
+// relay groups, say) with RepeatedMatching, the backend the recorded tables
+// were produced with, so the reproduction's output does not move with the
+// planner's default engine. E10 compares the backends; E11 times the
+// default.
+var paperOptions = core.Options{Algorithm: edgecolor.RepeatedMatching}
 
 // Shapes swept by the slot-count experiments.
 var sweepShapes = []struct{ D, G int }{
@@ -35,7 +43,7 @@ func E1(seed int64, trials int) (*Table, error) {
 		slots := -1
 		for trial := 0; trial < trials; trial++ {
 			pi := perms.Random(n, rng)
-			p, err := core.PlanRoute(s.D, s.G, pi, core.Options{})
+			p, err := core.PlanRoute(s.D, s.G, pi, paperOptions)
 			if err != nil {
 				return nil, fmt.Errorf("E1 d=%d g=%d: %w", s.D, s.G, err)
 			}
@@ -68,7 +76,7 @@ func E2(seed int64) (*Table, error) {
 	for _, s := range []struct{ D, G int }{{2, 2}, {2, 4}, {3, 6}, {4, 4}, {8, 8}} {
 		n := s.D * s.G
 		pi := perms.Random(n, rng)
-		p, err := core.PlanRoute(s.D, s.G, pi, core.Options{})
+		p, err := core.PlanRoute(s.D, s.G, pi, paperOptions)
 		if err != nil {
 			return nil, err
 		}
@@ -104,7 +112,7 @@ func E3() (*Table, error) {
 		Title:   "Figure 3 worked example on POPS(3,3)",
 		Columns: []string{"packet(proc)", "dest xy", "intermediate group", "round"},
 	}
-	p, err := core.PlanRoute(3, 3, Figure3Perm, core.Options{})
+	p, err := core.PlanRoute(3, 3, Figure3Perm, paperOptions)
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +200,7 @@ func E5() (*Table, error) {
 			return nil, fmt.Errorf("E5 %s d=%d g=%d: expected Prop2 bound, got %s", in.family, in.d, in.g, name)
 		}
 		ach := core.OptimalSlots(in.d, in.g)
-		p, err := core.PlanRoute(in.d, in.g, in.pi, core.Options{})
+		p, err := core.PlanRoute(in.d, in.g, in.pi, paperOptions)
 		if err != nil {
 			return nil, err
 		}

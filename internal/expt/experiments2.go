@@ -42,7 +42,7 @@ func E8(seed int64) (*Table, error) {
 		{"bit-reversal", br.Permutation()},
 	}
 	for _, mp := range mappings {
-		m, err := hypercube.New(bits, d, g, mp.m, core.Options{})
+		m, err := hypercube.New(bits, d, g, mp.m, paperOptions)
 		if err != nil {
 			return nil, err
 		}
@@ -68,7 +68,7 @@ func E8(seed int64) (*Table, error) {
 	// Mesh: four primitive steps (one in each direction).
 	rows, cols, md, mg := 4, 4, 8, 2
 	for _, mp := range mappings {
-		m, err := mesh.New(rows, cols, md, mg, mp.m, core.Options{})
+		m, err := mesh.New(rows, cols, md, mg, mp.m, paperOptions)
 		if err != nil {
 			return nil, err
 		}
@@ -149,7 +149,7 @@ func E9() (*Table, error) {
 		}
 	}
 	for _, in := range instances {
-		p, err := core.PlanRoute(in.d, in.g, in.pi, core.Options{})
+		p, err := core.PlanRoute(in.d, in.g, in.pi, paperOptions)
 		if err != nil {
 			return nil, err
 		}
@@ -248,7 +248,7 @@ func E12(seed int64) (*Table, error) {
 	bits, d, g := 4, 4, 4
 	n := 1 << uint(bits)
 	for _, op := range []string{"data-sum", "prefix-sum"} {
-		m, err := hypercube.New(bits, d, g, nil, core.Options{})
+		m, err := hypercube.New(bits, d, g, nil, paperOptions)
 		if err != nil {
 			return nil, err
 		}
@@ -274,7 +274,7 @@ func E12(seed int64) (*Table, error) {
 	}
 
 	// Mesh row sum on POPS(8,2) (4x4 torus).
-	mm, err := mesh.New(4, 4, 8, 2, nil, core.Options{})
+	mm, err := mesh.New(4, 4, 8, 2, nil, paperOptions)
 	if err != nil {
 		return nil, err
 	}
@@ -295,7 +295,7 @@ func E12(seed int64) (*Table, error) {
 	mdim := 4
 	a := randomMatrix(mdim, rng)
 	b := randomMatrix(mdim, rng)
-	res, err := matmul.Multiply(mdim, 4, 4, a, b, core.Options{})
+	res, err := matmul.Multiply(mdim, 4, 4, a, b, paperOptions)
 	if err != nil {
 		return nil, err
 	}
@@ -321,7 +321,7 @@ func EF() (*Table, error) {
 		// popsnet tests exhaustively); here record the structural counts and
 		// verify routing a full permutation stays within bounds.
 		pi := perms.VectorReversal(s.d * s.g)
-		p, err := core.PlanRoute(s.d, s.g, pi, core.Options{})
+		p, err := core.PlanRoute(s.d, s.g, pi, paperOptions)
 		if err != nil {
 			return nil, err
 		}

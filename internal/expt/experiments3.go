@@ -51,7 +51,7 @@ func E13(seed int64) (*Table, error) {
 				return nil, err
 			}
 			// Sanity: the relay router still handles the instance.
-			p, err := core.PlanRoute(s.d, s.g, pi, core.Options{})
+			p, err := core.PlanRoute(s.d, s.g, pi, paperOptions)
 			if err != nil {
 				return nil, err
 			}
@@ -116,7 +116,7 @@ func E14(seed int64) (*Table, error) {
 	rng := rand.New(rand.NewSource(seed))
 	for _, s := range []struct{ d, g int }{{2, 2}, {4, 8}, {8, 8}, {8, 4}, {16, 2}, {9, 3}} {
 		pi := perms.Random(s.d*s.g, rng)
-		p, err := core.PlanRoute(s.d, s.g, pi, core.Options{})
+		p, err := core.PlanRoute(s.d, s.g, pi, paperOptions)
 		if err != nil {
 			return nil, err
 		}

@@ -36,7 +36,7 @@ func E15(seed int64) (*Table, error) {
 				reqs = append(reqs, core.Request{Src: i, Dst: v})
 			}
 		}
-		pl, err := core.NewPlanner(s.d, s.g, core.Options{})
+		pl, err := core.NewPlanner(s.d, s.g, paperOptions)
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -36,7 +37,10 @@ func collectServiceStream(t testing.TB, st *pops.ServiceStream) []popsnet.Slot {
 		if rec.Slot < 0 || rec.Slot >= meta.Slots {
 			t.Fatalf("fragment for slot %d of %d", rec.Slot, meta.Slots)
 		}
-		perSlot[rec.Slot] = append(perSlot[rec.Slot], frag{rec: *rec})
+		// A fragment is valid until the next Next: keep a copy.
+		kept := *rec
+		kept.Sends, kept.Recvs = slices.Clone(rec.Sends), slices.Clone(rec.Recvs)
+		perSlot[rec.Slot] = append(perSlot[rec.Slot], frag{rec: kept})
 	}
 	if fragments != meta.Fragments {
 		t.Fatalf("stream delivered %d fragments, meta promised %d", fragments, meta.Fragments)

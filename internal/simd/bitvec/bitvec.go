@@ -1,9 +1,8 @@
 // Package bitvec provides the dense bit-vector membership sets used by the
-// allocation-free edge-coloring engine. A Vec packs 64 membership bits per
-// word, so the hot scans of the planner (matched-edge membership during
-// class compaction, visited-edge marks during Euler tours) walk whole words
-// with math/bits instead of hashing into map[int]bool — the word-at-a-time
-// counterpart of the SIMD adjacency-walk item on the roadmap.
+// allocation-free matching engines. A Vec packs 64 membership bits per
+// word, so the hot membership tests (visited-edge marks during Euler tours,
+// the perfect matcher's dummy entries and covered nodes) index whole words
+// instead of hashing into map[int]bool.
 //
 // Vecs are plain []uint64 slices so callers can keep them inside reusable
 // arenas: Resize grows in place when capacity allows and clears the live
@@ -59,24 +58,4 @@ func (v Vec) Count(n int) int {
 		total += bits.OnesCount64(v[full] & (1<<uint(rem) - 1))
 	}
 	return total
-}
-
-// AppendClear appends the indices of the clear bits among the first n to dst
-// and returns the extended slice — the complement walk used to collect the
-// unmatched edges of a color class without a per-edge map lookup.
-func (v Vec) AppendClear(dst []int, n int) []int {
-	for wi, w := range v[:Words(n)] {
-		base := wi * wordBits
-		w = ^w
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			i := base + b
-			if i >= n {
-				return dst
-			}
-			dst = append(dst, i)
-			w &= w - 1
-		}
-	}
-	return dst
 }

@@ -53,32 +53,13 @@ func TestCountAndWalksAgainstReference(t *testing.T) {
 			}
 		}
 		wantCount := 0
-		var wantClear []int
-		for i, b := range ref {
+		for _, b := range ref {
 			if b {
 				wantCount++
-			} else {
-				wantClear = append(wantClear, i)
 			}
 		}
 		if got := v.Count(n); got != wantCount {
 			t.Fatalf("n=%d: Count=%d want %d", n, got, wantCount)
 		}
-		gotClear := v.AppendClear(nil, n)
-		if !equalInts(gotClear, wantClear) {
-			t.Fatalf("n=%d: AppendClear=%v want %v", n, gotClear, wantClear)
-		}
 	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

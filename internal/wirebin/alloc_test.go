@@ -79,10 +79,10 @@ func TestWireEncodeAllocBudget(t *testing.T) {
 	}
 }
 
-// TestDecodeSlotFreshRecordAllocs pins the client's stream decode, which
-// fills a fresh record per fragment: Sends and Recvs are each sized once
-// from their block's count, two allocations in all, instead of growing
-// append by append.
+// TestDecodeSlotFreshRecordAllocs pins a slot decoded into a fresh record
+// (the client's first fragment of a stream): Sends and Recvs are each sized
+// once from their block's count, two allocations in all, instead of
+// growing append by append.
 func TestDecodeSlotFreshRecordAllocs(t *testing.T) {
 	slot := allocBudgetSlot()
 	if len(slot.Sends) < 2 || len(slot.Recvs) < 2 {

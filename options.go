@@ -7,7 +7,7 @@ type Option func(*Options)
 
 // WithAlgorithm selects the bipartite edge-coloring backend used by the
 // Theorem 2 planner (the computational bottleneck named in Remark 1 of the
-// paper). The default is RepeatedMatching (the Algorithm zero value).
+// paper). The default is EulerSplitDC (the Algorithm zero value).
 func WithAlgorithm(a Algorithm) Option {
 	return func(o *Options) { o.Algorithm = a }
 }

@@ -73,11 +73,11 @@ type Algorithm = edgecolor.Algorithm
 
 // Available coloring backends.
 const (
-	// RepeatedMatching extracts perfect matchings with Hopcroft–Karp
+	// EulerSplitDC is the near-linear Euler-split divide and conquer
 	// (the default: it is the Algorithm zero value).
-	RepeatedMatching = edgecolor.RepeatedMatching
-	// EulerSplitDC is the near-linear Euler-split divide and conquer.
 	EulerSplitDC = edgecolor.EulerSplitDC
+	// RepeatedMatching extracts perfect matchings with Hopcroft–Karp.
+	RepeatedMatching = edgecolor.RepeatedMatching
 	// Insertion is the O(n·m) alternating-path König coloring.
 	Insertion = edgecolor.Insertion
 )
