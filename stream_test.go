@@ -443,6 +443,9 @@ func TestExecuteStreamAllocBudget(t *testing.T) {
 // costs the public and replay stream handles alone — 2 allocs/op, not the
 // ~91 KB of slot storage a fresh replay would write.
 func TestCachedHitStreamAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers")
+	}
 	ctx := context.Background()
 	const d, g = 16, 64
 	const budget = 2
