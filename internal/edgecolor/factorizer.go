@@ -43,7 +43,7 @@ type Factorizer struct {
 	// [r·k, (r+1)·k). RepeatedMatching and Insertion leave their classes in
 	// ids instead, class c at ids[c·n:(c+1)·n] (see factorize).
 	ids, ro  []int
-	pos, tmp []int        // split and compaction scratch: partners, new positions, reorders
+	pos, tmp []int        // scratch: counting-sort cursors, partners, new positions; reorders
 	side     []uint8      // split and peel marks per segment position
 	edges    []graph.Edge // endpoints of a segment, gathered for the odd-degree peel
 	match    []int        // matching output: segment positions
