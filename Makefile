@@ -147,12 +147,10 @@ examples:
 # stream drained for its colors alone). TestCachedPlanRetainedBytes pins
 # what a cached plan keeps alive after GC: at most 17 B per packet for a
 # (16,64) permutation (π and the colors) and 32 B for a (16,16) 4-relation,
-# cache entry included — no plan stores its slots. A drained plan-cache hit
-# at (16,64) costs its two stream handles
-# (TestCachedHitStreamAllocBudget): the replay writes into pooled buffers.
-# Draining a (16,16) 4-relation through the ServiceClient allocates no more
-# for its 8 slots than for 4 (TestServiceStreamDrainAllocs): the client
-# decodes every fragment into one record it reuses. The tracing layer
+# cache entry included — no plan stores its slots. Draining a (16,16)
+# 4-relation through the ServiceClient allocates no more for its 8 slots
+# than for 4 (TestServiceStreamDrainAllocs): the client decodes every
+# fragment into one record it reuses. The tracing layer
 # rides the same gate: span recording, the tracer's pooled Start/Finish
 # cycle, plan-time Observe on an existing key, and a traced plan-cache hit
 # must all stay at 0 allocs/op. The binary wire codec holds the same bar:
@@ -169,4 +167,4 @@ alloc-guard:
 	$(call smoke,TestHRelationAllocBudget,./internal/core)
 	$(call smoke,TestSpanAllocBudget|TestPlanTimesObserveAllocBudget,./internal/obs)
 	$(call smoke,TestWireEncodeAllocBudget|TestReframerAllocBudget|TestDecodeSlotFreshRecordAllocs|TestDecodeRequestHRelationAllocs,./internal/wirebin)
-	$(call smoke,TestExecuteStreamAllocBudget|TestHRelationPooledAllocBudget|TestCachedHitSpanAllocBudget|TestCachedPlanRetainedBytes|TestCachedHitStreamAllocBudget|TestServiceStreamDrainAllocs,.)
+	$(call smoke,TestExecuteStreamAllocBudget|TestHRelationPooledAllocBudget|TestCachedHitSpanAllocBudget|TestCachedPlanRetainedBytes|TestServiceStreamDrainAllocs,.)

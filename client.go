@@ -679,8 +679,12 @@ func (s *ServiceStream) Next() (*ServiceStreamSlot, error) {
 	if s.bdec != nil {
 		return s.nextBinary()
 	}
-	// Every field is reset, since JSON leaves absent ones as they were. A
-	// slot payload always carries its index, so one still at -1 was absent.
+	// Every field is reset, since JSON leaves absent ones as they were; that
+	// includes the spare capacity of Sends and Recvs, whose elements JSON
+	// decodes into in place. A slot payload always carries its index, so
+	// one still at -1 was absent.
+	clear(s.slot.Sends[:cap(s.slot.Sends)])
+	clear(s.slot.Recvs[:cap(s.slot.Recvs)])
 	s.slot = ServiceStreamSlot{Slot: -1, Sends: s.slot.Sends[:0], Recvs: s.slot.Recvs[:0]}
 	s.rec = wire.StreamRecord{Slot: &s.slot}
 	rec := &s.rec

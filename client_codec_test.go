@@ -499,3 +499,34 @@ func TestServiceStreamDrainAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestServiceStreamNDJSONAbsentFieldsReset pins the NDJSON path's reset of
+// the reused record: a send or recv object that omits a field decodes it
+// as 0, as a fresh record would, not as the field an earlier fragment left
+// in the same element of the reused slices.
+func TestServiceStreamNDJSONAbsentFieldsReset(t *testing.T) {
+	body := `{"type":"meta","meta":{"d":2,"g":2,"slots":2,"fragments":2}}
+{"type":"slot","slot":{"slot":0,"color":0,"offset":0,"final":true,"sends":[{"Src":1,"DestGroup":1,"Packet":7},{"Src":2,"DestGroup":0,"Packet":9}],"recvs":[{"Proc":3,"SrcGroup":1}]}}
+{"type":"slot","slot":{"slot":1,"color":0,"offset":0,"final":true,"sends":[{"Src":3,"DestGroup":1},{"Src":0}],"recvs":[{"Proc":2}]}}
+{"type":"done","done":{"slots":2,"fragments":2}}
+`
+	client := NewServiceClient("http://mem", &http.Client{Transport: memTransport{"application/x-ndjson", []byte(body)}}).WithCodec(CodecJSON)
+	st, err := client.ExecuteStream(context.Background(), 2, 2, Permutation([]int{0, 1, 2, 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.Next(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := st.Next()
+	if err != nil || rec == nil {
+		t.Fatalf("second fragment: %v, %v", rec, err)
+	}
+	wantSends := []popsnet.Send{{Src: 3, DestGroup: 1}, {Src: 0}}
+	wantRecvs := []popsnet.Recv{{Proc: 2}}
+	if rec.Slot != 1 || !slices.Equal(rec.Sends, wantSends) || !slices.Equal(rec.Recvs, wantRecvs) {
+		t.Errorf("second fragment decoded as slot %d sends %v recvs %v, want slot 1 sends %v recvs %v",
+			rec.Slot, rec.Sends, rec.Recvs, wantSends, wantRecvs)
+	}
+}

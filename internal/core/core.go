@@ -282,7 +282,6 @@ func (p *Plan) Schedule() *popsnet.Schedule {
 		for u := range n / rs.per {
 			rs.write(u, sched.Slots[u*rs.per:(u+1)*rs.per])
 		}
-		rs.Release()
 	}
 	return sched
 }

@@ -215,20 +215,14 @@ func padRequests(all, reqs []Request, h int, src, dst []int) []Request {
 
 // padded recomputes an h-relation plan's padded request list — Reqs, then
 // the dummies padRequests added when the plan was made.
-func (p *Plan) padded() []Request { return p.padInto(nil, nil, nil) }
-
-// padInto is padded writing into the storage of all, src and dst, which it
-// may grow: src and dst become the per-processor count scratch.
-func (p *Plan) padInto(all []Request, src, dst []int) []Request {
+func (p *Plan) padded() []Request {
 	n := p.Net.N()
-	src, dst = graph.ResizeInts(src, n), graph.ResizeInts(dst, n)
-	clear(src)
-	clear(dst)
+	src, dst := make([]int, n), make([]int, n)
 	for _, r := range p.Reqs {
 		src[r.Src]++
 		dst[r.Dst]++
 	}
-	return padRequests(all[:0], p.Reqs, p.H, src, dst)
+	return padRequests(make([]Request, 0, p.H*n), p.Reqs, p.H, src, dst)
 }
 
 // Next emits the next slot of the schedule. It returns ok == false once

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"pops/internal/edgecolor"
@@ -285,63 +284,38 @@ func (ps *PlanStream) FragmentCount() int { return max(1, 2*ps.pl.colorCount) }
 // fresh storage.
 type ReplayStream struct {
 	plan *Plan
-	per  int // slots per unit
+	per  int            // slots per unit
+	buf  []popsnet.Slot // the unit last written
 	next int
-	*replayScratch
-}
-
-// replayScratch is the storage a replay writes into, pooled across replays:
-// a cache-hit stream would otherwise allocate its slots afresh each time.
-type replayScratch struct {
-	buf []popsnet.Slot // the unit last written
-	cl  classes        // relay classes: the plan's, or the current factor's
-	// H-relation plans: the padded requests grouped by factor (factor is
-	// the sort key), and the current factor's permutation, colors and
-	// request ids by source.
+	cl   classes // relay classes: the plan's, or the current factor's
+	// H-relation plans: the padded requests grouped by factor, and the
+	// current factor's permutation, colors and request ids by source.
 	all               []Request
-	factor            []int
 	byFactor          classes
 	pi, colors, reqAt []int
 }
 
-var replayPool = sync.Pool{New: func() any { return new(replayScratch) }}
-
-// Replay returns a stream over plan's slots. Its storage comes from a pool;
-// Release returns it.
+// Replay returns a stream over plan's slots.
 func Replay(plan *Plan) *ReplayStream {
 	nw := plan.Net
 	rs := &ReplayStream{plan: plan, per: OptimalSlots(nw.D, nw.G)}
-	if plan.fixed != nil {
-		return rs
-	}
-	rs.replayScratch = replayPool.Get().(*replayScratch)
 	switch {
+	case plan.fixed != nil:
+		return rs
 	case plan.Strategy == StrategyHRelation:
-		n := nw.N()
-		rs.pi, rs.colors, rs.reqAt = resize(rs.pi, n), resize(rs.colors, n), resize(rs.reqAt, n)
-		rs.all = plan.padInto(rs.all, rs.pi, rs.colors)
-		rs.factor = resize(rs.factor, len(plan.codes))
+		rs.all = plan.padded()
+		factor := make([]int, len(plan.codes))
 		for k, code := range plan.codes {
-			rs.factor[k] = int(code) / max(nw.D, nw.G)
+			factor[k] = int(code) / max(nw.D, nw.G)
 		}
-		rs.byFactor.sort(rs.factor, plan.H)
+		rs.byFactor.sort(factor, plan.H)
+		rs.pi, rs.colors, rs.reqAt = make([]int, nw.N()), make([]int, nw.N()), make([]int, nw.N())
 	case plan.Colors != nil:
 		rs.per = 2
 		rs.cl.sort(plan.Colors, plan.Rounds*nw.G)
 	}
-	rs.buf = resize(rs.buf, rs.per)
+	rs.buf = make([]popsnet.Slot, rs.per)
 	return rs
-}
-
-// Release returns the replay's storage to the pool once its last fragment
-// is consumed; the stream must not be driven afterwards, though Plan and
-// Collect still answer. Idempotent.
-func (rs *ReplayStream) Release() {
-	if rs.replayScratch != nil {
-		replayPool.Put(rs.replayScratch)
-		rs.replayScratch = nil
-	}
-	rs.next = rs.plan.SlotCount()
 }
 
 // write writes unit u's rs.per slots into out, reusing its storage.

@@ -11,8 +11,8 @@ import (
 
 // StreamedSlot is one increment of a streaming plan: the fragment of one
 // schedule slot contributed by a single relay color class, or one whole
-// slot. A fragment is valid until the stream's next Next, Collect or Close
-// call; copy what you keep. See ExecuteStream.
+// slot. A fragment is valid until the stream's next Next call; copy what
+// you keep. See ExecuteStream.
 type StreamedSlot = core.StreamedSlot
 
 // coreStream is the stream behind a PlanStream: the Theorem 2 per-class
@@ -83,8 +83,8 @@ type PlanStream struct {
 
 // Next emits the next slot fragment; ok is false once the stream is
 // exhausted (the assembled plan is then available from Collect) or has
-// failed (see Err). A fragment is valid until the next call on the stream
-// (Next, Collect or Close) and must not be modified. Fragment granularity is one color class per fragment for
+// failed (see Err). A fragment is valid until the next Next call and must
+// not be modified. Fragment granularity is one color class per fragment for
 // permutation workloads, one whole slot for h-relation workloads and
 // replays of finished plans; either way the fragments of one slot tile it
 // exactly, and Final marks each slot's last fragment.
@@ -141,9 +141,8 @@ func (ps *PlanStream) Collect() (*Plan, error) {
 func (ps *PlanStream) Close() { ps.finish() }
 
 // finish is the single completion point of every stream, Execute's
-// included: it returns the worker — or a replay's buffers — to its pool
-// exactly once, memoizes a successfully completed plan, and notifies the
-// PlanObserver.
+// included: it returns the worker to the pool exactly once, memoizes a
+// successfully completed plan, and notifies the PlanObserver.
 func (ps *PlanStream) finish() {
 	if ps.done {
 		return
@@ -152,9 +151,6 @@ func (ps *PlanStream) finish() {
 	if ps.worker != nil {
 		ps.p.release(ps.worker)
 		ps.worker = nil
-	}
-	if rs, ok := ps.cs.(*core.ReplayStream); ok {
-		rs.Release()
 	}
 	ps.memoize()
 	if plan := ps.cs.Plan(); !ps.obsStart.IsZero() && ps.err == nil && plan != nil {

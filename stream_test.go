@@ -436,48 +436,3 @@ func TestExecuteStreamAllocBudget(t *testing.T) {
 	}
 	t.Logf("allocs/op: ExecuteStream+Collect %.1f, Execute %.1f", stream, execute)
 }
-
-// TestCachedHitStreamAllocBudget pins the cost of draining a plan-cache hit
-// through Next at POPS(16,64): the replay writes its rounds into buffers it
-// takes from a pool and returns when the stream finishes, so a drained hit
-// costs the public and replay stream handles alone — 2 allocs/op, not the
-// ~91 KB of slot storage a fresh replay would write.
-func TestCachedHitStreamAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop buffers")
-	}
-	ctx := context.Background()
-	const d, g = 16, 64
-	const budget = 2
-	p, err := NewPlanner(d, g, WithPlanCache(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := Permutation(RandomPermutation(d*g, rand.New(rand.NewSource(18))))
-	if _, err := p.Execute(ctx, w); err != nil { // the plan the hits replay
-		t.Fatal(err)
-	}
-	drain := func() {
-		ps, err := p.ExecuteStream(ctx, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ps.Cached() {
-			t.Fatal("stream is not a cache hit")
-		}
-		n := 0
-		for {
-			if _, ok := ps.Next(); !ok {
-				break
-			}
-			n++
-		}
-		if err := ps.Err(); err != nil || n != OptimalSlots(d, g) {
-			t.Fatalf("drained %d of %d slots (err %v)", n, OptimalSlots(d, g), err)
-		}
-	}
-	drain() // warm the replay pool
-	if allocs := testing.AllocsPerRun(20, drain); allocs > budget {
-		t.Errorf("a drained cache-hit stream allocates %.1f/op at POPS(%d,%d), budget %d", allocs, d, g, budget)
-	}
-}
