@@ -37,8 +37,8 @@ race:
 # Fuzz smoke: each fuzzer runs for FUZZTIME on top of its seed corpus —
 # binary frame decoding, the payload decoders against the per-varint
 # reference decoders, JSON/binary request-body equivalence, NDJSON/binary
-# stream equivalence, the streamed plan against the batch reference,
-# balanced edge coloring, and the peeling matcher against a
+# stream equivalence, the streamed plan against the batch reference, the
+# h-relation plan against the sorted-factor reference, balanced edge coloring, and the peeling matcher against a
 # rebuild-per-round Hopcroft–Karp reference.
 FUZZTIME ?= 30s
 fuzz-smoke:
@@ -47,6 +47,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzRequestCrossCodec -fuzztime $(FUZZTIME) .
 	go test -run '^$$' -fuzz FuzzStreamCrossCodec -fuzztime $(FUZZTIME) ./internal/service
 	go test -run '^$$' -fuzz FuzzStreamMatchesReference -fuzztime $(FUZZTIME) ./internal/core
+	go test -run '^$$' -fuzz FuzzHRelationMatchesReference -fuzztime $(FUZZTIME) ./internal/core
 	go test -run '^$$' -fuzz FuzzBalancedInto -fuzztime $(FUZZTIME) ./internal/edgecolor
 	go test -run '^$$' -fuzz FuzzPeelMatchesReference -fuzztime $(FUZZTIME) ./internal/matching
 
@@ -139,12 +140,13 @@ examples:
 # beyond its handle, and — Execute being the collected stream, which writes
 # no slot — a cold Execute at POPS(8,8) is pinned at 6 allocs/op with
 # ExecuteStream+Collect at no more than Execute. TestHRelationPooledAllocBudget
-# guards the pooled h-relation path of Execute: steady state must stay at 19
+# guards the pooled h-relation path of Execute: steady state must stay at 18
 # allocs/op and under half the allocations of a fresh Planner per call (the
 # measured delta is recorded in BENCH_2026-07-30_hrelation.json), and
 # TestHRelationAllocBudget holds a warmed core planner's PlanHRelation of a
-# 4-relation on POPS(16,16) to 22 allocations (each factor's permutation
-# stream drained for its colors alone). TestCachedPlanRetainedBytes pins
+# 4-relation on POPS(16,16) to 20 allocations (each factor's permutation
+# stream drained for its colors alone, the factor listings counted into one
+# array). TestCachedPlanRetainedBytes pins
 # what a cached plan keeps alive after GC: at most 17 B per packet for a
 # (16,64) permutation (π and the colors) and 32 B for a (16,16) 4-relation,
 # cache entry included — no plan stores its slots. Draining a (16,16)
@@ -159,7 +161,9 @@ examples:
 # BENCH_2026-08-08_wirebin.json), a fragment decoded into a fresh
 # record, as the client's first of a stream is, costs exactly its two slices, and a
 # 1024-pair h-relation request decodes in two allocations (its Workload
-# string and its pairs).
+# string and its pairs), while the client's encoding and the node's
+# WorkloadFromRequest of it each take at most one and share the pairs
+# (TestWorkloadRequestHRelationAllocs).
 # Each line runs through the smoke guard, so a renamed guard test fails the
 # target instead of leaving it checking nothing.
 alloc-guard:
@@ -167,4 +171,4 @@ alloc-guard:
 	$(call smoke,TestHRelationAllocBudget,./internal/core)
 	$(call smoke,TestSpanAllocBudget|TestPlanTimesObserveAllocBudget,./internal/obs)
 	$(call smoke,TestWireEncodeAllocBudget|TestReframerAllocBudget|TestDecodeSlotFreshRecordAllocs|TestDecodeRequestHRelationAllocs,./internal/wirebin)
-	$(call smoke,TestExecuteStreamAllocBudget|TestHRelationPooledAllocBudget|TestCachedHitSpanAllocBudget|TestCachedPlanRetainedBytes|TestServiceStreamDrainAllocs,.)
+	$(call smoke,TestExecuteStreamAllocBudget|TestHRelationPooledAllocBudget|TestCachedHitSpanAllocBudget|TestCachedPlanRetainedBytes|TestServiceStreamDrainAllocs|TestWorkloadRequestHRelationAllocs,.)

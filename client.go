@@ -443,6 +443,7 @@ func wireFaults(fs FaultSet) *wire.FaultSet {
 }
 
 // workloadRouteRequest serializes a Workload into the tagged wire schema.
+// The request shares the workload's slices: it is encoded, never kept.
 func workloadRouteRequest(d, g int, w Workload) (*ServiceRouteRequest, error) {
 	switch w := w.(type) {
 	case nil:
@@ -450,11 +451,7 @@ func workloadRouteRequest(d, g int, w Workload) (*ServiceRouteRequest, error) {
 	case permutationWorkload:
 		return &ServiceRouteRequest{D: d, G: g, Pi: w.pi}, nil
 	case hrelationWorkload:
-		reqs := make([]wire.Request, len(w.reqs))
-		for i, r := range w.reqs {
-			reqs[i] = wire.Request{Src: r.Src, Dst: r.Dst}
-		}
-		return &ServiceRouteRequest{D: d, G: g, Workload: WorkloadHRelation, Requests: reqs}, nil
+		return &ServiceRouteRequest{D: d, G: g, Workload: WorkloadHRelation, Requests: w.reqs}, nil
 	case allToAllWorkload:
 		return &ServiceRouteRequest{D: d, G: g, Workload: WorkloadAllToAll}, nil
 	case oneToAllWorkload:
@@ -474,7 +471,9 @@ var ErrBatchRequest = errors.New("pops: a batch request (pis) carries several pe
 // WorkloadFromRequest decodes the tagged wire schema back into its Workload,
 // the exact inverse of the encoding ServiceClient sends: the routing service
 // plans what it returns, and the cluster proxy places by its
-// WorkloadFingerprint. A payload that does not fit the request's kind is an
+// WorkloadFingerprint. The workload shares the request's slices (Pi,
+// Requests) rather than copying them, so req must not change while the
+// workload is in use. A payload that does not fit the request's kind is an
 // error, never silently dropped; a batch of permutations answers
 // ErrBatchRequest. The shape, the strategy and the payload's values are not
 // checked here — planning validates those.
@@ -497,11 +496,7 @@ func WorkloadFromRequest(req *ServiceRouteRequest) (Workload, error) {
 		if len(req.Pi) > 0 || len(req.Pis) > 0 {
 			return nil, errors.New("pops: hrelation workload takes requests, not pi/pis")
 		}
-		reqs := make([]Request, len(req.Requests))
-		for i, r := range req.Requests {
-			reqs[i] = Request{Src: r.Src, Dst: r.Dst}
-		}
-		return HRelation(reqs), nil
+		return HRelation(req.Requests), nil
 	case WorkloadAllToAll:
 		if len(req.Pi) > 0 || len(req.Pis) > 0 || len(req.Requests) > 0 {
 			return nil, errors.New("pops: all-to-all workload takes no payload")

@@ -231,6 +231,41 @@ func TestServiceClientErrorRecordMidStream(t *testing.T) {
 	}
 }
 
+// TestWorkloadRequestHRelationAllocs pins both sides of the wire form of
+// the served h-relation shape, a 4-relation on POPS(16,16) of 1024 pairs:
+// workloadRouteRequest and WorkloadFromRequest each allocate at most one
+// object (the request, or the boxed workload) and share the request list
+// instead of copying it.
+func TestWorkloadRequestHRelationAllocs(t *testing.T) {
+	const d, g, h = 16, 16, 4
+	reqs := randomRelation(d*g, h, rand.New(rand.NewSource(28)))
+	w := HRelation(reqs)
+	var req *ServiceRouteRequest
+	if got := testing.AllocsPerRun(100, func() {
+		var err error
+		if req, err = workloadRouteRequest(d, g, w); err != nil {
+			panic(err)
+		}
+	}); got > 1 {
+		t.Errorf("workloadRouteRequest of a %d-pair h-relation: %v allocs/op, want ≤ 1", len(reqs), got)
+	}
+	if &req.Requests[0] != &reqs[0] || len(req.Requests) != len(reqs) {
+		t.Error("workloadRouteRequest copied the request list")
+	}
+	var back Workload
+	if got := testing.AllocsPerRun(100, func() {
+		var err error
+		if back, err = WorkloadFromRequest(req); err != nil {
+			panic(err)
+		}
+	}); got > 1 {
+		t.Errorf("WorkloadFromRequest of a %d-pair h-relation: %v allocs/op, want ≤ 1", len(reqs), got)
+	}
+	if hw, ok := back.(hrelationWorkload); !ok || &hw.reqs[0] != &reqs[0] || len(hw.reqs) != len(reqs) {
+		t.Error("WorkloadFromRequest copied the request list")
+	}
+}
+
 // TestWorkloadFromRequestRoundTrip is the property that makes the wire form
 // single: for random shapes and every workload kind, decoding the client's
 // encoding — directly and after a JSON hop — gives back a workload of the

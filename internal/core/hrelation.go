@@ -13,9 +13,11 @@ import (
 
 // Request is one packet demand of an h-relation: move a packet from Src to
 // Dst. Processors may appear in up to h requests as source and up to h as
-// destination.
+// destination. The json tags are the wire schema's: internal/wire aliases
+// this type.
 type Request struct {
-	Src, Dst int
+	Src int `json:"src"`
+	Dst int `json:"dst"`
 }
 
 // PredictedHRelationSlots returns the slot cost of an h-relation plan:
@@ -90,7 +92,6 @@ type HRelationStream struct {
 	h        int
 	slotsPer int
 	stream   *edgecolor.Stream // request-graph factor stream; nil for h == 0
-	factors  [][]int           // factor index -> real request ids, ascending
 	codes    []int32           // padded request -> factor·max(d, g) + color
 
 	written int // the factor whose slots the planner's factor buffer holds
@@ -132,7 +133,6 @@ func (pl *Planner) StartHRelation(ctx context.Context, reqs []Request) (*HRelati
 	}
 	all := padRequests(pl.hrelAll[:0], reqs, h, pl.hrelSrc, pl.hrelDst)
 	pl.hrelAll = all
-	ps.factors = make([][]int, h)
 	ps.codes = make([]int32, len(all))
 
 	// The request-graph factorization streams from the planner's second
@@ -277,28 +277,19 @@ func (ps *HRelationStream) routeNextFactor(write bool) error {
 		return fmt.Errorf("core: request factor %d outside [0,%d)", factorID, ps.h)
 	}
 
-	// The factor arrives in peel order; request ids are sorted so that
-	// Factors listings — and therefore the assembled plan — match the batch
-	// construction, which scans colors in ascending edge id order.
-	ids := append(pl.hrelIDs[:0], ps.stream.Factor()...)
-	slices.Sort(ids)
-	pl.hrelIDs = ids
-
+	// The factor's ids arrive in peel order. Everything filled from them is
+	// keyed by source or by request id, so their order does not matter.
+	ids := ps.stream.Factor()
 	nw := pl.nw
 	n := nw.N()
 	all := pl.hrelAll
 	pl.hrelPi = graph.ResizeInts(pl.hrelPi, n)
 	pl.hrelReqAt = graph.ResizeInts(pl.hrelReqAt, n)
-	real := make([]int, 0, len(ids))
 	for _, id := range ids {
 		r := all[id]
 		pl.hrelPi[r.Src] = r.Dst
 		pl.hrelReqAt[r.Src] = id
-		if id < len(ps.reqs) {
-			real = append(real, id)
-		}
 	}
-	ps.factors[factorID] = real
 
 	// Route the factor as a permutation. Its stream is drained for the
 	// colors alone: no slot is written, and the final plan is verified as a
@@ -329,12 +320,24 @@ func (ps *HRelationStream) routeNextFactor(write bool) error {
 	return nil
 }
 
-// finish assembles the plan once the last factor is routed.
+// finish assembles the plan once the last factor is routed. Its Factors
+// are counted out of the request coloring (hrelColors holds each padded
+// request's factor, as codes does) into one backing array: each factor
+// lists its real ids ascending, without the dummies.
 func (ps *HRelationStream) finish() {
 	ps.done = true
+	var factors [][]int
+	if ps.h > 0 {
+		var cl classes
+		cl.sort(ps.pl.hrelColors[:len(ps.reqs)], ps.h)
+		factors = make([][]int, ps.h)
+		for k := range factors {
+			factors[k] = slices.Clip(cl.class(k))
+		}
+	}
 	ps.plan = &Plan{
 		Net: ps.pl.nw, Strategy: StrategyHRelation,
-		Reqs: ps.reqs, H: ps.h, Factors: ps.factors, codes: ps.codes,
+		Reqs: ps.reqs, H: ps.h, Factors: factors, codes: ps.codes,
 	}
 }
 

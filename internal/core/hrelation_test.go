@@ -2,11 +2,16 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"pops/internal/edgecolor"
 	"pops/internal/perms"
+	"pops/internal/popsnet"
 )
 
 // planHRelation plans reqs on a fresh POPS(d, g) planner with default
@@ -29,6 +34,134 @@ func randomHRelation(n, h int, rng *rand.Rand) []Request {
 		}
 	}
 	return reqs
+}
+
+// paddedRelation keeps a random nonempty part of reqs, in shuffled order,
+// so planning it needs dummy requests. It reorders reqs.
+func paddedRelation(reqs []Request, rng *rand.Rand) []Request {
+	rng.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
+	return reqs[:1+rng.Intn(len(reqs))]
+}
+
+// checkHRelationMatchesReference plans reqs on POPS(d, g) with algo twice on
+// one planner, collected and then streamed, and holds both to
+// referenceHRelation: equal Factors, codes and schedules (the streamed one
+// reassembled from its fragments), the same popsnet delivery trace, and
+// factor k's slots carrying exactly the real requests Factors[k] lists.
+func checkHRelationMatchesReference(t testing.TB, d, g int, algo edgecolor.Algorithm, reqs []Request) {
+	t.Helper()
+	name := fmt.Sprintf("POPS(%d,%d) %v, %d requests", d, g, algo, len(reqs))
+	pl, err := NewPlanner(d, g, Options{Algorithm: algo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refPl, err := NewPlanner(d, g, Options{Algorithm: algo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := referenceHRelation(t, refPl, reqs)
+	want := ref.Schedule()
+	ctx := context.Background()
+	collected, err := pl.PlanHRelation(ctx, reqs)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	ps, err := pl.StartHRelation(ctx, reqs)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	streamed := &popsnet.Schedule{Net: pl.Network(), Slots: make([]popsnet.Slot, ps.SlotCount())}
+	for {
+		frag, ok := ps.Next()
+		if !ok {
+			break
+		}
+		streamed.Slots[frag.Slot] = popsnet.Slot{Sends: slices.Clone(frag.Sends), Recvs: slices.Clone(frag.Recvs)}
+	}
+	if err := ps.Err(); err != nil {
+		t.Fatalf("%s: stream: %v", name, err)
+	}
+	if !reflect.DeepEqual(streamed, want) {
+		t.Fatalf("%s: streamed schedule differs from the reference", name)
+	}
+	for _, got := range []*Plan{collected, ps.Plan()} {
+		if !reflect.DeepEqual(got.Factors, ref.Factors) {
+			t.Fatalf("%s: Factors = %v, reference %v", name, got.Factors, ref.Factors)
+		}
+		if !slices.Equal(got.codes, ref.codes) {
+			t.Fatalf("%s: codes = %v, reference %v", name, got.codes, ref.codes)
+		}
+		if !reflect.DeepEqual(got.Schedule(), want) {
+			t.Fatalf("%s: schedule differs from the reference", name)
+		}
+	}
+	gotTrace, err := collected.Verify()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	refTrace, err := ref.Verify()
+	if err != nil {
+		t.Fatalf("%s: reference: %v", name, err)
+	}
+	if !reflect.DeepEqual(gotTrace, refTrace) {
+		t.Fatalf("%s: delivery trace %+v, reference %+v", name, gotTrace, refTrace)
+	}
+	per := OptimalSlots(d, g)
+	for k, ids := range collected.Factors {
+		var sent []int
+		for _, slot := range want.Slots[k*per : (k+1)*per] {
+			for _, s := range slot.Sends {
+				if s.Packet < len(reqs) {
+					sent = append(sent, s.Packet)
+				}
+			}
+		}
+		slices.Sort(sent)
+		if sent = slices.Compact(sent); !slices.Equal(sent, ids) {
+			t.Fatalf("%s: factor %d's slots carry requests %v, Factors lists %v", name, k, sent, ids)
+		}
+	}
+}
+
+// TestHRelationFactorsMatchReference pins the factor-listing contract:
+// Factors[k] lists factor k's real request ids, ascending, with no dummy. It
+// runs checkHRelationMatchesReference on every coloring backend, on d < g,
+// d = g and d > g shapes and the direct d = 1 network, for h from 1 to 5,
+// over saturated and padded relations.
+func TestHRelationFactorsMatchReference(t *testing.T) {
+	algos := []edgecolor.Algorithm{edgecolor.EulerSplitDC, edgecolor.RepeatedMatching, edgecolor.Insertion}
+	shapes := []struct{ d, g int }{{1, 4}, {2, 4}, {3, 8}, {3, 3}, {4, 4}, {4, 2}, {6, 3}}
+	rng := rand.New(rand.NewSource(28))
+	for _, algo := range algos {
+		for _, s := range shapes {
+			for h := 1; h <= 5; h++ {
+				reqs := randomHRelation(s.d*s.g, h, rng)
+				checkHRelationMatchesReference(t, s.d, s.g, algo, reqs)
+				checkHRelationMatchesReference(t, s.d, s.g, algo, paddedRelation(reqs, rng))
+			}
+		}
+	}
+}
+
+// FuzzHRelationMatchesReference is the native-fuzzer form of
+// TestHRelationFactorsMatchReference over fuzzer-chosen shapes (d, g ≤ 8),
+// backends, degrees (h ≤ 5) and relation seeds, saturated or padded.
+func FuzzHRelationMatchesReference(f *testing.F) {
+	// Seeds are (d−1, g−1, backend, h−1, seed, padded).
+	f.Add(uint8(2), uint8(2), uint8(0), uint8(1), int64(1), false)
+	f.Add(uint8(1), uint8(7), uint8(1), uint8(3), int64(2), true)
+	f.Add(uint8(5), uint8(2), uint8(2), uint8(4), int64(3), true)
+	f.Add(uint8(0), uint8(4), uint8(0), uint8(2), int64(4), false)
+	algos := []edgecolor.Algorithm{edgecolor.EulerSplitDC, edgecolor.RepeatedMatching, edgecolor.Insertion}
+	f.Fuzz(func(t *testing.T, dSeed, gSeed, algoSeed, hSeed uint8, seed int64, padded bool) {
+		d, g, h := int(dSeed)%8+1, int(gSeed)%8+1, int(hSeed)%5+1
+		rng := rand.New(rand.NewSource(seed))
+		reqs := randomHRelation(d*g, h, rng)
+		if padded {
+			reqs = paddedRelation(reqs, rng)
+		}
+		checkHRelationMatchesReference(t, d, g, algos[int(algoSeed)%len(algos)], reqs)
+	})
 }
 
 func TestDegree(t *testing.T) {
@@ -246,8 +379,10 @@ func TestAllToAllRequestsRoute(t *testing.T) {
 // 4-relation on POPS(16,16). Each König factor is routed by draining a
 // permutation stream for its colors alone — no slot is written, and the
 // factor's permutation and colors live in planner scratch — so a plan costs
-// its request snapshot, factor listings and packed colors plus the
-// per-factor stream handles; a slot write, or a copy per factor, fails it.
+// its request snapshot and packed colors, its factor listings (counted out
+// of the colors at the end into one array, with their offsets and headers)
+// and the per-factor stream handles; a slot write, or an allocation per
+// factor beyond the stream handle, fails it.
 func TestHRelationAllocBudget(t *testing.T) {
 	const d, g, h = 16, 16, 4
 	pl, err := NewPlanner(d, g, Options{})
@@ -264,7 +399,7 @@ func TestHRelationAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 22
+	const budget = 20
 	if allocs > budget {
 		t.Errorf("PlanHRelation allocates %.0f/op on POPS(%d,%d), h=%d; budget %d", allocs, d, g, h, budget)
 	}

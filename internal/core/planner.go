@@ -53,7 +53,6 @@ type Planner struct {
 	hrelColors []int                 // per-request factor index, reused
 	hrelPi     []int                 // factor permutation scratch
 	hrelReqAt  []int                 // source processor -> request id scratch
-	hrelIDs    []int                 // sorted copy of the current factor
 	hrelFColor []int                 // the current factor's relay colors
 	hrelSlots  []popsnet.Slot        // the current factor's written slots
 	hrelCl     classes               // the current factor's relay classes

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"slices"
+	"testing"
 
+	"pops/internal/edgecolor"
 	"pops/internal/fairdist"
+	"pops/internal/graph"
 	"pops/internal/perms"
 	"pops/internal/popsnet"
 )
@@ -77,4 +82,69 @@ func planFromColors(nw popsnet.Network, pi, colors []int) (*Plan, error) {
 		}
 	}
 	return &Plan{Net: nw, Pi: copyPerm(pi), Strategy: StrategyTheoremTwo, Colors: colors, Rounds: ceilDiv(colorCount, nw.G)}, nil
+}
+
+// referenceHRelation is the h-relation planner's earlier factor listing:
+// each König factor's request ids are sorted as the factor is routed, and
+// its real (non-dummy) ids listed from the sorted copy. A separate
+// Factorizer streams the same padded request graph with pl's algorithm, and
+// each factor is routed by pl's public Plan, so Factors, codes and the
+// schedule must equal what PlanHRelation and StartHRelation build, which
+// count Factors out of codes instead; TestHRelationFactorsMatchReference
+// and FuzzHRelationMatchesReference hold them to it.
+func referenceHRelation(t testing.TB, pl *Planner, reqs []Request) *Plan {
+	t.Helper()
+	nw := pl.Network()
+	n := nw.N()
+	src, dst := make([]int, n), make([]int, n)
+	for _, r := range reqs {
+		src[r.Src]++
+		dst[r.Dst]++
+	}
+	h := max(slices.Max(src), slices.Max(dst))
+	plan := &Plan{Net: nw, Strategy: StrategyHRelation, Reqs: slices.Clone(reqs), H: h}
+	if h == 0 {
+		return plan
+	}
+	all := padRequests(nil, reqs, h, src, dst)
+	demand := graph.New(n, n)
+	for _, r := range all {
+		demand.AddEdge(r.Src, r.Dst)
+	}
+	stream := edgecolor.NewFactorizer().StartCtx(context.Background(), demand, pl.opts.Algorithm)
+	factorOf := make([]int, len(all))
+	plan.Factors = make([][]int, h)
+	plan.codes = make([]int32, len(all))
+	pi := make([]int, n)
+	for {
+		k, ok, err := stream.Next(factorOf)
+		if err != nil {
+			t.Fatalf("%v: reference factorization: %v", nw, err)
+		}
+		if !ok {
+			break
+		}
+		ids := slices.Clone(stream.Factor())
+		slices.Sort(ids)
+		real := make([]int, 0, len(ids))
+		for _, id := range ids {
+			pi[all[id].Src] = all[id].Dst
+			if id < len(reqs) {
+				real = append(real, id)
+			}
+		}
+		plan.Factors[k] = real
+		sub, err := pl.Plan(pi)
+		if err != nil {
+			t.Fatalf("%v: reference factor %d: %v", nw, k, err)
+		}
+		for _, id := range ids {
+			c := 0
+			if sub.Colors != nil {
+				c = sub.Colors[all[id].Src]
+			}
+			plan.codes[id] = int32(k*max(nw.D, nw.G) + c)
+		}
+	}
+	return plan
 }

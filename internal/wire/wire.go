@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"time"
 
+	"pops/internal/core"
 	"pops/internal/obs"
 	"pops/internal/popsnet"
 )
@@ -106,11 +107,9 @@ type UnroutableInfo struct {
 }
 
 // Request is one packet demand of an h-relation workload: move a packet
-// from Src to Dst.
-type Request struct {
-	Src int `json:"src"`
-	Dst int `json:"dst"`
-}
+// from Src to Dst. It is the planner's own type, so a decoded request list
+// is planned without a copy.
+type Request = core.Request
 
 // RouteRequest is the body of POST /route and POST /route/stream: one
 // workload to plan on POPS(D, G). Workload selects the kind ("" means

@@ -71,7 +71,8 @@ func Permutation(pi []int) Workload { return permutationWorkload{pi: pi} }
 // where each processor appears at most h times as a source and at most h
 // times as a destination, in h · OptimalSlots(d, g) slots (König
 // decomposition into h Theorem 2 rounds). The resulting Plan fills Reqs, H
-// and Factors.
+// and Factors. The workload shares reqs, as Permutation shares pi; the plan
+// keeps a copy of its own.
 func HRelation(reqs []Request) Workload { return hrelationWorkload{reqs: reqs} }
 
 // AllToAll is the complete-exchange workload: every processor sends one
