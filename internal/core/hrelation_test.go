@@ -37,7 +37,7 @@ func randomHRelation(n, h int, rng *rand.Rand) []Request {
 }
 
 // paddedRelation keeps a random nonempty part of reqs, in shuffled order,
-// so planning it needs dummy requests. It reorders reqs.
+// so that planning it usually needs dummy requests. It reorders reqs.
 func paddedRelation(reqs []Request, rng *rand.Rand) []Request {
 	rng.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
 	return reqs[:1+rng.Intn(len(reqs))]
