@@ -1,6 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"pops"
@@ -111,4 +116,77 @@ func TestRunEveryStrategy(t *testing.T) {
 	if err := run(2, 2, "", "", "", "warp-drive", 0, 1, false, false, false); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
+}
+
+// runGoldenPath holds run's stdout for the cases of TestRunGolden, each
+// headed by the equivalent command line.
+const runGoldenPath = "testdata/run_golden.txt"
+
+// TestRunGolden pins popsroute's output byte for byte: the default strategy
+// on the paper's Figure 3 permutation with its schedule and statistics, and
+// -strategy auto and -strategy direct on the POPS(16,4) transpose, whose
+// comparison block lists every strategy, singleslot's "n/a (…)" line
+// included. If the change is intended, regenerate with REGEN_GOLDEN=1 go
+// test -run TestRunGolden ./cmd/popsroute.
+func TestRunGolden(t *testing.T) {
+	cases := []struct {
+		cmd                    string
+		d, g                   int
+		perm, family, strategy string
+		schedule, stats        bool
+	}{
+		{"-d 3 -g 3 -perm 4,8,3,6,0,2,7,1,5 -schedule -stats", 3, 3, "4,8,3,6,0,2,7,1,5", "", "theorem2", true, true},
+		{"-d 16 -g 4 -family transpose -strategy auto", 16, 4, "", "transpose", "auto", false, false},
+		{"-d 16 -g 4 -family transpose -strategy direct", 16, 4, "", "transpose", "direct", false, false},
+	}
+	var got bytes.Buffer
+	for _, c := range cases {
+		fmt.Fprintf(&got, "== popsroute %s\n", c.cmd)
+		out, err := captureStdout(t, func() error {
+			return run(c.d, c.g, "", c.perm, c.family, c.strategy, 0, 1, false, c.schedule, c.stats)
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.cmd, err)
+		}
+		got.Write(out)
+	}
+	if os.Getenv("REGEN_GOLDEN") == "1" {
+		if err := os.MkdirAll(filepath.Dir(runGoldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(runGoldenPath, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(runGoldenPath)
+	if err != nil {
+		t.Fatalf("read golden (REGEN_GOLDEN=1 to regenerate): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("popsroute output differs from %s:\n got:\n%s\nwant:\n%s", runGoldenPath, got.Bytes(), want)
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected into a pipe and returns
+// what f printed.
+func captureStdout(t *testing.T, f func() error) ([]byte, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	read := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		read <- b
+	}()
+	ferr := f()
+	os.Stdout = stdout
+	w.Close()
+	out := <-read
+	r.Close()
+	return out, ferr
 }

@@ -174,6 +174,7 @@ func E10(seed int64, sizes []int) (*Table, error) {
 		ID:      "E10",
 		Title:   "Remark 1: edge-coloring backend comparison (plan time)",
 		Columns: []string{"d", "g", "n", "algorithm", "time"},
+		Timing:  []int{4},
 	}
 	rng := rand.New(rand.NewSource(seed))
 	if len(sizes) == 0 {
@@ -207,6 +208,7 @@ func E11(seed int64) (*Table, error) {
 		ID:      "E11",
 		Title:   "Planning cost scaling (euler-split backend)",
 		Columns: []string{"shape", "d", "g", "n", "time"},
+		Timing:  []int{4},
 	}
 	rng := rand.New(rand.NewSource(seed))
 	type shape struct {

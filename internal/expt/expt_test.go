@@ -2,6 +2,8 @@ package expt
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -217,7 +219,17 @@ func TestE14StorageBounds(t *testing.T) {
 	}
 }
 
-func TestAllRunsEveryExperiment(t *testing.T) {
+// experimentsGoldenPath holds the rendered output of All(1), the paper
+// reproduction `popsexp -e all` prints, with every timing cell masked.
+const experimentsGoldenPath = "testdata/experiments_golden.txt"
+
+// TestExperimentsGolden pins the reproduction: every table of All(1) must
+// render byte for byte as recorded, except the wall-clock cells a Table
+// marks in Timing, which are masked. A change to a slot count, a relay group
+// or a strategy's choice fails it. If the change is intended, regenerate
+// with REGEN_GOLDEN=1 go test -run TestExperimentsGolden ./internal/expt and
+// say in CHANGES.md why the reproduction moved.
+func TestExperimentsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("All() includes timing sweeps; skipped in -short")
 	}
@@ -229,6 +241,7 @@ func TestAllRunsEveryExperiment(t *testing.T) {
 		t.Fatalf("All returned %d tables, want 17", len(tables))
 	}
 	seen := make(map[string]bool)
+	var buf bytes.Buffer
 	for _, tab := range tables {
 		if seen[tab.ID] {
 			t.Fatalf("duplicate table %s", tab.ID)
@@ -236,6 +249,42 @@ func TestAllRunsEveryExperiment(t *testing.T) {
 		seen[tab.ID] = true
 		if len(tab.Rows) == 0 {
 			t.Fatalf("table %s has no rows", tab.ID)
+		}
+		for _, row := range tab.Rows {
+			for _, c := range tab.Timing {
+				row[c] = "<time>"
+			}
+		}
+		if err := tab.Render(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if os.Getenv("REGEN_GOLDEN") == "1" {
+		if err := os.MkdirAll(filepath.Dir(experimentsGoldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(experimentsGoldenPath, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(experimentsGoldenPath)
+	if err != nil {
+		t.Fatalf("read golden (REGEN_GOLDEN=1 to regenerate): %v", err)
+	}
+	got := strings.Split(buf.String(), "\n")
+	wantLines := strings.Split(string(want), "\n")
+	for i := 0; i < len(got) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("%s line %d differs:\n got: %q\nwant: %q\n(REGEN_GOLDEN=1 regenerates it if the change is intended)",
+				experimentsGoldenPath, i+1, g, w)
 		}
 	}
 }

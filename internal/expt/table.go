@@ -18,6 +18,9 @@ type Table struct {
 	Columns []string
 	Rows    [][]string
 	Notes   []string
+	// Timing lists the indexes of the columns holding wall-clock times: the
+	// only cells that differ between two runs with the same seed.
+	Timing []int
 }
 
 // AddRow appends a row of cells formatted with fmt.Sprint.
