@@ -22,6 +22,7 @@ import (
 	"pops/internal/core"
 	"pops/internal/edgecolor"
 	"pops/internal/graph"
+	"pops/internal/greedy"
 	"pops/internal/hypercube"
 	"pops/internal/matmul"
 	"pops/internal/perms"
@@ -74,13 +75,8 @@ func BenchmarkE7Theorem2VsGreedy(b *testing.B) {
 		}
 	})
 	b.Run("greedy", func(b *testing.B) {
-		greedy, err := NewGreedy(d, g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := greedy.Route(pi); err != nil {
+			if _, err := greedy.Route(d, g, pi); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -28,6 +28,7 @@ import (
 
 	"pops"
 	"pops/internal/popsnet"
+	"pops/internal/strategy"
 )
 
 func main() {
@@ -38,8 +39,8 @@ func main() {
 			"workload kind: permutation | all-to-all | one-to-all")
 		permSpec = flag.String("perm", "", "explicit permutation, comma-separated destinations")
 		family   = flag.String("family", "", "named family: random | derangement | reversal | rotation | transpose | identity")
-		strategy = flag.String("strategy", pops.StrategyTheoremTwo,
-			fmt.Sprintf("routing strategy (permutation workloads): %s", strings.Join(pops.Strategies(), " | ")))
+		strat    = flag.String("strategy", pops.StrategyTheoremTwo,
+			fmt.Sprintf("routing strategy (permutation workloads): %s", strings.Join(strategy.Names, " | ")))
 		speaker  = flag.Int("speaker", 0, "broadcasting processor (one-to-all workloads)")
 		seed     = flag.Int64("seed", 1, "seed for random families")
 		topology = flag.Bool("topology", false, "print network structure and exit")
@@ -48,13 +49,13 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := run(*d, *g, *workload, *permSpec, *family, *strategy, *speaker, *seed, *topology, *schedule, *stats); err != nil {
+	if err := run(*d, *g, *workload, *permSpec, *family, *strat, *speaker, *seed, *topology, *schedule, *stats); err != nil {
 		fmt.Fprintf(os.Stderr, "popsroute: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(d, g int, workload, permSpec, family, strategy string, speaker int, seed int64, topology, schedule, stats bool) error {
+func run(d, g int, workload, permSpec, family, strat string, speaker int, seed int64, topology, schedule, stats bool) error {
 	nw, err := pops.NewNetwork(d, g)
 	if err != nil {
 		return err
@@ -72,11 +73,7 @@ func run(d, g int, workload, permSpec, family, strategy string, speaker int, see
 		return err
 	}
 
-	router, err := pops.NewRouter(strategy, d, g, pops.WithVerify(true))
-	if err != nil {
-		return err
-	}
-	plan, err := router.Route(pi)
+	plan, err := strategy.Route(strat, d, g, pi, pops.Options{Verify: true})
 	if err != nil {
 		return err
 	}
@@ -91,17 +88,13 @@ func run(d, g int, workload, permSpec, family, strategy string, speaker int, see
 		plan.Strategy, plan.SlotCount(), pops.OptimalSlots(d, g), lb, prop)
 
 	fmt.Println("strategy comparison (predicted slots):")
-	routers, err := pops.AllRouters(d, g)
-	if err != nil {
-		return err
-	}
-	for _, r := range routers {
-		predicted, err := r.PredictedSlots(pi)
+	for _, name := range strategy.Names {
+		predicted, err := strategy.Predict(name, d, g, pi)
 		if err != nil {
-			fmt.Printf("  %-14s n/a (%v)\n", r.Name(), err)
+			fmt.Printf("  %-14s n/a (%v)\n", name, err)
 			continue
 		}
-		fmt.Printf("  %-14s %d slots\n", r.Name(), predicted)
+		fmt.Printf("  %-14s %d slots\n", name, predicted)
 	}
 
 	if plan.Colors != nil {

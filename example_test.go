@@ -53,44 +53,6 @@ func ExampleLowerBound() {
 	// 4 slots via Prop2; achieved 4
 }
 
-// ExampleNewGreedy shows the adversarial instance where direct routing
-// degenerates and the two-phase routing of Theorem 2 wins, comparing the two
-// strategies through the Router interface.
-func ExampleNewGreedy() {
-	pi, _ := pops.GroupRotation(16, 4, 1) // every group targets the next one
-	greedy, _ := pops.NewGreedy(16, 4)
-	theorem, _ := pops.NewTheoremTwo(16, 4)
-	gp, _ := greedy.Route(pi)
-	tp, _ := theorem.Route(pi)
-	fmt.Printf("%s: %d slots, %s: %d slots\n", gp.Strategy, gp.SlotCount(), tp.Strategy, tp.SlotCount())
-	// Output:
-	// greedy: 16 slots, theorem2: 8 slots
-}
-
-// ExampleNewDirectOptimal recovers Sahni's specialized transpose bound.
-func ExampleNewDirectOptimal() {
-	pi := pops.Transpose(4, 4) // 4×4 matrix on POPS(8,2)
-	direct, _ := pops.NewDirectOptimal(8, 2)
-	plan, _ := direct.Route(pi)
-	fmt.Printf("transpose: %d slots (general bound %d)\n", plan.SlotCount(), pops.OptimalSlots(8, 2))
-	// Output:
-	// transpose: 4 slots (general bound 8)
-}
-
-// ExampleNewAuto shows the strategy selector picking the cheapest applicable
-// router per permutation and recording its choice in Plan.Strategy.
-func ExampleNewAuto() {
-	auto, _ := pops.NewAuto(8, 2)
-	transpose, _ := auto.Route(pops.Transpose(4, 4)) // µmax = 4 < 2⌈d/g⌉ = 8
-	rotation, _ := pops.GroupRotation(8, 2, 1)       // concentrated: relays win
-	adversarial, _ := auto.Route(rotation)
-	fmt.Printf("transpose: %s in %d slots\n", transpose.Strategy, transpose.SlotCount())
-	fmt.Printf("rotation:  %s in %d slots\n", adversarial.Strategy, adversarial.SlotCount())
-	// Output:
-	// transpose: direct-optimal in 4 slots
-	// rotation:  theorem2 in 8 slots
-}
-
 // ExamplePlanner routes a batch of permutations with one Planner: the
 // network is validated once, internal buffers are reused, and results come
 // back in input order.

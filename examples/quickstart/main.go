@@ -1,8 +1,7 @@
 // Quickstart: route a random permutation on a POPS(8,16) network (128
 // processors) through the Planner, verify the schedule on the slot-level
-// simulator, and compare routing strategies through the Router interface —
-// Theorem 2's universal relay router, the greedy direct baseline, and the
-// Auto strategy selector.
+// simulator, and compare its slot count with the lower bound of
+// Propositions 1–3.
 package main
 
 import (
@@ -48,36 +47,4 @@ func main() {
 	}
 	fmt.Printf("lower bound: %d slots (%s) — within factor %.1f\n",
 		lb, prop, float64(plan.SlotCount())/float64(lb))
-
-	greedy, err := pops.NewGreedy(d, g, pops.WithVerify(true))
-	if err != nil {
-		log.Fatal(err)
-	}
-	greedyPlan, err := greedy.Route(pi)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("greedy direct baseline: %d slots\n", greedyPlan.SlotCount())
-
-	// The adversarial case where two-phase routing shines: every packet of
-	// group h heads to group h+1. The Auto router recognizes that no direct
-	// strategy beats Theorem 2 here and picks the relay route.
-	adv, err := pops.GroupRotation(d, g, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	auto, err := pops.NewAuto(d, g, pops.WithVerify(true))
-	if err != nil {
-		log.Fatal(err)
-	}
-	advPlan, err := auto.Route(adv)
-	if err != nil {
-		log.Fatal(err)
-	}
-	advGreedy, err := greedy.PredictedSlots(adv)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("group-rotation adversary: auto picked %s, %d slots vs greedy %d slots\n",
-		advPlan.Strategy, advPlan.SlotCount(), advGreedy)
 }

@@ -86,7 +86,8 @@ func (o Options) Workers() int {
 }
 
 // Canonical names of the routing strategies that can produce a Plan. They
-// appear in Plan.Strategy and in the public Router implementations.
+// appear in Plan.Strategy and name the comparison routers of
+// internal/strategy.
 // StrategyHRelation and StrategyOneToAll name the non-permutation workload
 // planners of the unified Execute surface.
 const (

@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 
-	"pops"
 	"pops/internal/bounds"
 	"pops/internal/core"
 	"pops/internal/edgecolor"
 	"pops/internal/perms"
 	"pops/internal/popsnet"
+	"pops/internal/strategy"
 )
 
 // Figure3Perm is the permutation of Figure 3 of the paper on POPS(3,3).
@@ -247,8 +247,8 @@ func E6() (*Table, error) {
 
 // E7 compares the Theorem 2 router against the greedy direct baseline and
 // the single-slot characterization, on random, adversarial, and reversal
-// workloads. The strategies run through the public Router interface with
-// WithVerify, so every schedule in the table replayed on the simulator.
+// workloads. The strategies run through strategy.Route with Options.Verify,
+// so every schedule in the table replayed on the simulator.
 func E7(seed int64) (*Table, error) {
 	t := &Table{
 		ID:      "E7",
@@ -272,28 +272,17 @@ func E7(seed int64) (*Table, error) {
 		wls = append(wls, wl{"group-rotation", s.d, s.g, rot})
 		wls = append(wls, wl{"reversal", s.d, s.g, perms.VectorReversal(n)})
 	}
+	verify := core.Options{Verify: true}
 	for _, w := range wls {
-		theorem, err := pops.NewTheoremTwo(w.d, w.g, pops.WithVerify(true))
+		p, err := strategy.Route(core.StrategyTheoremTwo, w.d, w.g, w.pi, verify)
 		if err != nil {
 			return nil, err
 		}
-		p, err := theorem.Route(w.pi)
+		gp, err := strategy.Route(core.StrategyGreedy, w.d, w.g, w.pi, verify)
 		if err != nil {
 			return nil, err
 		}
-		gr, err := pops.NewGreedy(w.d, w.g, pops.WithVerify(true))
-		if err != nil {
-			return nil, err
-		}
-		gp, err := gr.Route(w.pi)
-		if err != nil {
-			return nil, err
-		}
-		ss, err := pops.NewSingleSlot(w.d, w.g)
-		if err != nil {
-			return nil, err
-		}
-		_, ssErr := ss.PredictedSlots(w.pi)
+		_, ssErr := strategy.Predict(core.StrategySingleSlot, w.d, w.g, w.pi)
 		t.AddRow(w.name, w.d, w.g, p.SlotCount(), gp.SlotCount(),
 			float64(gp.SlotCount())/float64(p.SlotCount()), ssErr == nil)
 	}

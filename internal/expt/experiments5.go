@@ -7,15 +7,16 @@ import (
 	"reflect"
 
 	"pops"
+	"pops/internal/core"
 	"pops/internal/perms"
+	"pops/internal/strategy"
 )
 
-// E16 exercises the unified Router API end to end: every strategy routes the
-// same workloads through the pops.Router interface, single-slot
-// applicability shows up as "n/a" where the characterization rejects the
-// permutation, and the Auto router's per-permutation choice (recorded in
-// Plan.Strategy) is tabulated together with the invariant that it never
-// costs more than Theorem 2. The batch is planned twice — sequentially
+// E16 routes the same workloads under every strategy of strategy.Names:
+// single-slot applicability shows up as "n/a" where the characterization
+// rejects the permutation, and the Auto router's per-permutation choice
+// (recorded in Plan.Strategy) is tabulated together with the invariant that
+// it never costs more than Theorem 2. The batch is planned twice — sequentially
 // through Planner.Execute and through Planner.RouteBatch — and every plan's
 // schedule must agree slot for slot.
 func E16(seed int64) (*Table, error) {
@@ -48,34 +49,31 @@ func E16(seed int64) (*Table, error) {
 	wls = append(wls, wl{"transpose", 8, 2, perms.Transpose(4, 4)})
 	wls = append(wls, wl{"staircase", 2, 4, perms.Staircase(2, 4)})
 
+	verify := core.Options{Verify: true}
 	for _, w := range wls {
-		routers, err := pops.AllRouters(w.d, w.g, pops.WithVerify(true))
-		if err != nil {
-			return nil, err
-		}
 		cells := []interface{}{w.name, w.d, w.g}
 		var theoremSlots, autoSlots int
 		var autoPicked string
-		for _, r := range routers {
+		for _, name := range strategy.Names {
 			// Genuine non-applicability (single slot on an unroutable
 			// permutation) renders as n/a; any error from an applicable
 			// strategy — including a verification failure — fails the
 			// experiment.
-			if r.Name() == pops.StrategySingleSlot {
-				if _, err := r.PredictedSlots(w.pi); err != nil {
+			if name == core.StrategySingleSlot {
+				if _, err := strategy.Predict(name, w.d, w.g, w.pi); err != nil {
 					cells = append(cells, "n/a")
 					continue
 				}
 			}
-			plan, err := r.Route(w.pi)
+			plan, err := strategy.Route(name, w.d, w.g, w.pi, verify)
 			if err != nil {
-				return nil, fmt.Errorf("E16 %s d=%d g=%d %s: %w", w.name, w.d, w.g, r.Name(), err)
+				return nil, fmt.Errorf("E16 %s d=%d g=%d %s: %w", w.name, w.d, w.g, name, err)
 			}
 			cells = append(cells, plan.SlotCount())
-			switch r.Name() {
-			case pops.StrategyTheoremTwo:
+			switch name {
+			case core.StrategyTheoremTwo:
 				theoremSlots = plan.SlotCount()
-			case pops.StrategyAuto:
+			case core.StrategyAuto:
 				autoSlots = plan.SlotCount()
 				autoPicked = plan.Strategy
 			}

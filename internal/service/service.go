@@ -318,10 +318,10 @@ func (s *Service) retire(sh *shard) {
 
 // checkStrategy accepts the strategies the service plans: "" and
 // "theorem2". The baselines (greedy, direct-optimal, singleslot, auto) run
-// in-process as pops Routers, not over the wire.
+// in-process behind popsroute -strategy, not over the wire.
 func checkStrategy(strategy string) error {
 	if strategy != "" && strategy != pops.StrategyTheoremTwo {
-		return fmt.Errorf(`service: strategy %q is not served, only "theorem2" is; the baselines run in-process (pops Routers, popsroute -strategy)`, strategy)
+		return fmt.Errorf(`service: strategy %q is not served, only "theorem2" is; the baselines run in-process (popsroute -strategy)`, strategy)
 	}
 	return nil
 }

@@ -68,7 +68,7 @@ func TestOnlyTheoremTwoIsServed(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 
-	for _, strategy := range []string{pops.StrategyGreedy, pops.StrategyAuto, "nonsense"} {
+	for _, strategy := range []string{"greedy", "auto", "nonsense"} {
 		for _, sf := range surfaces {
 			for _, c := range codecs {
 				status, body := send(t, srv, sf.path, strategy, sf.req, c.contentType, c.encode)
@@ -81,7 +81,7 @@ func TestOnlyTheoremTwoIsServed(t *testing.T) {
 
 	// Through the proxy the backend's 400 is relayed as-is; a rejected
 	// request is an answer, not a backend failure.
-	if status, body := send(t, proxy, "/route", pops.StrategyGreedy, surfaces[0].req, "application/json", codecs[0].encode); status != http.StatusBadRequest {
+	if status, body := send(t, proxy, "/route", "greedy", surfaces[0].req, "application/json", codecs[0].encode); status != http.StatusBadRequest {
 		t.Errorf("proxy: status %d body %q, want the backend's 400", status, body)
 	}
 	for _, b := range p.Backends() {

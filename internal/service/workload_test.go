@@ -140,7 +140,7 @@ func TestWorkloadAllToAllAndOneToAll(t *testing.T) {
 	}
 	// Strategy selection is a permutation-only concept.
 	if _, err := client.Do(ctx, &pops.ServiceRouteRequest{
-		D: d, G: g, Workload: wire.WorkloadAllToAll, Strategy: pops.StrategyGreedy,
+		D: d, G: g, Workload: wire.WorkloadAllToAll, Strategy: "greedy",
 	}); err == nil {
 		t.Fatal("strategy on a non-permutation workload accepted")
 	}

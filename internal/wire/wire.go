@@ -144,8 +144,8 @@ type RouteRequest struct {
 	// Strategy is validated input: the service plans Theorem 2 only, so it
 	// accepts "" and "theorem2" and answers any other value with 400 —
 	// never silently with a Theorem 2 plan. The baselines (greedy,
-	// direct-optimal, singleslot, auto) run in-process through
-	// pops.NewRouter.
+	// direct-optimal, singleslot, auto) run in-process behind popsroute
+	// -strategy.
 	Strategy string `json:"strategy,omitempty"`
 	// IncludeSchedule asks for the full slot schedule in each plan, so the
 	// caller can replay it on a simulator. Off by default: schedules are

@@ -1,8 +1,8 @@
 package pops
 
-// Option is a functional option configuring routers and planners. Options
-// apply to the shared Options struct that is threaded down into the planning
-// layers (internal/core).
+// Option is a functional option configuring a Planner. Options apply to the
+// shared Options struct that is threaded down into the planning layers
+// (internal/core).
 type Option func(*Options)
 
 // WithAlgorithm selects the bipartite edge-coloring backend used by the

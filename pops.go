@@ -27,14 +27,13 @@
 // latency). Cancelling the context stops planning between factors and
 // returns the pooled worker.
 //
-// Every routing strategy — Theorem 2 (TheoremTwo), the greedy and optimal
-// direct baselines (Greedy, DirectOptimal), the Gravenstreter–Melhem
-// single-slot router (SingleSlot), and the per-permutation strategy selector
-// (Auto) — implements the Router interface and returns the unified *Plan,
-// whose Strategy field records the producer:
-//
-//	r, err := pops.NewAuto(8, 8)
-//	plan, err := r.Route(pi) // plan.Strategy == "singleslot" | "direct-optimal" | "theorem2"
+// Every plan's Strategy field records its producer: "theorem2" for a
+// permutation, or the workload planner that built it. The paper's
+// comparison baselines (greedy and optimal direct routing, the
+// Gravenstreter–Melhem single-slot router and the Auto selector) are not
+// part of this package; the reproduction experiments and `popsroute
+// -strategy` run them. IsOneSlotRoutable exposes the single-slot
+// characterization.
 //
 // Behavior is configured with functional options (WithAlgorithm, WithVerify,
 // WithParallelism). For planning batches of permutations, RouteBatch fans
@@ -93,6 +92,16 @@ type PlanObserver = core.PlanObserver
 
 // Plan is a verified-constructible routing plan; see Planner.Execute.
 type Plan = core.Plan
+
+// Names of the planners that appear in Plan.Strategy: Theorem 2 for
+// permutations, and the workload planners behind Execute's HRelation and
+// AllToAll kinds and its OneToAll kind (StrategyFaulty names the
+// fault-aware one).
+const (
+	StrategyTheoremTwo = core.StrategyTheoremTwo
+	StrategyHRelation  = core.StrategyHRelation
+	StrategyOneToAll   = core.StrategyOneToAll
+)
 
 // Network describes a POPS(d, g) network shape.
 type Network = popsnet.Network

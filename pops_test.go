@@ -57,41 +57,6 @@ func TestFacadeLowerBound(t *testing.T) {
 	}
 }
 
-func TestFacadeGreedyAndSingleSlot(t *testing.T) {
-	pi, err := GroupRotation(4, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	greedy, err := NewGreedy(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := greedy.Route(pi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.SlotCount() != 4 {
-		t.Fatalf("greedy slots = %d, want 4", plan.SlotCount())
-	}
-	if plan.Strategy != StrategyGreedy {
-		t.Fatalf("strategy = %q, want %q", plan.Strategy, StrategyGreedy)
-	}
-	ok, err := IsOneSlotRoutable(4, 4, pi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("adversarial permutation claimed one-slot routable")
-	}
-	single, err := NewSingleSlot(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := single.Route(pi); err == nil {
-		t.Fatal("SingleSlot accepted unroutable permutation")
-	}
-}
-
 func TestFacadeBroadcastAndRun(t *testing.T) {
 	nw, err := NewNetwork(2, 3)
 	if err != nil {
