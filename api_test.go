@@ -272,11 +272,6 @@ var internalExportKeep = map[string]string{
 	"popsnet.Network.LocalIndex":         "part of the public surface through pops.Network (testdata/api.txt)",
 	"chaos":                              "overload harness: its tests drive the stack through it (make overload-smoke)",
 	"wire/wiretest":                      "request decoder of the fake servers in other packages' tests",
-
-	"popsnet.PermuteWithinGroups": "deferred: the only subject of three tier-1 tests; cut together with them in a later change",
-	"popsnet.GroupBroadcast":      "deferred: the only subject of two tier-1 tests; cut together with them in a later change",
-	"popsnet.State.Holding":       "deferred: the only subject of TestStateHoldingCopyIsolated; cut together with it in a later change",
-	"graph.Bipartite.Union":       "deferred: the only subject of TestUnion and TestUnionSizeMismatchPanics; cut together with them in a later change",
 }
 
 // TestInternalExportsHaveCallers fails on an exported func or method under

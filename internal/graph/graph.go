@@ -243,19 +243,3 @@ func (b *Bipartite) SubgraphByEdges(ids []int) (*Bipartite, []int) {
 	}
 	return s, orig
 }
-
-// Union appends all edges of other (which must have identical node class
-// sizes) to a copy of b, returning the combined graph and the offset that
-// was added to other's edge IDs. It panics on a size mismatch.
-func (b *Bipartite) Union(other *Bipartite) (*Bipartite, int) {
-	if b.nLeft != other.nLeft || b.nRight != other.nRight {
-		panic(fmt.Sprintf("graph: union size mismatch (%d,%d) vs (%d,%d)",
-			b.nLeft, b.nRight, other.nLeft, other.nRight))
-	}
-	c := b.Clone()
-	offset := len(c.edges)
-	for _, e := range other.edges {
-		c.AddEdge(e.L, e.R)
-	}
-	return c, offset
-}

@@ -167,35 +167,6 @@ func TestSubgraphByEdges(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	a := Circulant(3, 1)
-	b := Circulant(3, 2)
-	u, off := a.Union(b)
-	if u.NumEdges() != a.NumEdges()+b.NumEdges() {
-		t.Fatalf("union edges = %d", u.NumEdges())
-	}
-	if off != a.NumEdges() {
-		t.Fatalf("offset = %d, want %d", off, a.NumEdges())
-	}
-	for i := 0; i < b.NumEdges(); i++ {
-		if u.Edge(off+i) != b.Edge(i) {
-			t.Fatalf("edge %d not preserved in union", i)
-		}
-	}
-	if err := u.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-}
-
-func TestUnionSizeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched Union did not panic")
-		}
-	}()
-	New(2, 2).Union(New(3, 2))
-}
-
 // TestDegreeSequences: on an irregular graph the adjacency lists carry
 // every node's degree, with multiplicity.
 func TestDegreeSequences(t *testing.T) {

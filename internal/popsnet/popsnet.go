@@ -117,11 +117,6 @@ func (st *State) Holds(p, k int) bool {
 	return false
 }
 
-// Holding returns a copy of the packets held by processor p.
-func (st *State) Holding(p int) []int {
-	return append([]int(nil), st.holding[p]...)
-}
-
 // remove deletes one copy of packet k from processor p's holdings.
 func (st *State) remove(p, k int) {
 	h := st.holding[p]

@@ -216,8 +216,8 @@ func TestSendThenLoseCustody(t *testing.T) {
 	if st.Holds(0, 0) {
 		t.Fatal("sender kept the packet after transmission")
 	}
-	if got := st.Holding(1); len(got) != 2 {
-		t.Fatalf("receiver holds %v, want its own packet plus the received one", got)
+	if !st.Holds(1, 1) || !st.Holds(1, 0) {
+		t.Fatal("receiver does not hold its own packet plus the received one")
 	}
 }
 
@@ -276,18 +276,5 @@ func TestDirectSlotIntraGroup(t *testing.T) {
 	}
 	if !st.Holds(2, 0) {
 		t.Fatal("intra-group transfer failed")
-	}
-}
-
-func TestStateHoldingCopyIsolated(t *testing.T) {
-	nw := mustNet(t, 1, 2)
-	st, err := NewCustomState(nw, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := st.Holding(0)
-	h[0] = 99
-	if !st.Holds(0, 0) {
-		t.Fatal("Holding returned a live reference")
 	}
 }

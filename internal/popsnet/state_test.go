@@ -11,8 +11,8 @@ func TestNewCustomState(t *testing.T) {
 	if !st.Holds(0, 0) || !st.Holds(0, 1) || !st.Holds(3, 2) {
 		t.Fatal("custom placement wrong")
 	}
-	if got := st.Holding(0); len(got) != 2 {
-		t.Fatalf("proc 0 holds %v, want two packets", got)
+	if st.Holds(0, 2) {
+		t.Fatal("proc 0 holds packet 2, which was placed at proc 3")
 	}
 	if _, err := NewCustomState(nw, []int{9}); err == nil {
 		t.Fatal("out-of-range home accepted")
