@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"go/ast"
 	"go/doc"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -269,24 +272,33 @@ var internalExportKeep = map[string]string{
 	"edgecolor.Factorizer.FactorizeInto": "batch 1-factorization: the reference the factor streams and the coloring goldens are held to",
 	"graph.Circulant":                    "regular test-graph generator shared by the graph, matching and coloring tests",
 	"graph.Bipartite.SubgraphByEdges":    "materializes an edge view, the reference of the splitter and matcher view tests",
-	"popsnet.Network.LocalIndex":         "part of the public surface through pops.Network (testdata/api.txt)",
 	"chaos":                              "overload harness: its tests drive the stack through it (make overload-smoke)",
 	"wire/wiretest":                      "request decoder of the fake servers in other packages' tests",
+	"graph.Bipartite.Validate":           "structural invariant checker of the graph tests",
+	"edgecolor.Verify":                   "proper-coloring checker of the coloring tests",
+	"popsnet.SlotError.Unwrap":           "called by errors.Is and errors.As, which name a violation's category",
+	"obs.Span.Phase":                     "reads one phase's duration for the tracing tests",
+	"obs.Histogram.Count":                "reads a histogram's total for the latency tests",
+
+	"graph.Bipartite.Clone":       "deferred: only TestCloneIndependence calls it",
+	"simd/bitvec.Vec.Count":       "deferred: only bitvec's own test calls it",
+	"hypercube.Machine.Shift":     "deferred: a simulated machine operation only its package tests run",
+	"hypercube.Machine.Broadcast": "deferred: a simulated machine operation only its package tests run",
+	"mesh.Machine.Transpose":      "deferred: a simulated machine operation only its package tests run",
 }
 
 // TestInternalExportsHaveCallers fails on an exported func or method under
-// internal/ whose name appears in no non-test file of the module or of
-// perfbench except its own declaration: a kernel has one entry point, and
-// an export only tests call is either a test reference (kept above, with
-// its reason) or dead. It parses files with go/parser and matches
-// identifiers by name, without a type checker, so a name shared with any
-// other identifier — another declaration of the same name included —
-// counts as a caller.
+// internal/ that no non-test file of the module or of perfbench uses: a
+// kernel has one entry point, and an export only tests call is either a
+// test reference (kept above, with its reason) or dead. It type-checks
+// every non-test package with go/types and counts a use only where an
+// identifier resolves to the declared object, so two methods that share a
+// name never count as each other's caller. A method that implements a
+// method of an interface some package declares or imports (String, Error,
+// ServeHTTP, …) may be called through that interface, so it counts as used.
 func TestInternalExportsHaveCallers(t *testing.T) {
-	type export struct{ pkg, key, name, pos string }
-	var exports []export
-	idents := make(map[string]int) // identifier -> occurrences in non-test files
 	fset := token.NewFileSet()
+	files := make(map[string][]*ast.File) // import path -> non-test files
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -304,54 +316,183 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				idents[id.Name]++
-			}
-			return true
-		})
-		pkg, internal := strings.CutPrefix(filepath.ToSlash(filepath.Dir(path)), "internal/")
-		if !internal {
-			return nil
+		// The module is "pops" and perfbench's is "pops/perfbench", so a
+		// directory's import path is its path under "pops".
+		importPath := "pops"
+		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
+			importPath += "/" + dir
 		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || !fd.Name.IsExported() {
-				continue
-			}
-			key := pkg + "." + fd.Name.Name
-			if fd.Recv != nil {
-				recv := fd.Recv.List[0].Type
-				if star, ok := recv.(*ast.StarExpr); ok {
-					recv = star.X
-				}
-				key = pkg + "." + types.ExprString(recv) + "." + fd.Name.Name
-			}
-			exports = append(exports, export{pkg, key, fd.Name.Name, fset.Position(fd.Pos()).String()})
-		}
+		files[importPath] = append(files[importPath], f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	used := make(map[string]bool)
-	for _, e := range exports {
-		if idents[e.name] > 1 {
+
+	info := &types.Info{Defs: make(map[*ast.Ident]types.Object), Uses: make(map[*ast.Ident]types.Object)}
+	checked := make(map[string]*types.Package)
+	var imp importerFunc
+	std := stdImporter(t, fset, files)
+	imp = func(path string) (*types.Package, error) {
+		if pkg := checked[path]; pkg != nil {
+			return pkg, nil
+		}
+		if files[path] == nil {
+			return std.Import(path)
+		}
+		conf := types.Config{Importer: imp}
+		pkg, err := conf.Check(path, fset, files[path], info)
+		if err != nil {
+			return nil, err
+		}
+		checked[path] = pkg
+		return pkg, nil
+	}
+	paths := make([]string, 0, len(files))
+	for path := range files {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		if _, err := imp.Import(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	used := make(map[types.Object]bool)
+	for _, obj := range info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			used[fn.Origin()] = true
+		}
+	}
+	// A type the root package aliases is public surface (testdata/api.txt),
+	// methods and all.
+	root := checked["pops"].Scope()
+	for _, name := range root.Names() {
+		if tn, ok := root.Lookup(name).(*types.TypeName); ok && tn.IsAlias() {
+			if named, ok := types.Unalias(tn.Type()).(*types.Named); ok {
+				for i := 0; i < named.NumMethods(); i++ {
+					used[named.Method(i)] = true
+				}
+			}
+		}
+	}
+	// Every interface a checked package declares or imports, and error.
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	seenPkg := make(map[*types.Package]bool)
+	var collect func(pkg *types.Package)
+	collect = func(pkg *types.Package) {
+		if seenPkg[pkg] {
+			return
+		}
+		seenPkg[pkg] = true
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				if iface, ok := tn.Type().Underlying().(*types.Interface); ok && iface.NumMethods() > 0 {
+					ifaces = append(ifaces, iface)
+				}
+			}
+		}
+		for _, dep := range pkg.Imports() {
+			collect(dep)
+		}
+	}
+	for _, pkg := range checked {
+		collect(pkg)
+	}
+	viaInterface := func(fn *types.Func) bool {
+		recv := fn.Type().(*types.Signature).Recv().Type()
+		if _, isPtr := recv.(*types.Pointer); !isPtr {
+			recv = types.NewPointer(recv) // the pointer's method set holds every method
+		}
+		for _, iface := range ifaces {
+			if types.Implements(recv, iface) {
+				for i := 0; i < iface.NumMethods(); i++ {
+					if iface.Method(i).Name() == fn.Name() {
+						return true
+					}
+				}
+			}
+		}
+		return false
+	}
+
+	keepUsed := make(map[string]bool)
+	for ident, obj := range info.Defs {
+		fn, ok := obj.(*types.Func)
+		if !ok || !fn.Exported() {
 			continue
 		}
+		pkg, internal := strings.CutPrefix(fn.Pkg().Path(), "pops/internal/")
+		sig := fn.Type().(*types.Signature)
+		if !internal || (sig.Recv() != nil && types.IsInterface(sig.Recv().Type())) {
+			continue
+		}
+		key := pkg + "." + fn.Name()
+		if recv := sig.Recv(); recv != nil {
+			named := recv.Type()
+			if ptr, ok := named.(*types.Pointer); ok {
+				named = ptr.Elem()
+			}
+			key = pkg + "." + named.(*types.Named).Obj().Name() + "." + fn.Name()
+		}
 		switch {
-		case internalExportKeep[e.key] != "":
-			used[e.key] = true
-		case internalExportKeep[e.pkg] != "":
-			used[e.pkg] = true
+		case used[fn] || (sig.Recv() != nil && viaInterface(fn)):
+		case internalExportKeep[key] != "":
+			keepUsed[key] = true
+		case internalExportKeep[pkg] != "":
+			keepUsed[pkg] = true
 		default:
 			t.Errorf("%s: exported %s has no caller in a non-test file; delete it, "+
-				"or keep it in internalExportKeep with a reason", e.pos, e.key)
+				"or keep it in internalExportKeep with a reason", fset.Position(ident.Pos()), key)
 		}
 	}
 	for key := range internalExportKeep {
-		if !used[key] {
+		if !keepUsed[key] {
 			t.Errorf("internalExportKeep names %s, which is no uncalled export under internal/", key)
 		}
 	}
 }
+
+// stdImporter imports the packages files import from outside them, the
+// standard library, from the compiler's export data. One go list call
+// locates the export data of them all.
+func stdImporter(t *testing.T, fset *token.FileSet, files map[string][]*ast.File) types.Importer {
+	seen := make(map[string]bool)
+	args := []string{"list", "-export", "-deps", "-f", "{{.ImportPath}}={{.Export}}"}
+	for _, fs := range files {
+		for _, f := range fs {
+			for _, spec := range f.Imports {
+				path, err := strconv.Unquote(spec.Path.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if files[path] == nil && !seen[path] {
+					seen[path] = true
+					args = append(args, path)
+				}
+			}
+		}
+	}
+	out, err := exec.Command("go", args...).Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	exports := make(map[string]string)
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		path, file, _ := strings.Cut(line, "=")
+		exports[path] = file
+	}
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file := exports[path]
+		if file == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(file)
+	})
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -232,10 +232,6 @@ func New(cfg Config) (*Proxy, error) {
 	return p, nil
 }
 
-// Tracer exposes the proxy's tracer, so the binary can mirror /debug/slow on
-// a separate debug listener.
-func (p *Proxy) Tracer() *obs.Tracer { return p.tracer }
-
 // Close stops the health checker, stops admitting HTTP requests, and waits
 // for in-flight proxied requests and streams to finish — the drain half of
 // popsproxy's graceful shutdown, mirroring popsserved. Idempotent.

@@ -70,7 +70,7 @@ func checkHRelationMatchesReference(t testing.TB, d, g int, algo edgecolor.Algor
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	streamed := &popsnet.Schedule{Net: pl.Network(), Slots: make([]popsnet.Slot, ps.SlotCount())}
+	streamed := &popsnet.Schedule{Net: pl.nw, Slots: make([]popsnet.Slot, ps.SlotCount())}
 	for {
 		frag, ok := ps.Next()
 		if !ok {

@@ -79,9 +79,6 @@ func NewPlannerFor(nw popsnet.Network, opts Options) *Planner {
 	return pl
 }
 
-// Network returns the planner's network shape.
-func (pl *Planner) Network() popsnet.Network { return pl.nw }
-
 // Plan computes the Theorem 2 routing of pi, reusing the planner's internal
 // buffers. The returned Plan owns all memory it references (pi is copied
 // into it) and stays valid across subsequent Plan calls even if the caller

@@ -94,7 +94,7 @@ func planFromColors(nw popsnet.Network, pi, colors []int) (*Plan, error) {
 // and FuzzHRelationMatchesReference hold them to it.
 func referenceHRelation(t testing.TB, pl *Planner, reqs []Request) *Plan {
 	t.Helper()
-	nw := pl.Network()
+	nw := pl.nw
 	n := nw.N()
 	src, dst := make([]int, n), make([]int, n)
 	for _, r := range reqs {

@@ -57,7 +57,7 @@ func referencePlan(t testing.TB, nw popsnet.Network, pi []int, algo edgecolor.Al
 // every slot of the schedule.
 func checkStreamMatchesReference(t testing.TB, pl *Planner, pi []int, algo edgecolor.Algorithm) {
 	t.Helper()
-	nw := pl.Network()
+	nw := pl.nw
 	ps, err := pl.StartPlanCtx(context.Background(), pi)
 	if err != nil {
 		t.Fatalf("%v %v: StartPlanCtx: %v", algo, nw, err)
@@ -260,15 +260,15 @@ func TestFragmentsValidUntilNext(t *testing.T) {
 				err   error
 			}{{"permutation", ps.Plan(), streamed, ps.Err()}, {"h-relation", hs.Plan(), hStreamed, hs.Err()}} {
 				if c.err != nil || c.plan == nil {
-					t.Fatalf("%v %v %s: stream ended with plan %v, err %v", algo, pl.Network(), c.name, c.plan, c.err)
+					t.Fatalf("%v %v %s: stream ended with plan %v, err %v", algo, pl.nw, c.name, c.plan, c.err)
 				}
 				want := c.plan.Schedule().Slots
 				if !reflect.DeepEqual(c.slots, want) {
-					t.Fatalf("%v %v %s: copied fragments diverge from the plan's schedule", algo, pl.Network(), c.name)
+					t.Fatalf("%v %v %s: copied fragments diverge from the plan's schedule", algo, pl.nw, c.name)
 				}
 				rs := Replay(c.plan)
 				if got := reassemble(rs.Next, rs.SlotCount()); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%v %v %s: copied replay slots diverge from the plan's schedule", algo, pl.Network(), c.name)
+					t.Fatalf("%v %v %s: copied replay slots diverge from the plan's schedule", algo, pl.nw, c.name)
 				}
 			}
 		}

@@ -196,9 +196,9 @@ func (f *FaultyNetwork) AliveRelay(a, b int) (j int, ok bool) {
 }
 
 // Replayer steps a schedule one slot at a time against a fault-injected
-// network, so faults can arrive mid-trace: call Network().KillCoupler between
-// Step calls and the very next slot that touches the newly dead coupler is
-// rejected with ErrDeadCoupler. This makes the simulator the oracle for
+// network, so faults can arrive mid-trace: call KillCoupler on that network
+// between Step calls and the very next slot that touches the newly dead
+// coupler is rejected with ErrDeadCoupler. This makes the simulator the oracle for
 // fault plans — a plan survives a fault set exactly when every slot replays.
 type Replayer struct {
 	s    *Schedule
@@ -244,16 +244,6 @@ func (r *Replayer) Step() (bool, error) {
 	r.tr.MaxHeld = append(r.tr.MaxHeld, maxHeld)
 	return true, nil
 }
-
-// Network returns the fault-injected network, the handle for mid-trace
-// KillCoupler/KillGroup calls. It is nil for a fault-free replay.
-func (r *Replayer) Network() *FaultyNetwork { return r.fn }
-
-// State returns the live state (shared, not a copy).
-func (r *Replayer) State() *State { return r.st }
-
-// Trace returns the per-slot statistics accumulated so far.
-func (r *Replayer) Trace() *Trace { return r.tr }
 
 // RunFaulty replays the schedule from the canonical permutation-routing
 // initial state on the fault-injected network fn, failing with a *SlotError

@@ -279,7 +279,7 @@ func TestReplayerMidTraceKill(t *testing.T) {
 		t.Fatalf("slot 0: ok=%v err=%v", ok, err)
 	}
 	// The fault arrives mid-trace, between slots 0 and 1.
-	if err := r.Network().KillCoupler(1, 0); err != nil {
+	if err := r.fn.KillCoupler(1, 0); err != nil {
 		t.Fatal(err)
 	}
 	_, err = r.Step()
@@ -301,7 +301,7 @@ func TestReplayerMidTraceKill(t *testing.T) {
 	if ok, err := r2.Step(); !ok || err != nil {
 		t.Fatalf("slot 0: ok=%v err=%v", ok, err)
 	}
-	if err := r2.Network().KillCoupler(0, 1); err != nil {
+	if err := r2.fn.KillCoupler(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if ok, err := r2.Step(); !ok || err != nil {
@@ -310,10 +310,10 @@ func TestReplayerMidTraceKill(t *testing.T) {
 	if ok, _ := r2.Step(); ok {
 		t.Fatal("Step reported progress past the last slot")
 	}
-	if !r2.State().Holds(2, 0) || !r2.State().Holds(3, 1) {
+	if !r2.st.Holds(2, 0) || !r2.st.Holds(3, 1) {
 		t.Fatal("packets not delivered after benign mid-trace kill")
 	}
-	if r2.next != 2 || len(r2.Trace().PacketsMoved) != 2 {
-		t.Fatalf("next slot = %d, trace slots = %d", r2.next, len(r2.Trace().PacketsMoved))
+	if r2.next != 2 || len(r2.tr.PacketsMoved) != 2 {
+		t.Fatalf("next slot = %d, trace slots = %d", r2.next, len(r2.tr.PacketsMoved))
 	}
 }

@@ -247,10 +247,6 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// Tracer exposes the service's tracer, so the binary can mirror
-// /debug/slow on a separate debug listener.
-func (s *Service) Tracer() *obs.Tracer { return s.tracer }
-
 // Metrics returns the GET /metrics handler: each scrape renders Stats()
 // through the metric tags of the wire schema. The binary mirrors it on its
 // debug listener.
