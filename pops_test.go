@@ -4,6 +4,9 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+
+	"pops/internal/core"
+	"pops/internal/strategy"
 )
 
 // execute plans w on a fresh POPS(d, g) planner.
@@ -54,6 +57,36 @@ func TestFacadeLowerBound(t *testing.T) {
 	}
 	if prop != "Prop2" || lb != 4 {
 		t.Fatalf("LowerBound = %d (%s), want 4 (Prop2)", lb, prop)
+	}
+}
+
+// TestFacadeGreedyAndSingleSlot checks IsOneSlotRoutable against the
+// baselines on the group rotation: greedy routes it in d = 4 slots and the
+// single-slot router, like the facade's verdict, rejects it.
+func TestFacadeGreedyAndSingleSlot(t *testing.T) {
+	pi, err := GroupRotation(4, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := strategy.Route(core.StrategyGreedy, 4, 4, pi, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.SlotCount() != 4 {
+		t.Fatalf("greedy slots = %d, want 4", plan.SlotCount())
+	}
+	if plan.Strategy != core.StrategyGreedy {
+		t.Fatalf("strategy = %q, want %q", plan.Strategy, core.StrategyGreedy)
+	}
+	ok, err := IsOneSlotRoutable(4, 4, pi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok {
+		t.Fatal("adversarial permutation claimed one-slot routable")
+	}
+	if _, err := strategy.Route(core.StrategySingleSlot, 4, 4, pi, core.Options{}); err == nil {
+		t.Fatal("single-slot routing accepted an unroutable permutation")
 	}
 }
 
